@@ -50,6 +50,7 @@ def _execute(scenario: Scenario) -> tuple[RunResult, list[Snapshot]]:
         kp0,
         scenario.control,
         scenario.t_end,
+        sample_dt=scenario.sample_dt,
         sample_every=scenario.sample_every,
         audits=scenario.audits,
         projection=scenario.projection,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .spectral import (
     TWO_PI,
@@ -26,7 +25,6 @@ from .spectral import (
     deriv_values,
     first_harmonics_values,
     integrate_values,
-    refined_extremum_values,
     resample_values,
 )
 
@@ -41,14 +39,6 @@ class ClosureError(ValueError):
 
 class DomainError(ValueError):
     pass
-
-
-class RadiusSearchError(RuntimeError):
-    """Center search did not converge; carries the best iterate found."""
-
-    def __init__(self, message: str, best: float):
-        super().__init__(message)
-        self.best = best
 
 
 # relative closure tolerance for operations that require a closed curve
@@ -192,7 +182,200 @@ def support_about_centroid(kp: CurvatureProfile) -> SupportRepresentation:
     return SupportRepresentation(center, PeriodicField(kp.grid, u))
 
 
-_RADIUS_MAXITER = 4000
+# The inradius is the linear program max r subject to u(theta) - c.N(theta)
+# >= r for every theta, over the center offset c from the centroid; the
+# outradius is the same program for -u. Each is seeded by an exchange on
+# the _OVERSAMPLE-fold resample and polished by Newton on the KKT system
+# of the trigonometric interpolant.
+_OVERSAMPLE = 4
+_MAX_PIVOTS = 100
+_MAX_NEWTON = 30
+_MAX_ROUNDS = 10
+# radius tolerance relative to max |u|, and that of the weight equations
+_RADIUS_RTOL = 1e-13
+_WEIGHT_TOL = 1e-13
+
+
+@dataclass(frozen=True)
+class _TouchingCircle:
+    """A radius with its optimality certificate.
+
+    center is the circle's offset from the centroid. The circle touches
+    the curve at the normal angles theta, whose weights are >= 0, sum to
+    1 and balance: sum(weights * N(theta)) = 0, so no shift of the center
+    can enlarge an inscribed (or shrink a circumscribed) circle.
+    """
+
+    radius: float
+    center: np.ndarray
+    theta: np.ndarray
+    weights: np.ndarray
+
+
+def _exchange(
+    v: np.ndarray, cols: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Discrete max-min over the samples by a three-point exchange.
+
+    A dual simplex on max r s.t. r + c.N_j <= v_j: the basis is three
+    samples whose normals hold the origin in their convex hull (weights
+    lam >= 0), and the most violated sample enters in place of the one
+    the ratio test removes. Returns (basis, lam, (r, cx, cy)).
+    """
+    m = v.size
+    basis = np.array([0, m // 3, 2 * m // 3])
+    for _ in range(_MAX_PIVOTS):
+        inv = np.linalg.inv(cols[:, basis])
+        y = v[basis] @ inv
+        slack = v - y @ cols
+        j = int(slack.argmin())
+        lam = inv[:, 0]
+        if slack[j] >= -tol:
+            return basis, lam, y
+        step = inv @ cols[:, j]
+        ratio = np.full(3, np.inf)
+        up = step > 0.0
+        ratio[up] = lam[up] / step[up]
+        basis[int(ratio.argmin())] = j
+    raise RuntimeError(f"exchange did not settle in {_MAX_PIVOTS} pivots")
+
+
+def _contacts(
+    basis: np.ndarray, lam: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Basis samples as contact guesses: neighbours on the grid are one
+    contact (the weight-averaged angle), weightless samples are dropped."""
+    order = np.argsort(basis)
+    idx, lam = basis[order].astype(float), lam[order]
+    groups = [[0]]
+    for i in range(1, idx.size):
+        if idx[i] - idx[groups[-1][-1]] <= 2:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    if len(groups) > 1 and idx[0] + m - idx[-1] <= 2:
+        idx[groups[0]] += m
+        groups[-1] += groups.pop(0)
+    theta, weight = [], []
+    for g in groups:
+        w = lam[g].sum()
+        if w > 0.0:
+            theta.append(float(np.dot(lam[g], idx[g])) / w)
+            weight.append(w)
+    return np.array(theta) * (TWO_PI / m), np.array(weight)
+
+
+def _kkt_polish(
+    coef: np.ndarray,
+    c: np.ndarray,
+    r: float,
+    theta: np.ndarray,
+    lam: np.ndarray,
+    tol: float,
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Newton on the KKT system of max-min of the interpolant f_c = v - c.N.
+
+    Unknowns c, r, theta_i, lam_i; equations f_c(theta_i) = r,
+    f_c'(theta_i) = 0, sum lam_i N(theta_i) = 0, sum lam_i = 1. Square
+    for any number of contacts. coef holds the interpolant and its first
+    two derivatives as (modes, 3) coefficients of exp(i m theta). A
+    contact counts as settled once the quadratic model leaves less than
+    tol of descent, f'^2 <= 2 tol |f''|, which also holds where the
+    interpolant is flat and its stationary point is ill-determined.
+    """
+    k = theta.size
+    z = np.concatenate([c, [r], theta, lam])
+    diag = np.arange(k)
+    modes = np.arange(coef.shape[0])
+    for _ in range(_MAX_NEWTON):
+        c, r, theta, lam = z[:2], z[2], z[3 : 3 + k], z[3 + k :]
+        p, p1, p2 = (np.exp(1j * np.outer(theta, modes)) @ coef).real.T
+        cos, sin = np.cos(theta), np.sin(theta)
+        f = p - c[0] * cos - c[1] * sin
+        f1 = p1 + c[0] * sin - c[1] * cos
+        f2 = p2 + c[0] * cos + c[1] * sin
+        balance = np.array([lam @ cos, lam @ sin, lam.sum() - 1.0])
+        if (
+            np.abs(f - r).max() <= tol
+            and np.all(f1 * f1 <= 2.0 * tol * np.abs(f2))
+            and np.abs(balance).max() <= _WEIGHT_TOL
+        ):
+            return c, float(r), theta, lam
+        J = np.zeros((2 * k + 3, 2 * k + 3))
+        J[:k, 0], J[:k, 1], J[:k, 2] = -cos, -sin, -1.0
+        J[k : 2 * k, 0], J[k : 2 * k, 1] = sin, -cos
+        J[diag, 3 + diag] = f1
+        J[k + diag, 3 + diag] = f2
+        J[2 * k, 3 : 3 + k], J[2 * k, 3 + k :] = -lam * sin, cos
+        J[2 * k + 1, 3 : 3 + k], J[2 * k + 1, 3 + k :] = lam * cos, sin
+        J[2 * k + 2, 3 + k :] = 1.0
+        F = np.concatenate([f - r, f1, balance])
+        z = z + np.linalg.lstsq(J, -F, rcond=None)[0]
+    raise RuntimeError(f"KKT polish did not converge in {_MAX_NEWTON} steps")
+
+
+def _max_min(v: np.ndarray) -> _TouchingCircle:
+    """max over c of min over theta of the interpolant of v minus c.N."""
+    n = v.size
+    coef = np.fft.rfft(v) / n
+    coef[1 : n // 2] *= 2.0
+    modes = np.arange(coef.size)
+    coef = np.stack([coef, 1j * modes * coef, -(modes * modes) * coef], axis=1)
+
+    fine = AngularGrid(_OVERSAMPLE * n)
+    v_fine = resample_values(v, fine.n)
+    cols = np.stack([np.ones(fine.n), fine.cos, fine.sin])
+    tol = _RADIUS_RTOL * float(np.abs(v_fine).max())
+
+    basis, lam, y = _exchange(v_fine, cols, tol)
+    c, r = y[1:], float(y[0])
+    # Between samples f_c dips at most max|f_c''| h^2/8 below them, and the
+    # optimum lies within that dip of the discrete one. Where it is below
+    # tol (near-circles, whose f_c is flat up to round-off) the discrete
+    # answer is exact and there is no well-posed contact to polish.
+    f2_fine = resample_values(deriv_values(v, 2), fine.n) + c @ cols[1:]
+    if np.abs(f2_fine).max() * fine.dtheta**2 / 8.0 <= tol:
+        held = lam > 0.0
+        return _TouchingCircle(r, c, fine.theta[basis[held]], lam[held])
+    theta, lam = _contacts(basis, lam, fine.n)
+    # active set: drop a contact whose weight turns negative, add the
+    # resample point furthest across the circle, polish again
+    for _ in range(_MAX_ROUNDS):
+        c, r, theta, lam = _kkt_polish(coef, c, r, theta, lam, tol)
+        slack = v_fine - np.array([r, c[0], c[1]]) @ cols
+        j = int(slack.argmin())
+        if lam.min() < 0.0:
+            keep = np.arange(lam.size) != lam.argmin()
+            theta, lam = theta[keep], lam[keep]
+        elif slack[j] < -tol:
+            theta = np.append(theta, fine.theta[j])
+            lam = np.append(lam, 0.0)
+        else:
+            return _TouchingCircle(r, c, theta, lam)
+    raise RuntimeError(
+        f"no certificate after {_MAX_ROUNDS} active-set rounds (weights "
+        f"{np.array2string(lam, precision=3)}, a resample point "
+        f"{-slack[j]:.3e} across the circle)"
+    )
+
+
+def _radius_certificates(
+    kp: CurvatureProfile, sup: SupportRepresentation | None = None
+) -> tuple[_TouchingCircle, _TouchingCircle]:
+    """Inscribed and circumscribed circles with their certificates."""
+    if sup is None:
+        sup = support_about_centroid(kp)
+    u = sup.u.values
+    solved = []
+    # min over c of max (u - c.N) is -(max over c of min (-u - c.N)) at -c
+    for label, v in (("inradius", u), ("outradius", -u)):
+        try:
+            solved.append(_max_min(v))
+        except RuntimeError as exc:
+            raise RuntimeError(f"{label}: {exc}") from exc
+    inner, neg = solved
+    outer = _TouchingCircle(-neg.radius, -neg.center, neg.theta, neg.weights)
+    return inner, outer
 
 
 def inradius_outradius(
@@ -201,58 +384,17 @@ def inradius_outradius(
 ) -> tuple[float, float]:
     """Largest inscribed and smallest circumscribed circle radii.
 
-    The radial extrema over the angle are evaluated on a 4x trigonometric
-    resample with parabolic refinement (raw grid extrema carry O(dtheta^2)
-    error); the center search is a restarted Nelder-Mead simplex. Callers
-    that already hold the centroid support samples pass them as `sup`.
+    Both are exact for the trigonometric interpolant of the support
+    function: an exchange on a 4x resample finds the touching samples,
+    and Newton on the optimality conditions moves them onto the true
+    contacts. Each answer is certified (nonnegative contact weights
+    whose normals balance, no resample point inside the inscribed circle
+    or outside the circumscribed one); an uncertified answer raises.
+    Callers that already hold the centroid support samples pass them as
+    `sup`.
     """
-    if sup is None:
-        sup = support_about_centroid(kp)
-    u = sup.u.values
-    n_fine = 4 * kp.grid.n
-    u_fine = resample_values(u, n_fine)
-    fine = AngularGrid(n_fine)
-    cos_f, sin_f = fine.cos, fine.sin
-
-    def radial_min(c: np.ndarray) -> float:
-        return refined_extremum_values(u_fine - c[0] * cos_f - c[1] * sin_f, False)
-
-    def radial_max(c: np.ndarray) -> float:
-        return refined_extremum_values(u_fine - c[0] * cos_f - c[1] * sin_f, True)
-
-    scale = 0.3 * float(u_fine.min())
-    simplex = np.array([[0.0, 0.0], [scale, 0.0], [0.0, scale]])
-
-    def search(objective, sign: float, label: str) -> float:
-        # minimize sign*radius; restart once from the first optimum
-        best = None
-        x0 = np.zeros(2)
-        sx = simplex
-        for _ in range(2):
-            res = minimize(
-                lambda c: sign * objective(c),
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "xatol": 1e-10,
-                    "fatol": 1e-12,
-                    "maxiter": _RADIUS_MAXITER,
-                    "initial_simplex": sx,
-                },
-            )
-            best = res if best is None or res.fun < best.fun else best
-            x0 = res.x
-            sx = np.array([x0, x0 + [0.05 * scale, 0.0], x0 + [0.0, 0.05 * scale]])
-        if not best.success and best.nit >= _RADIUS_MAXITER:
-            raise RadiusSearchError(
-                f"{label} center search hit the iteration cap",
-                best=sign * best.fun,
-            )
-        return sign * float(best.fun)
-
-    r_in = search(radial_min, -1.0, "inradius")
-    r_out = search(radial_max, +1.0, "outradius")
-    return r_in, r_out
+    inner, outer = _radius_certificates(kp, sup)
+    return inner.radius, outer.radius
 
 
 def bonnesen_sigma(I: float) -> float:
@@ -274,7 +416,7 @@ def measure(
     lam: float = math.nan,
     radii: bool = True,
 ) -> GeometrySnapshot:
-    """Assemble the scalar snapshot; radii=False skips the center searches."""
+    """Assemble the scalar snapshot; radii=False skips the radii solve."""
     _require_closed(kp, "measure")
     _, _, A = _support_pipeline(kp)
     L = length(kp)

@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 TWO_PI = 2.0 * math.pi
 
 
 def ellipse_perimeter(a: float, b: float) -> float:
     """Arc length by adaptive quadrature over the parametric angle."""
+    from scipy.integrate import quad  # lazy: importing convexflow loads no scipy
+
     val, err = quad(
         lambda p: math.hypot(a * math.sin(p), b * math.cos(p)),
         0.0,
@@ -49,6 +50,8 @@ def ellipse_curvature_integral(a: float, b: float, alpha: float) -> float:
     Not the total turning: that is the arc-length integral of k. Averaging
     k^alpha in theta weights by curvature, so even alpha = 1 needs quadrature.
     """
+    from scipy.integrate import quad
+
     val, err = quad(
         lambda th: float(ellipse_curvature(a, b, th)) ** alpha,
         0.0,

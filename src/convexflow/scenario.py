@@ -39,7 +39,8 @@ class Scenario:
     curve: CurveSpec
     control: StepControl
     t_end: float
-    sample_every: int
+    sample_every: int | None
+    sample_dt: float | None
     snapshot_every: int
     output_dir: str
     audits: tuple[str, ...]
@@ -106,8 +107,8 @@ def snapshot_of(
 _REQUIRED = ("law.kind", "law.alpha", "curve", "t_end")
 
 _TOP_KEYS = {
-    "law", "curve", "control", "t_end", "sample_every", "snapshot_every",
-    "output_dir", "audits", "projection",
+    "law", "curve", "control", "t_end", "sample_every", "sample_dt",
+    "snapshot_every", "output_dir", "audits", "projection",
 }
 
 # constructor field names per curve kind, grid_n always optional
@@ -208,9 +209,22 @@ def parse_scenario(text: str) -> Scenario:
     t_end = float(doc["t_end"])
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ScenarioError(f"t_end must be positive and finite, got {t_end}")
-    sample_every = int(doc.get("sample_every", 25))
-    if sample_every < 1:
-        raise ScenarioError(f"sample_every must be >= 1, got {sample_every}")
+    # cadence: every sample_every steps (default 25), or every sample_dt
+    # of flow time, which gives the equal spacing the rate audit needs
+    if "sample_every" in doc and "sample_dt" in doc:
+        raise ScenarioError("give sample_every or sample_dt, not both")
+    sample_dt = None
+    sample_every = None
+    if "sample_dt" in doc:
+        sample_dt = float(doc["sample_dt"])
+        if not (math.isfinite(sample_dt) and sample_dt > 0.0):
+            raise ScenarioError(
+                f"sample_dt must be positive and finite, got {sample_dt}"
+            )
+    else:
+        sample_every = int(doc.get("sample_every", 25))
+        if sample_every < 1:
+            raise ScenarioError(f"sample_every must be >= 1, got {sample_every}")
     snapshot_every = int(doc.get("snapshot_every", 0))
     if snapshot_every < 0:
         raise ScenarioError(f"snapshot_every must be >= 0, got {snapshot_every}")
@@ -229,6 +243,7 @@ def parse_scenario(text: str) -> Scenario:
         control=control,
         t_end=t_end,
         sample_every=sample_every,
+        sample_dt=sample_dt,
         snapshot_every=snapshot_every,
         output_dir=str(doc.get("output_dir", "out")),
         audits=audits,
@@ -260,12 +275,15 @@ def scenario_to_document(scenario: Scenario) -> dict:
         "law": {"kind": scenario.law.kind.value, "alpha": scenario.law.alpha},
         "curve": curve_doc,
         "t_end": scenario.t_end,
-        "sample_every": scenario.sample_every,
         "snapshot_every": scenario.snapshot_every,
         "output_dir": scenario.output_dir,
         "audits": list(scenario.audits),
         "projection": scenario.projection,
     }
+    if scenario.sample_dt is None:
+        doc["sample_every"] = scenario.sample_every
+    else:
+        doc["sample_dt"] = scenario.sample_dt
     if control_doc:
         doc["control"] = control_doc
     return doc

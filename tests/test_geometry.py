@@ -1,14 +1,22 @@
+import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import convexflow
 from convexflow import (
     AngularGrid,
     Circle,
     ClosureError,
     CurvatureProfile,
     Ellipse,
+    FlowKind,
+    FlowLaw,
     PerturbedCircle,
     area,
     bonnesen_sigma,
@@ -19,15 +27,17 @@ from convexflow import (
     measure,
     random_convex,
     reconstruct_points,
+    run,
     support_about_centroid,
 )
-from convexflow import oracles
+from convexflow import geometry, oracles
 from convexflow.geometry import (
     ConvexityError,
     DomainError,
     isoperimetric_ratio,
     support_identity_residual,
 )
+from convexflow.spectral import resample_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -170,6 +180,87 @@ class TestRadii:
         assert lo - 1e-8 <= r_in and r_out <= hi + 1e-8
         sig = bonnesen_sigma(isoperimetric_ratio(kp))
         assert r_out / r_in <= sig + 1e-6
+
+
+@functools.cache
+def contraction_curve():
+    """The final curve of criterion 1's alpha=1 run: a circle shrunk by
+    the flow, so its support carries time-stepping round-off."""
+    t_end = 0.9 * oracles.extinction_time(1.0, 1.0)
+    res = run(
+        FlowLaw(FlowKind.CONTRACTION, 1.0),
+        generate(Circle(r=1.0)),
+        t_end=t_end,
+        sample_dt=t_end,
+        audits=(),
+    )
+    return res.final
+
+
+CERTIFIED_CURVES = {
+    "circle": lambda: generate(Circle(r=2.0)),
+    "ellipse n=128": lambda: generate(Ellipse(a=2.0, b=1.0, grid_n=128)),
+    "ellipse n=512": lambda: generate(Ellipse(a=2.0, b=1.0, grid_n=512)),
+    **{f"random_convex({s})": (lambda s=s: random_convex(s)) for s in range(8)},
+    "contraction": contraction_curve,
+}
+
+
+class TestRadiusCertificate:
+    @pytest.mark.parametrize("name", sorted(CERTIFIED_CURVES))
+    def test_circles_hold_on_a_dense_resample(self, name):
+        kp = CERTIFIED_CURVES[name]()
+        sup = support_about_centroid(kp)
+        inner, outer = geometry._radius_certificates(kp, sup)
+        assert (inner.radius, outer.radius) == inradius_outradius(kp, sup)
+        dense = AngularGrid(64 * kp.grid.n)
+        u = resample_values(sup.u.values, dense.n)
+        f_in = u - inner.center[0] * dense.cos - inner.center[1] * dense.sin
+        f_out = u - outer.center[0] * dense.cos - outer.center[1] * dense.sin
+        assert f_in.min() >= inner.radius * (1.0 - 1e-12)
+        assert f_out.max() <= outer.radius * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED_CURVES))
+    def test_contact_weights_balance(self, name):
+        kp = CERTIFIED_CURVES[name]()
+        for circle in geometry._radius_certificates(kp):
+            w, th = circle.weights, circle.theta
+            assert w.size >= 2 and np.all(w >= 0.0)
+            assert abs(w.sum() - 1.0) < 1e-12
+            assert abs(w @ np.cos(th)) < 1e-12 and abs(w @ np.sin(th)) < 1e-12
+
+    def test_ellipse_touches_at_the_axis_ends(self, ellipse21):
+        inner, outer = geometry._radius_certificates(ellipse21)
+        assert np.sort(inner.theta) == pytest.approx([math.pi / 2, 3 * math.pi / 2])
+        assert np.sort(outer.theta) == pytest.approx([0.0, math.pi], abs=1e-12)
+
+    def test_random_convex_0_is_not_overstated(self):
+        # a center search over the refined resample minimum reported
+        # 0.9195150579, 1e-6 above the largest circle the curve holds
+        r_in, _ = inradius_outradius(random_convex(0))
+        assert r_in == pytest.approx(0.9195140659, abs=1e-10)
+        assert r_in < 0.9195150579 - 9e-7
+
+    def test_uncertified_answer_raises(self, ellipse21, monkeypatch):
+        monkeypatch.setattr(geometry, "_MAX_NEWTON", 1)
+        with pytest.raises(RuntimeError, match="inradius: KKT polish did not converge"):
+            inradius_outradius(ellipse21)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(convexflow.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, convexflow; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', "
+        "'scipy.linalg') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestBonnesenSigma:

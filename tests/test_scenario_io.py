@@ -24,7 +24,8 @@ from convexflow import (
     scenario_to_document,
     snapshot_of,
 )
-from convexflow.cli import main
+from convexflow.cli import _execute, main
+from convexflow.diagnostics import rate_fd_pairs
 from convexflow.generators import ExplicitSupport
 from convexflow.geometry import area, length
 from convexflow.laws import LawError
@@ -57,6 +58,7 @@ class TestParse:
         assert s.control.convergence_tol == 1e-3
         assert s.t_end == 5.0
         assert s.sample_every == 25
+        assert s.sample_dt is None
         assert s.snapshot_every == 0
         assert s.output_dir == "out"
         assert set(s.audits) == {
@@ -120,6 +122,8 @@ class TestParse:
             ("t_end", 0, "t_end"),
             ("t_end", -2, "t_end"),
             ("sample_every", 0, "sample_every"),
+            ("sample_dt", 0, "sample_dt"),
+            ("sample_dt", -0.1, "sample_dt"),
             ("snapshot_every", -1, "snapshot_every"),
         ],
     )
@@ -161,6 +165,21 @@ class TestParse:
         }
         s = parse_scenario(json.dumps(doc))
         assert parse_scenario(json.dumps(scenario_to_document(s))) == s
+
+    def test_sample_dt_cadence(self):
+        doc = json.loads(MINIMAL)
+        doc["sample_dt"] = 0.05
+        s = parse_scenario(json.dumps(doc))
+        assert s.sample_dt == 0.05 and s.sample_every is None
+        echo = scenario_to_document(s)
+        assert echo["sample_dt"] == 0.05 and "sample_every" not in echo
+        assert parse_scenario(json.dumps(echo)) == s
+
+    def test_sample_dt_and_sample_every_exclude_each_other(self):
+        doc = json.loads(MINIMAL)
+        doc.update(sample_dt=0.05, sample_every=10)
+        with pytest.raises(ScenarioError, match="not both"):
+            parse_scenario(json.dumps(doc))
 
     def test_default_control_echo_stays_finite_json(self):
         # dt_max defaults to infinity; the echo must remain strict JSON
@@ -309,6 +328,33 @@ class TestCli:
         first = (tmp_path / "out" / "series.csv").read_bytes()
         assert main(["run", str(path)]) == 0
         assert (tmp_path / "out" / "series.csv").read_bytes() == first
+
+    def test_sample_dt_run_checks_rate_pairs(self, tmp_path):
+        # adaptive steps space step-cadence samples unequally, and the
+        # rate audit compares only equally spaced windows
+        path = small_scenario(tmp_path, t_end=0.05)
+        doc = json.loads(path.read_text())
+        stepped, _ = _execute(parse_scenario(json.dumps(doc)))
+        del doc["sample_every"]
+        doc["sample_dt"] = 0.005
+        timed, _ = _execute(parse_scenario(json.dumps(doc)))
+        assert len(rate_fd_pairs(stepped.series, "L")[0]) == 0
+        assert len(timed.series) == 11
+        assert len(rate_fd_pairs(timed.series, "L")[0]) > 0
+
+    def test_run_with_sample_dt(self, tmp_path, capsys):
+        # n=128: at n=64 this ellipse loses length at 1e-8 per unit time,
+        # which the rate audit (checked only on equal spacing) reports
+        curve = {"kind": "Ellipse", "a": 2, "b": 1, "grid_n": 128}
+        path = small_scenario(tmp_path, t_end=0.05, curve=curve)
+        doc = json.loads(path.read_text())
+        del doc["sample_every"]
+        doc["sample_dt"] = 0.005
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 0
+        assert "11 samples" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["scenario"]["sample_dt"] == 0.005
 
     def test_audit_scenario_and_bare_curve(self, tmp_path, capsys):
         path = small_scenario(tmp_path)
