@@ -1,30 +1,45 @@
-"""The hot advance loop, written once and compiled two ways.
+"""The hot advance loop: adaptive RK4 with the operator applied spectrally.
 
-`advance` below is plain numpy and doubles as the fallback lane; when numba
-is importable the same function object is also compiled with
-njit(cache=True, nogil=True) as `advance_jit`. Which lane a run uses is
-resolved from the CONVEXFLOW_BACKEND environment variable (auto | numba |
-numpy) or an explicit argument. Spectral derivatives appear here as dense
-matrix products (numba has no FFT); the matrices are built from the FFT
-route column by column, so both lanes and the public spectral API realize
-the identical linear operator.
+Each stage evaluates k_t = k^2 ((d^2/dtheta^2 + 1) k^alpha - lambda) with
+one real FFT forward and one back. The forward transform V of v = k^alpha
+is multiplied by the symbol 1 - m^2 of (d^2 + 1), which keeps the Nyquist
+bin with the real symbol as `spectral.deriv_values` does; lambda enters
+mode 0 before the inverse. The nonlocal integrals come from the same
+transforms: the quadrature of v is dtheta * V[0]. G1 and G2 transform
+(v, 1/k) together, so the length is dtheta * W[0] and the area follows by
+Parseval from the inverse of (d^2 + 1) off mode 1 applied to w = 1/k.
 
-The loop owns its arrays: callers pass a writable copy of the curvature
-samples and treat the returned array as the new state.
+The loop never writes the array it is given; the returned array is the
+new state.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
 
 import numpy as np
 
-# law ids, fixed across lanes
-LAW_LP = 0
-LAW_AP = 1
-LAW_G1 = 2
-LAW_G2 = 3
-LAW_CONTRACTION = 4
+from .laws import FlowKind
+from .spectral import TWO_PI, _grid_arrays
+
+# The gufuncs behind np.fft.rfft and np.fft.irfft, called as (x, fct, out=)
+# with fct the normalisation the wrappers pass: 1 forward, 1/n back. Called
+# directly they skip argument handling that costs as much as an n = 128
+# transform, with bit-identical results (tests/test_stepping.py checks).
+# rfft_n_even needs even n, which every AngularGrid has.
+try:
+    from numpy.fft._pocketfft_umath import irfft as _irfft
+    from numpy.fft._pocketfft_umath import rfft_n_even as _rfft
+except ImportError:  # pragma: no cover - a numpy without that module
+
+    def _rfft(x, fct, out):
+        return np.fft.rfft(x, axis=-1, out=out)
+
+    def _irfft(x, fct, out):
+        return np.fft.irfft(x, out.shape[-1], out=out)
+
+
+_LP, _AP, _G1, _G2 = FlowKind.LP, FlowKind.AP, FlowKind.G1, FlowKind.G2
 
 # status codes returned by advance
 STATUS_OK = 0
@@ -33,42 +48,132 @@ STATUS_CONVEXITY = 2
 STATUS_BLOWUP = 3
 STATUS_NONFINITE = 4
 
-ENV_VAR = "CONVEXFLOW_BACKEND"
+
+@lru_cache(maxsize=32)
+def _symbols(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(symbol of d^2 + 1, Parseval area weights), per rfft bin.
+
+    The area weight of bin m is c_m * s_m: s_m is the symbol of the inverse
+    of (d^2 + 1) on the complement of mode 1 (s_0 = 1, s_1 = 0), and c_m
+    the rfft weight, 1/n at m = 0 and m = n/2 and 2/n otherwise. Each
+    weight is repeated for the real and imaginary part of its bin.
+    """
+    m = np.arange(n // 2 + 1, dtype=np.float64)
+    lin = 1.0 - m * m
+    solve = np.zeros(n // 2 + 1)
+    solve[0] = 1.0
+    solve[2:] = 1.0 / lin[2:]
+    weight = np.full(n // 2 + 1, 2.0 / n)
+    weight[0] = weight[-1] = 1.0 / n
+    area = np.repeat(weight * solve, 2)
+    for a in (lin, area):
+        a.setflags(write=False)
+    return lin, area
 
 
-def advance(
-    k,
-    s_accum,
-    span,
-    dtheta,
-    alpha,
-    law_id,
-    D2,
-    SOLVE,
-    cos_t,
-    sin_t,
-    safety,
-    dt_min,
-    dt_max,
-    blowup_k,
-    project,
-    step_budget,
-):
+class Derivative:
+    """Right-hand side of one law on an n-point grid, with its own buffers.
+
+    Calling it writes k_t into `out` and returns the quadrature of k^alpha.
+    Buffers are per instance, so concurrent runs never share one.
+    """
+
+    def __init__(self, n: int, alpha: float, kind: FlowKind):
+        self.n = n
+        self.inv_n = 1.0 / n
+        self.dtheta = TWO_PI / n
+        self.alpha = alpha
+        self.lin, self.area_weights = _symbols(n)
+        self.stacked = kind in (_G1, _G2)
+        self.kind = kind
+        # G1 and G2 transform the rows v = k^alpha and w = 1/k together
+        self.fields = np.empty((2, n))
+        self.spectra = np.empty((2, n // 2 + 1), dtype=complex)
+        # the bins as (re, im) pairs, so mode 0 reads and writes as a float
+        self.pairs = self.spectra.view(np.float64)
+        self.squares = np.empty(n + 2)
+        self.bracket = np.empty(n)
+
+    def length_area(self) -> tuple[float, float]:
+        """(L, A) of the curve whose 1/k the last call transformed (G1, G2)."""
+        Wf = self.pairs[1]
+        np.multiply(Wf, Wf, out=self.squares)
+        A = 0.5 * self.dtheta * float(np.dot(self.area_weights, self.squares))
+        return self.dtheta * Wf[0], A
+
+    def __call__(self, k: np.ndarray, out: np.ndarray) -> float:
+        fields = self.fields
+        spectra = self.spectra
+        v = k if self.alpha == 1.0 else np.exp(self.alpha * np.log(k))
+        if self.stacked:
+            fields[0] = v
+            np.divide(1.0, k, out=fields[1])
+            _rfft(fields, 1.0, out=spectra)
+        else:
+            _rfft(v, 1.0, out=spectra[0])
+        Vf = self.pairs[0]
+        q = self.dtheta * Vf[0]
+        kind = self.kind
+        if kind is _LP:
+            lam = q / TWO_PI
+        elif kind is _AP:
+            w = 1.0 / k
+            lam = float(np.dot(v, w)) / w.sum()
+        elif kind is _G1:
+            L, A = self.length_area()
+            lam = (2.0 * A / (L * L)) * q
+        elif kind is _G2:
+            L, A = self.length_area()
+            lam = (L / (2.0 * TWO_PI * A)) * (self.dtheta * float(np.dot(v, fields[1])))
+        else:
+            lam = 0.0
+        # (d^2 + 1) v - lambda, then k^2 times it
+        V = spectra[0]
+        V *= self.lin
+        Vf[0] -= self.n * lam
+        _irfft(V, self.inv_n, out=self.bracket)
+        np.multiply(k, self.bracket, out=out)
+        out *= k
+        return q
+
+
+def _guard(kmin: float, kmax: float, blowup_k: float) -> int:
+    """Status of a state from its extrema. A NaN anywhere makes both NaN,
+    +inf reaches the max and -inf the min, so no separate scan is needed."""
+    if not (-np.inf < kmin and kmax < np.inf):
+        return STATUS_NONFINITE
+    if kmin <= 0.0:
+        return STATUS_CONVEXITY
+    if kmax >= blowup_k:
+        return STATUS_BLOWUP
+    return STATUS_OK
+
+
+def advance(k, s_accum, span, alpha, kind, safety, dt_min, dt_max, blowup_k,
+            project, step_budget):
     """Advance curvature samples by `span` with adaptive RK4.
 
-    Returns (k, s_accum, t_local, steps, status). On a guard trip the
-    returned state is the last good one and t_local is how far it got.
-    s_accum integrates the quadrature of k^alpha over time (feeds the
-    lower-bound functional).
+    Returns (k, s_accum, t_local, steps, status). The state is guarded on
+    entry and after every step; on a guard trip the returned state is the
+    last good one and t_local is how far it got. s_accum integrates the
+    quadrature of k^alpha over time (feeds the lower-bound functional).
     """
     n = k.shape[0]
-    two_pi = dtheta * n
+    kmax = k.max()
+    status = _guard(k.min(), kmax, blowup_k)
+    if status != STATUS_OK:
+        return k, s_accum, 0.0, 0, status
+    dtheta = TWO_PI / n
+    rhs = Derivative(n, alpha, kind)
+    _, cos_t, sin_t = _grid_arrays(n)
+    f = np.empty(n)
+    ks = np.empty(n)
+    f_acc = np.empty(n)
     t_local = 0.0
     steps = 0
     while t_local < span:
         if steps >= step_budget:
             return k, s_accum, t_local, steps, STATUS_BUDGET
-        kmax = k.max()
         dt = safety * dtheta * dtheta / (alpha * kmax ** (alpha + 1.0))
         if dt < dt_min:
             dt = dt_min
@@ -80,56 +185,27 @@ def advance(
             dt = rem
 
         # classical RK4; each stage state feeds the next, lambda recomputed
-        f_acc = np.zeros(n)
-        f_prev = np.zeros(n)
-        q_acc = 0.0
-        for stage in range(4):
-            if stage == 0:
-                ks = k
-            elif stage == 3:
-                ks = k + dt * f_prev
-            else:
-                ks = k + (0.5 * dt) * f_prev
+        q_acc = rhs(k, f)
+        f_acc[:] = f
+        for stage in (1, 2, 3):
+            np.multiply(f, dt if stage == 3 else 0.5 * dt, out=ks)
+            ks += k
             if ks.min() <= 0.0:
                 return k, s_accum, t_local, steps, STATUS_CONVEXITY
-            v = np.exp(alpha * np.log(ks))
-            d2v = np.dot(D2, v)
-            q = dtheta * v.sum()
-            if law_id == LAW_LP:
-                lam = q / two_pi
-            elif law_id == LAW_AP:
-                w = 1.0 / ks
-                lam = (v * w).sum() / w.sum()
-            elif law_id == LAW_G1:
-                w = 1.0 / ks
-                u = np.dot(SOLVE, w)
-                L = dtheta * w.sum()
-                A = 0.5 * dtheta * (u * w).sum()
-                lam = (2.0 * A / (L * L)) * q
-            elif law_id == LAW_G2:
-                w = 1.0 / ks
-                u = np.dot(SOLVE, w)
-                L = dtheta * w.sum()
-                A = 0.5 * dtheta * (u * w).sum()
-                lam = (L / (2.0 * two_pi * A)) * (dtheta * (v * w).sum())
-            else:
-                lam = 0.0
-            f = ks * ks * (d2v + v - lam)
-            if stage == 0 or stage == 3:
-                f_acc = f_acc + f
+            q = rhs(ks, f)
+            if stage == 3:
+                f_acc += f
                 q_acc += q
             else:
-                f_acc = f_acc + 2.0 * f
+                f_acc += 2.0 * f
                 q_acc += 2.0 * q
-            f_prev = f
 
-        k_new = k + (dt / 6.0) * f_acc
-        if not np.all(np.isfinite(k_new)):
-            return k, s_accum, t_local, steps, STATUS_NONFINITE
-        if k_new.min() <= 0.0:
-            return k, s_accum, t_local, steps, STATUS_CONVEXITY
-        if k_new.max() >= blowup_k:
-            return k, s_accum, t_local, steps, STATUS_BLOWUP
+        f_acc *= dt / 6.0
+        k_new = f_acc + k
+        kmax_new = k_new.max()
+        status = _guard(k_new.min(), kmax_new, blowup_k)
+        if status != STATUS_OK:
+            return k, s_accum, t_local, steps, status
 
         if project:
             # re-close: strip the first Fourier harmonic of 1/k
@@ -137,11 +213,14 @@ def advance(
             c1 = (2.0 / n) * (w * cos_t).sum()
             s1 = (2.0 / n) * (w * sin_t).sum()
             w = w - c1 * cos_t - s1 * sin_t
-            if w.min() <= 0.0:
+            wmin = w.min()
+            if wmin <= 0.0:
                 return k, s_accum, t_local, steps, STATUS_CONVEXITY
             k_new = 1.0 / w
+            kmax_new = 1.0 / wmin
 
         k = k_new
+        kmax = kmax_new
         s_accum = s_accum + (dt / 6.0) * q_acc
         steps += 1
         if last:
@@ -149,34 +228,3 @@ def advance(
         else:
             t_local = t_local + dt
     return k, s_accum, t_local, steps, STATUS_OK
-
-
-try:
-    import numba
-
-    advance_jit = numba.njit(cache=True, nogil=True)(advance)
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    advance_jit = None
-    HAVE_NUMBA = False
-
-
-def resolve_backend(name: str | None = None):
-    """Map a backend request onto (label, advance callable).
-
-    `auto` (the default) prefers the jitted lane when numba imported.
-    """
-    choice = (name or os.environ.get(ENV_VAR, "auto")).strip().lower()
-    if choice == "auto":
-        return ("numba", advance_jit) if HAVE_NUMBA else ("numpy", advance)
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError(
-                "CONVEXFLOW_BACKEND=numba requested but numba is not importable"
-            )
-        return "numba", advance_jit
-    if choice == "numpy":
-        return "numpy", advance
-    raise ValueError(
-        f"unknown backend {choice!r}; expected auto, numba, or numpy"
-    )

@@ -66,6 +66,7 @@ def _finish(scenario: Scenario, result: RunResult, snapshots) -> tuple[bool, lis
         scenario.output_dir,
         scenario=scenario,
         status=result.status.value,
+        guard=result.guard,
     )
     problems = audit_series(result.series)
     ok = result.status in CLEAN and not problems
@@ -78,7 +79,7 @@ def _cmd_run(args) -> int:
     ok, problems = _finish(scenario, result, snapshots)
     print(
         f"{result.status.value}: t={result.t_final:.6g} after {result.steps} "
-        f"steps ({result.backend} backend), {len(result.series)} samples, "
+        f"steps (guard: {result.guard or 'none'}), {len(result.series)} samples, "
         f"{len(snapshots)} snapshots -> {scenario.output_dir}"
     )
     for msg in problems:

@@ -57,8 +57,8 @@ class LambdaValue:
 def power(k: np.ndarray, alpha: float) -> np.ndarray:
     """k^alpha as exp(alpha*log k); k > 0 is an invariant so log is safe.
 
-    This exact form is shared with the stepping kernel so both code paths
-    produce bit-identical speeds.
+    The stepping kernel uses the same form except at alpha = 1, where it
+    takes k itself, so the two agree to round-off, not bit for bit.
     """
     return np.exp(alpha * np.log(k))
 

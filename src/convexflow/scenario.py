@@ -300,12 +300,14 @@ def emit(
     *,
     scenario: Scenario,
     status: str,
+    guard: str | None = None,
 ) -> dict:
     """Write one run's outputs into out_dir and return the manifest.
 
     Files: scenario.json (the echoed configuration), series.csv, one
     curve_NNNN.json plus curve_NNNN.svg per snapshot, and manifest.json
-    naming all of them with the final status. Content depends only on
+    naming all of them with the final status and the guard that ended the
+    run (None when no guard did). Content depends only on
     the inputs, so identical runs emit byte-identical files.
     """
     out = Path(out_dir)
@@ -329,7 +331,7 @@ def emit(
         render_snapshot(snap, out / f"{name}.svg")
         files += [f"{name}.json", f"{name}.svg"]
 
-    manifest = {"files": sorted(files), "scenario": echo, "status": status}
+    manifest = {"files": sorted(files), "guard": guard, "scenario": echo, "status": status}
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )

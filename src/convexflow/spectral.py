@@ -3,10 +3,8 @@
 Everything downstream works on 2*pi-periodic samples over a uniform grid in
 the normal angle. Differentiation and quadrature are realized spectrally:
 derivatives multiply Fourier coefficients by (i*m)^order, integrals are the
-trapezoid rule (exact for resolved trigonometric content). The same discrete
-operators are also materialized as dense matrices for the jitted stepping
-kernel, built by applying the FFT route to identity columns so both code
-paths realize the identical linear map.
+trapezoid rule (exact for resolved trigonometric content). The stepping
+kernel applies the same symbols to its own transforms (see `_kernels`).
 """
 
 from __future__ import annotations
@@ -195,38 +193,3 @@ def antiderivative_values(values: np.ndarray) -> tuple[np.ndarray, float]:
     coef[-1] = 0.0
     g = np.fft.irfft(coef, n)
     return g - g[0], mean
-
-
-@lru_cache(maxsize=8)
-def diff_matrix(n: int, order: int) -> np.ndarray:
-    """Dense differentiation matrix equal to deriv_values on R^n."""
-    D = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        D[:, j] = deriv_values(e, order)
-        e[j] = 0.0
-    D.setflags(write=False)
-    return D
-
-
-@lru_cache(maxsize=8)
-def harmonic_solve_matrix(n: int) -> np.ndarray:
-    """Dense inverse of (d^2/dtheta^2 + 1) on the complement of mode 1.
-
-    Applied to w = 1/k it yields support samples of the curve about the
-    origin that kills the first harmonic; used by the stepping kernel for
-    cheap area evaluation.
-    """
-    m = np.arange(n // 2 + 1, dtype=np.float64)
-    sym = np.zeros(n // 2 + 1)
-    sym[0] = 1.0
-    sym[2:] = 1.0 / (1.0 - m[2:] ** 2)
-    S = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        S[:, j] = np.fft.irfft(np.fft.rfft(e) * sym, n)
-        e[j] = 0.0
-    S.setflags(write=False)
-    return S

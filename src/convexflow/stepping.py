@@ -3,7 +3,7 @@
 The scheme is classical four-stage Runge-Kutta on the method-of-lines
 system, with the step size tied to the parabolic stability bound of the
 diffusion coefficient alpha*k^(alpha+1). Runs advance sample interval by
-sample interval through the compiled kernel; each boundary is landed on
+sample interval through the kernel (`_kernels`); each boundary is landed on
 exactly so that series from different resolutions or safety factors can
 be compared at matched times.
 """
@@ -25,15 +25,6 @@ from .laws import BlowUpError, FlowKind, FlowLaw
 
 class ConfigurationError(ValueError):
     pass
-
-
-_LAW_IDS = {
-    FlowKind.LP: _kernels.LAW_LP,
-    FlowKind.AP: _kernels.LAW_AP,
-    FlowKind.G1: _kernels.LAW_G1,
-    FlowKind.G2: _kernels.LAW_G2,
-    FlowKind.CONTRACTION: _kernels.LAW_CONTRACTION,
-}
 
 
 @dataclass(frozen=True)
@@ -82,12 +73,17 @@ class RunStatus(Enum):
 
 @dataclass(frozen=True)
 class RunResult:
+    """Outcome of run(). `guard` names the guard that ended the run: None,
+    "convexity", "blowup", "nonfinite" or "step_limit"."""
+
     status: RunStatus
     final: CurvatureProfile
     series: DiagnosticsSeries
     t_final: float
     steps: int
-    backend: str
+    guard: str | None
+
+    backend = "numpy"  # the one stepping lane; perfbench records still name it
 
 
 def stable_dt(law: FlowLaw, kp: CurvatureProfile, ctl: StepControl | None = None) -> float:
@@ -103,22 +99,18 @@ def stable_dt(law: FlowLaw, kp: CurvatureProfile, ctl: StepControl | None = None
     return float(min(max(raw, ctl.dt_min), ctl.dt_max))
 
 
-def _kernel_statics(grid):
-    from .spectral import diff_matrix, harmonic_solve_matrix
-
-    return diff_matrix(grid.n, 2), harmonic_solve_matrix(grid.n), grid.cos, grid.sin
-
-
-def active_backend(name: str | None = None) -> str:
-    """Which advance lane a run would use ('numba' or 'numpy')."""
-    return _kernels.resolve_backend(name)[0]
+# kernel status -> (run status, the guard named in RunResult.guard)
+_GUARD_TRIPS = {
+    _kernels.STATUS_CONVEXITY: (RunStatus.CONVEXITY_LOST, "convexity"),
+    _kernels.STATUS_BLOWUP: (RunStatus.BLOW_UP, "blowup"),
+    _kernels.STATUS_NONFINITE: (RunStatus.BLOW_UP, "nonfinite"),
+}
 
 
 def step(
     law: FlowLaw,
     kp: CurvatureProfile,
     dt: float,
-    backend: str | None = None,
 ) -> CurvatureProfile:
     """One forced RK4 step of exactly dt.
 
@@ -127,18 +119,15 @@ def step(
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    grid = kp.grid
-    D2, SOLVE, cos_t, sin_t = _kernel_statics(grid)
-    _, advance = _kernels.resolve_backend(backend)
-    k, _, _, _, code = advance(
-        kp.k.copy(), 0.0, dt, grid.dtheta, law.alpha, _LAW_IDS[law.kind],
-        D2, SOLVE, cos_t, sin_t, 1.0, dt, dt, math.inf, False, 8,
+    k, _, _, _, code = _kernels.advance(
+        kp.k.copy(), 0.0, dt, law.alpha, law.kind,
+        1.0, dt, dt, math.inf, False, 8,
     )
     if code == _kernels.STATUS_CONVEXITY:
         raise ConvexityError("curvature lost positivity during the step")
     if code in (_kernels.STATUS_BLOWUP, _kernels.STATUS_NONFINITE):
         raise BlowUpError(f"curvature blew up during a step of dt={dt:.6e}")
-    return CurvatureProfile(grid, k)
+    return CurvatureProfile(kp.grid, k)
 
 
 def run(
@@ -152,7 +141,6 @@ def run(
     audits: Sequence[str] = AUDIT_NAMES,
     betas: Sequence[float] = DEFAULT_BETAS,
     projection: bool = False,
-    backend: str | None = None,
     on_sample: Callable[[float, CurvatureProfile, int], None] | None = None,
 ) -> RunResult:
     """Advance to t_end, a guard trip, convergence, or the step cap.
@@ -163,7 +151,8 @@ def run(
     ctl.convergence_tol at a sample; the pure contraction flow is exempt
     (it shrinks self-similarly instead of settling) and runs to its
     horizon or blow-up. On a guard trip the result carries the last good
-    state and a final partial-interval sample.
+    state and a final partial-interval sample, and `guard` names the
+    guard that ended it.
     """
     ctl = StepControl() if ctl is None else ctl
     if not (math.isfinite(t_end) and t_end > 0.0):
@@ -181,9 +170,6 @@ def run(
     stable_dt(law, kp0, ctl)  # validates dt_min against the bound up front
 
     grid = kp0.grid
-    D2, SOLVE, cos_t, sin_t = _kernel_statics(grid)
-    label, advance = _kernels.resolve_backend(backend)
-    law_id = _LAW_IDS[law.kind]
 
     collector = DiagnosticsCollector(law, kp0, audits=audits, betas=betas)
     record = collector.collect(0.0, kp0, 0.0)
@@ -192,9 +178,9 @@ def run(
 
     check_convergence = law.kind is not FlowKind.CONTRACTION
     if check_convergence and record.oscillation <= ctl.convergence_tol:
-        return RunResult(RunStatus.CONVERGED, kp0, collector.series, 0.0, 0, label)
+        return RunResult(RunStatus.CONVERGED, kp0, collector.series, 0.0, 0, None)
     if float(kp0.k.max()) >= ctl.blowup_k:
-        return RunResult(RunStatus.BLOW_UP, kp0, collector.series, 0.0, 0, label)
+        return RunResult(RunStatus.BLOW_UP, kp0, collector.series, 0.0, 0, "blowup")
 
     k = kp0.k.copy()
     kp_cur = kp0
@@ -204,6 +190,7 @@ def run(
     sample_idx = 0
     boundary = 0
     status: RunStatus | None = None
+    guard: str | None = None
 
     while status is None and t_cur < t_end:
         remaining = ctl.max_steps - steps_used
@@ -222,9 +209,8 @@ def run(
         if span <= 0.0:
             continue
 
-        k, s_accum, t_adv, n_steps, code = advance(
-            k, s_accum, span, grid.dtheta, law.alpha, law_id,
-            D2, SOLVE, cos_t, sin_t,
+        k, s_accum, t_adv, n_steps, code = _kernels.advance(
+            k, s_accum, span, law.alpha, law.kind,
             ctl.safety, ctl.dt_min, ctl.dt_max, ctl.blowup_k,
             projection, budget,
         )
@@ -234,10 +220,8 @@ def run(
             t_sample = t_next
         else:
             t_sample = t_cur + t_adv
-        if code == _kernels.STATUS_CONVEXITY:
-            status = RunStatus.CONVEXITY_LOST
-        elif code in (_kernels.STATUS_BLOWUP, _kernels.STATUS_NONFINITE):
-            status = RunStatus.BLOW_UP
+        if code in _GUARD_TRIPS:
+            status, guard = _GUARD_TRIPS[code]
         elif code == _kernels.STATUS_BUDGET and steps_used >= ctl.max_steps:
             status = RunStatus.STEP_LIMIT
 
@@ -257,4 +241,6 @@ def run(
 
     if status is None:
         status = RunStatus.TIME_LIMIT if t_cur >= t_end else RunStatus.STEP_LIMIT
-    return RunResult(status, kp_cur, collector.series, t_cur, steps_used, label)
+    if status is RunStatus.STEP_LIMIT:
+        guard = "step_limit"
+    return RunResult(status, kp_cur, collector.series, t_cur, steps_used, guard)

@@ -322,6 +322,18 @@ class TestCli:
         assert main(["run", str(path)]) == 1
         assert "StepLimit" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "control, guard",
+        [({}, None), ({"max_steps": 50}, "step_limit"), ({"safety": 1.0}, "convexity")],
+    )
+    def test_run_names_the_guard(self, tmp_path, capsys, control, guard):
+        # safety 1 puts the stiffest mode outside the RK4 stability interval
+        path = small_scenario(tmp_path, control=control)
+        main(["run", str(path)])
+        assert f"(guard: {guard or 'none'})" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["guard"] == guard
+
     def test_run_rerun_is_byte_identical(self, tmp_path):
         path = small_scenario(tmp_path, snapshot_every=2)
         assert main(["run", str(path)]) == 0

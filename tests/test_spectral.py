@@ -15,9 +15,7 @@ from convexflow.spectral import (
     antiderivative_values,
     deriv,
     deriv_values,
-    diff_matrix,
     first_harmonics,
-    harmonic_solve_matrix,
     integrate,
     integrate_values,
     refined_extremum_values,
@@ -184,30 +182,6 @@ class TestInternals:
         assert mean == pytest.approx(2.0, abs=1e-14)
         # periodic part of the primitive is sin(theta), pinned to G(0)=0
         assert np.abs(G - np.sin(g.theta)).max() < 1e-13
-
-    def test_diff_matrix_matches_fft_route(self):
-        n = 64
-        g = AngularGrid(n)
-        vals = np.exp(np.sin(g.theta))
-        for order in (1, 2):
-            direct = deriv_values(vals, order)
-            viamat = diff_matrix(n, order) @ vals
-            assert np.abs(direct - viamat).max() < 1e-11 * np.abs(direct).max()
-
-    def test_harmonic_solve_inverts_operator(self):
-        n = 64
-        g = AngularGrid(n)
-        # no first-harmonic content, so the solve is a true inverse
-        w = 1.0 + 0.3 * np.cos(2 * g.theta) + 0.05 * np.sin(4 * g.theta)
-        u = harmonic_solve_matrix(n) @ w
-        back = deriv_values(u, 2) + u
-        assert np.abs(back - w).max() < 1e-12
-
-    def test_harmonic_solve_kills_mode_one(self):
-        n = 64
-        g = AngularGrid(n)
-        u = harmonic_solve_matrix(n) @ np.cos(g.theta)
-        assert np.abs(u).max() < 1e-13
 
 
 class TestRefinedExtremum:
