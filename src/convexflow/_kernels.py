@@ -4,10 +4,11 @@ Each stage evaluates k_t = k^2 ((d^2/dtheta^2 + 1) k^alpha - lambda) with
 one real FFT forward and one back. The forward transform V of v = k^alpha
 is multiplied by the symbol 1 - m^2 of (d^2 + 1), which keeps the Nyquist
 bin with the real symbol as `spectral.deriv_values` does; lambda enters
-mode 0 before the inverse. The nonlocal integrals come from the same
-transforms: the quadrature of v is dtheta * V[0]. G1 and G2 transform
-(v, 1/k) together, so the length is dtheta * W[0] and the area follows by
-Parseval from the inverse of (d^2 + 1) off mode 1 applied to w = 1/k.
+mode 0 before the inverse. lambda is `laws.nonlocal_lambda` of the
+quadratures the law reads, each computed only where it is read: the
+quadrature of v is dtheta * V[0]; AP, G1 and G2 read w = 1/k; G1 and G2
+transform (v, w) together, so the length is dtheta * W[0] and the area is
+`geometry.parseval_area` of W.
 
 The loop never writes the array it is given; the returned array is the
 new state.
@@ -15,11 +16,13 @@ new state.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .laws import FlowKind
+from .geometry import parseval_area
+from .laws import FlowKind, nonlocal_lambda
 from .spectral import TWO_PI, _grid_arrays
 
 # The gufuncs behind np.fft.rfft and np.fft.irfft, called as (x, fct, out=)
@@ -39,8 +42,6 @@ except ImportError:  # pragma: no cover - a numpy without that module
         return np.fft.irfft(x, out.shape[-1], out=out)
 
 
-_LP, _AP, _G1, _G2 = FlowKind.LP, FlowKind.AP, FlowKind.G1, FlowKind.G2
-
 # status codes returned by advance
 STATUS_OK = 0
 STATUS_BUDGET = 1
@@ -50,25 +51,12 @@ STATUS_NONFINITE = 4
 
 
 @lru_cache(maxsize=32)
-def _symbols(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(symbol of d^2 + 1, Parseval area weights), per rfft bin.
-
-    The area weight of bin m is c_m * s_m: s_m is the symbol of the inverse
-    of (d^2 + 1) on the complement of mode 1 (s_0 = 1, s_1 = 0), and c_m
-    the rfft weight, 1/n at m = 0 and m = n/2 and 2/n otherwise. Each
-    weight is repeated for the real and imaginary part of its bin.
-    """
+def _symbol(n: int) -> np.ndarray:
+    """Symbol 1 - m^2 of d^2 + 1, per rfft bin."""
     m = np.arange(n // 2 + 1, dtype=np.float64)
     lin = 1.0 - m * m
-    solve = np.zeros(n // 2 + 1)
-    solve[0] = 1.0
-    solve[2:] = 1.0 / lin[2:]
-    weight = np.full(n // 2 + 1, 2.0 / n)
-    weight[0] = weight[-1] = 1.0 / n
-    area = np.repeat(weight * solve, 2)
-    for a in (lin, area):
-        a.setflags(write=False)
-    return lin, area
+    lin.setflags(write=False)
+    return lin
 
 
 class Derivative:
@@ -83,52 +71,48 @@ class Derivative:
         self.inv_n = 1.0 / n
         self.dtheta = TWO_PI / n
         self.alpha = alpha
-        self.lin, self.area_weights = _symbols(n)
-        self.stacked = kind in (_G1, _G2)
+        self.lin = _symbol(n)
         self.kind = kind
-        # G1 and G2 transform the rows v = k^alpha and w = 1/k together
+        # the quadratures lambda reads beyond that of v (see nonlocal_lambda):
+        # G1 and G2 transform the rows v = k^alpha and w = 1/k together for
+        # L and A, AP sums w, AP and G2 integrate v w
+        self.stacked = kind in (FlowKind.G1, FlowKind.G2)
+        self.reads_w = self.stacked or kind is FlowKind.AP
+        self.reads_vw = kind in (FlowKind.AP, FlowKind.G2)
         self.fields = np.empty((2, n))
+        self.w = self.fields[1]
         self.spectra = np.empty((2, n // 2 + 1), dtype=complex)
+        self.V, self.W = self.spectra
         # the bins as (re, im) pairs, so mode 0 reads and writes as a float
         self.pairs = self.spectra.view(np.float64)
-        self.squares = np.empty(n + 2)
+        self.Vf = self.pairs[0]
         self.bracket = np.empty(n)
 
     def length_area(self) -> tuple[float, float]:
         """(L, A) of the curve whose 1/k the last call transformed (G1, G2)."""
-        Wf = self.pairs[1]
-        np.multiply(Wf, Wf, out=self.squares)
-        A = 0.5 * self.dtheta * float(np.dot(self.area_weights, self.squares))
-        return self.dtheta * Wf[0], A
+        return self.dtheta * self.pairs[1, 0], parseval_area(self.W)
 
     def __call__(self, k: np.ndarray, out: np.ndarray) -> float:
-        fields = self.fields
-        spectra = self.spectra
         v = k if self.alpha == 1.0 else np.exp(self.alpha * np.log(k))
+        w = self.w
+        L = A = vw = math.nan
+        if self.reads_w:
+            np.divide(1.0, k, out=w)
         if self.stacked:
-            fields[0] = v
-            np.divide(1.0, k, out=fields[1])
-            _rfft(fields, 1.0, out=spectra)
+            self.fields[0] = v
+            _rfft(self.fields, 1.0, out=self.spectra)
+            L, A = self.length_area()
         else:
-            _rfft(v, 1.0, out=spectra[0])
-        Vf = self.pairs[0]
+            _rfft(v, 1.0, out=self.V)
+            if self.reads_w:
+                L = self.dtheta * w.sum()
+        if self.reads_vw:
+            vw = self.dtheta * float(np.dot(v, w))
+        Vf = self.Vf
         q = self.dtheta * Vf[0]
-        kind = self.kind
-        if kind is _LP:
-            lam = q / TWO_PI
-        elif kind is _AP:
-            w = 1.0 / k
-            lam = float(np.dot(v, w)) / w.sum()
-        elif kind is _G1:
-            L, A = self.length_area()
-            lam = (2.0 * A / (L * L)) * q
-        elif kind is _G2:
-            L, A = self.length_area()
-            lam = (L / (2.0 * TWO_PI * A)) * (self.dtheta * float(np.dot(v, fields[1])))
-        else:
-            lam = 0.0
+        lam = nonlocal_lambda(self.kind, q, vw, L, A)
         # (d^2 + 1) v - lambda, then k^2 times it
-        V = spectra[0]
+        V = self.V
         V *= self.lin
         Vf[0] -= self.n * lam
         _irfft(V, self.inv_n, out=self.bracket)

@@ -24,16 +24,15 @@ import numpy as np
 
 from . import geometry
 from .geometry import CurvatureProfile, SupportRepresentation
-from .laws import FlowKind, FlowLaw, power
+from .laws import FlowKind, FlowLaw, lambda_value, nonlocal_lambda, power
 from .spectral import (
+    TWO_PI,
     PeriodicField,
     deriv_values,
     integrate_values,
     refined_extremum_values,
     resample_values,
 )
-
-TWO_PI = 2.0 * math.pi
 
 AUDIT_NAMES = ("rates", "radii", "tso", "psi", "phi", "entropy", "margins")
 DEFAULT_BETAS = (0.0, 0.5, 1.0, 2.0, 3.0)
@@ -234,51 +233,26 @@ def oscillation(kp: CurvatureProfile) -> float:
     return float((k.max() - k.min()) / k.mean())
 
 
-def rate_formulas(
-    law: FlowLaw,
-    kp: CurvatureProfile,
-    *,
-    _L: float | None = None,
-    _lam: float | None = None,
-) -> tuple[float, float]:
-    """Instantaneous (dA_dt, dL_dt) from the law-appropriate formulas.
+def rate_formulas(law: FlowLaw, kp: CurvatureProfile) -> tuple[float, float]:
+    """Instantaneous (dA_dt, dL_dt) = (lambda L - qw, 2 pi lambda - q),
+    q and qw the integrals of k^alpha and k^alpha/k.
 
     LP pins dL_dt to literally 0.0 and AP pins dA_dt to 0.0; those are
     the conserved quantities, and reporting the algebraic zero keeps the
     conservation audit independent of this function.
     """
     v = power(kp.k, law.alpha)
-    iv = integrate_values(v)
-    ivw = integrate_values(v * kp.w)
-    L = geometry.length(kp) if _L is None else _L
+    q = integrate_values(v)
+    qw = integrate_values(v * kp.w)
+    L = geometry.length(kp)
+    A = geometry.parseval_area(np.fft.rfft(kp.w))
+    lam = nonlocal_lambda(law.kind, q, qw, L, A)
+    dA_dt, dL_dt = lam * L - qw, TWO_PI * lam - q
     if law.kind is FlowKind.LP:
-        return (-ivw + (L / TWO_PI) * iv, 0.0)
-    if law.kind is FlowKind.AP:
-        return (0.0, -iv + (TWO_PI / L) * ivw)
-    if _lam is None:
-        _lam = _lambda_from(law, kp, L=L)
-    return (_lam * L - ivw, TWO_PI * _lam - iv)
-
-
-def _lambda_from(
-    law: FlowLaw,
-    kp: CurvatureProfile,
-    L: float | None = None,
-    A: float | None = None,
-) -> float:
-    """Law's nonlocal term, reusing precomputed L and A when provided."""
-    if law.kind is FlowKind.CONTRACTION:
-        return 0.0
-    v = power(kp.k, law.alpha)
-    if law.kind is FlowKind.LP:
-        return integrate_values(v) / TWO_PI
-    L = geometry.length(kp) if L is None else L
-    if law.kind is FlowKind.AP:
-        return integrate_values(v * kp.w) / L
-    A = geometry.area(kp) if A is None else A
-    if law.kind is FlowKind.G1:
-        return (2.0 * A / (L * L)) * integrate_values(v)
-    return (L / (2.0 * TWO_PI * A)) * integrate_values(v * kp.w)
+        dL_dt = 0.0
+    elif law.kind is FlowKind.AP:
+        dA_dt = 0.0
+    return dA_dt, dL_dt
 
 
 def tso_quantity(
@@ -319,12 +293,7 @@ def gradient_functional(kp: CurvatureProfile, alpha: float) -> float:
     return refined_extremum_values(v_fine * v_fine + vp_fine * vp_fine, True)
 
 
-def lower_bound_functional(
-    s_accum: float | None,
-    kp: CurvatureProfile,
-    *,
-    _L: float | None = None,
-) -> float:
+def lower_bound_functional(s_accum: float | None, kp: CurvatureProfile) -> float:
     """max of 1/k - L/(2 pi) - s_accum/(2 pi).
 
     s_accum is the integrator's running time integral of the curvature
@@ -333,11 +302,10 @@ def lower_bound_functional(
     """
     if s_accum is None:
         return math.nan
-    L = geometry.length(kp) if _L is None else _L
     w_max = refined_extremum_values(
         resample_values(kp.w, _DENSE_FACTOR * kp.grid.n), True
     )
-    return w_max - (L + s_accum) / TWO_PI
+    return w_max - (geometry.length(kp) + s_accum) / TWO_PI
 
 
 def entropy_direction(law: FlowLaw) -> int | None:
@@ -351,12 +319,7 @@ def entropy_direction(law: FlowLaw) -> int | None:
     return None
 
 
-def entropy(
-    law: FlowLaw,
-    kp: CurvatureProfile,
-    *,
-    _L: float | None = None,
-) -> EntropyValue:
+def entropy(law: FlowLaw, kp: CurvatureProfile) -> EntropyValue:
     """The law-and-alpha-appropriate entropy integral.
 
     LP tracks the curvature-power integral of order alpha-1 (constant 2
@@ -369,7 +332,7 @@ def entropy(
     base = integrate_values(power(kp.k, law.alpha) * w)
     direction = entropy_direction(law)
     if law.kind is FlowKind.AP:
-        L = integrate_values(w) if _L is None else _L
+        L = integrate_values(w)
         if law.alpha == 1.0:
             value = integrate_values(np.log(kp.k * L))
         else:
@@ -405,9 +368,6 @@ def inequality_audit(
     alpha: float = 1.0,
     betas: Sequence[float] = DEFAULT_BETAS,
     phis: Mapping[str, np.ndarray] | None = None,
-    *,
-    _L: float | None = None,
-    _A: float | None = None,
 ) -> dict[str, Margin]:
     """Every audited inequality as named margins (large - small side).
 
@@ -422,14 +382,16 @@ def inequality_audit(
         raise AuditError(f"alpha must be finite and positive, got {alpha}")
     k = kp.k
     w = kp.w
-    L = geometry.length(kp) if _L is None else _L
-    A = geometry.area(kp) if _A is None else _A
+    L = geometry.length(kp)
+    A = geometry.parseval_area(np.fft.rfft(w))
 
     v = power(k, alpha)
     iv = integrate_values(v)
     ivw = integrate_values(v * w)
-    lam_lp = iv / TWO_PI
-    lam_ap = ivw / L
+    lam_lp, lam_ap, lam_g1, lam_g2 = (
+        nonlocal_lambda(kind, iv, ivw, L, A)
+        for kind in (FlowKind.LP, FlowKind.AP, FlowKind.G1, FlowKind.G2)
+    )
     lam_scale = max(abs(lam_lp), abs(lam_ap))
 
     margins: dict[str, Margin] = {}
@@ -453,8 +415,6 @@ def inequality_audit(
     margins["gage"] = Margin(gage_large - TWO_PI, max(gage_large, TWO_PI))
 
     if alpha >= 1.0:
-        lam_g1 = (2.0 * A / (L * L)) * iv
-        lam_g2 = (L / (2.0 * TWO_PI * A)) * ivw
         margins["gage1_lower"] = Margin(lam_g1 - lam_ap, lam_scale)
         margins["gage1_upper"] = Margin(lam_lp - lam_g1, lam_scale)
         margins["gage2_lower"] = Margin(lam_g2 - lam_ap, lam_scale)
@@ -486,8 +446,11 @@ class DiagnosticsCollector:
     """Accumulates a DiagnosticsSeries sample by sample during a run.
 
     `audits` selects which diagnostics are computed; disabled ones record
-    NaN columns. The support pipeline (reconstruction, centroid, area) is
-    evaluated once per sample and shared by everything that needs it.
+    NaN columns. The support pipeline (reconstruction and centroid) is
+    evaluated once per sample and shared by everything that needs it;
+    the area comes from `geometry.parseval_area`, with no closure check,
+    so a run that drifts open is recorded (closure_defect) rather than
+    stopped.
     """
 
     def __init__(
@@ -517,11 +480,10 @@ class DiagnosticsCollector:
     ) -> SampleRecord:
         law = self.law
         k = kp.k
-        w = kp.w
         L = geometry.length(kp)
-        u, center, A = geometry._support_pipeline(kp)
+        A = geometry.parseval_area(np.fft.rfft(kp.w))
+        u, center = geometry._support_pipeline(kp)
         sup = SupportRepresentation(center, PeriodicField(kp.grid, u))
-        lam = _lambda_from(law, kp, L=L, A=A)
 
         nan = math.nan
         r_in = r_out = nan
@@ -530,7 +492,7 @@ class DiagnosticsCollector:
 
         dA_dt = dL_dt = nan
         if "rates" in self.audits:
-            dA_dt, dL_dt = rate_formulas(law, kp, _L=L, _lam=lam)
+            dA_dt, dL_dt = rate_formulas(law, kp)
 
         q_max, q_ok = nan, False
         if self.series.tso is not None:
@@ -540,15 +502,13 @@ class DiagnosticsCollector:
 
         phi = nan
         if self.series.phi_enabled:
-            phi = lower_bound_functional(s_accum, kp, _L=L)
+            phi = lower_bound_functional(s_accum, kp)
 
-        ent = entropy(law, kp, _L=L).value if "entropy" in self.audits else nan
+        ent = entropy(law, kp).value if "entropy" in self.audits else nan
 
         margins: dict[str, Margin] = {}
         if "margins" in self.audits:
-            margins = inequality_audit(
-                kp, alpha=law.alpha, betas=self.betas, _L=L, _A=A
-            )
+            margins = inequality_audit(kp, alpha=law.alpha, betas=self.betas)
 
         record = SampleRecord(
             t=t,
@@ -557,7 +517,7 @@ class DiagnosticsCollector:
             I=L * L / (2.0 * TWO_PI * A),
             k_min=float(k.min()),
             k_max=float(k.max()),
-            lam=lam,
+            lam=lambda_value(law, kp),
             closure_defect=geometry.closure_defect(kp),
             r_in=r_in,
             r_out=r_out,
@@ -568,7 +528,7 @@ class DiagnosticsCollector:
             Psi_max=psi,
             Phi_max=phi,
             entropy=ent,
-            oscillation=float((k.max() - k.min()) / k.mean()),
+            oscillation=oscillation(kp),
             margins=margins,
         )
         self.series.append(record)

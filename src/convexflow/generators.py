@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import ConvexityError, CurvatureProfile
 from .oracles import ellipse_curvature
-from .spectral import AngularGrid
+from .spectral import TWO_PI, AngularGrid
 
 DEFAULT_GRID_N = 256
 
@@ -43,25 +43,10 @@ class Ellipse:
             )
 
 
-def _check_modes(modes) -> tuple[tuple[int, float, float], ...]:
-    out = []
-    for entry in modes:
-        m, amp, phase = entry
-        m = int(m)
-        if m == 1:
-            raise ValueError(
-                "mode 1 is a pure translation of the support function "
-                "and is not allowed"
-            )
-        if m < 2:
-            raise ValueError(f"perturbation modes must be >= 2, got {m}")
-        out.append((m, float(amp), float(phase)))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class PerturbedCircle:
-    """u = r0 + sum of amp*cos(m*theta - phase) over the given modes."""
+    """u = r0 + sum of amp*cos(m*theta - phase) over the (m, amp, phase)
+    modes, each m >= 2."""
 
     r0: float
     modes: tuple[tuple[int, float, float], ...] = field(default_factory=tuple)
@@ -70,23 +55,8 @@ class PerturbedCircle:
     def __post_init__(self) -> None:
         if not self.r0 > 0.0:
             raise ValueError(f"base radius must be positive, got {self.r0}")
-        object.__setattr__(self, "modes", _check_modes(self.modes))
-
-
-@dataclass(frozen=True)
-class ExplicitSupport:
-    """u = mean + sum of (a_m cos(m*theta) + b_m sin(m*theta)), modes >= 2."""
-
-    mean: float
-    harmonics: tuple[tuple[int, float, float], ...] = field(default_factory=tuple)
-    grid_n: int = DEFAULT_GRID_N
-
-    def __post_init__(self) -> None:
-        if not self.mean > 0.0:
-            raise ValueError(f"mean support must be positive, got {self.mean}")
-        out = []
-        for entry in self.harmonics:
-            m, ac, bs = entry
+        modes = []
+        for m, amp, phase in self.modes:
             m = int(m)
             if m == 1:
                 raise ValueError(
@@ -94,30 +64,20 @@ class ExplicitSupport:
                     "and is not allowed"
                 )
             if m < 2:
-                raise ValueError(f"support modes must be >= 2, got {m}")
-            out.append((m, float(ac), float(bs)))
-        object.__setattr__(self, "harmonics", tuple(out))
+                raise ValueError(f"perturbation modes must be >= 2, got {m}")
+            modes.append((m, float(amp), float(phase)))
+        object.__setattr__(self, "modes", tuple(modes))
 
 
-CurveSpec = Circle | Ellipse | PerturbedCircle | ExplicitSupport
+CurveSpec = Circle | Ellipse | PerturbedCircle
 
 
-def _rho_terms(spec) -> list[tuple[int, float, float]]:
-    """(mode, cos coefficient, sin coefficient) of rho - mean = u'' + u - mean."""
-    if isinstance(spec, PerturbedCircle):
-        return [
-            (m, (1 - m * m) * amp * math.cos(phase), (1 - m * m) * amp * math.sin(phase))
-            for m, amp, phase in spec.modes
-        ]
-    return [
-        (m, (1 - m * m) * ac, (1 - m * m) * bs) for m, ac, bs in spec.harmonics
-    ]
-
-
-def _rho_values(spec, theta: np.ndarray) -> np.ndarray:
-    mean = spec.r0 if isinstance(spec, PerturbedCircle) else spec.mean
-    rho = np.full_like(theta, mean)
-    for m, c, s in _rho_terms(spec):
+def _rho_values(spec: PerturbedCircle, theta: np.ndarray) -> np.ndarray:
+    """rho = u'' + u = r0 + sum of (1 - m^2) amp cos(m theta - phase)."""
+    rho = np.full_like(theta, spec.r0)
+    for m, amp, phase in spec.modes:
+        c = (1 - m * m) * amp * math.cos(phase)
+        s = (1 - m * m) * amp * math.sin(phase)
         rho += c * np.cos(m * theta) + s * np.sin(m * theta)
     return rho
 
@@ -131,7 +91,7 @@ def generate(spec: CurveSpec) -> CurvatureProfile:
         return CurvatureProfile(grid, ellipse_curvature(spec.a, spec.b, grid.theta))
 
     # convexity check on a refined grid so dips between samples are caught
-    fine = np.arange(8 * grid.n) * (2.0 * math.pi / (8 * grid.n))
+    fine = np.arange(8 * grid.n) * (TWO_PI / (8 * grid.n))
     rho_fine = _rho_values(spec, fine)
     j = int(rho_fine.argmin())
     if rho_fine[j] <= 0.0:
@@ -165,7 +125,7 @@ def random_convex(
         ms = np.arange(2, max_mode + 1)
         shares = rng.uniform(0.2, 1.0, ms.size)
         shares /= shares.sum()
-        phases = rng.uniform(0.0, 2.0 * math.pi, ms.size)
+        phases = rng.uniform(0.0, TWO_PI, ms.size)
         modes = [
             (int(m), budget * r0 * sh / (m * m - 1.0), ph)
             for m, sh, ph in zip(ms, shares, phases)

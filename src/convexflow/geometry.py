@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -90,22 +90,6 @@ class SupportRepresentation:
     u: PeriodicField
 
 
-@dataclass(frozen=True)
-class GeometrySnapshot:
-    """Scalar geometry of one curve at one time."""
-
-    t: float
-    L: float
-    A: float
-    I: float
-    k_min: float
-    k_max: float
-    lam: float
-    closure_defect: float
-    r_in: float
-    r_out: float
-
-
 def length(kp: CurvatureProfile) -> float:
     """Arc length, integral of 1/k over the normal angle."""
     return integrate_values(kp.w)
@@ -152,8 +136,8 @@ def reconstruct_points(
 
 def _support_pipeline(
     kp: CurvatureProfile,
-) -> tuple[np.ndarray, tuple[float, float], float]:
-    """Reconstruct, find the area centroid, return (u, center, area)."""
+) -> tuple[np.ndarray, tuple[float, float]]:
+    """Reconstruct, find the area centroid, return (u, center)."""
     grid = kp.grid
     w = kp.w
     pts = reconstruct_points(kp)[:-1]
@@ -164,19 +148,50 @@ def _support_pipeline(
     cx = integrate_values(x * x * cos * w) / (2.0 * area0)
     cy = integrate_values(y * y * sin * w) / (2.0 * area0)
     u = (x - cx) * cos + (y - cy) * sin
-    return u, (cx, cy), 0.5 * integrate_values(u * w)
+    return u, (cx, cy)
+
+
+@lru_cache(maxsize=32)
+def _area_weights(n: int) -> np.ndarray:
+    """Parseval area weight c_m * s_m of each rfft bin, once per (re, im).
+
+    s_m is the symbol of the inverse of (d^2 + 1) on the complement of
+    mode 1 (s_0 = 1, s_1 = 0), c_m the rfft weight, 1/n at m = 0 and
+    m = n/2 and 2/n otherwise.
+    """
+    m = np.arange(n // 2 + 1, dtype=np.float64)
+    solve = np.zeros(n // 2 + 1)
+    solve[0] = 1.0
+    solve[2:] = 1.0 / (1.0 - m[2:] * m[2:])
+    weight = np.full(n // 2 + 1, 2.0 / n)
+    weight[0] = weight[-1] = 1.0 / n
+    area = np.repeat(weight * solve, 2)
+    area.setflags(write=False)
+    return area
+
+
+def parseval_area(W: np.ndarray) -> float:
+    """Enclosed area from W = rfft(1/k), with no closure check.
+
+    u = (d^2 + 1)^-1 (1/k) off mode 1 is the support function about some
+    center, and A = (1/2) integral of u/k, which Parseval turns into
+    (1/2) dtheta sum of c_m s_m |W_m|^2 (weights in `_area_weights`).
+    """
+    pairs = W.view(np.float64)
+    n = pairs.size - 2
+    return 0.5 * (TWO_PI / n) * float(np.dot(_area_weights(n), pairs * pairs))
 
 
 def area(kp: CurvatureProfile) -> float:
-    """Enclosed area, (1/2) integral of u/k about the centroid."""
+    """Enclosed area of a closed curve (`parseval_area` of its 1/k)."""
     _require_closed(kp, "area")
-    return _support_pipeline(kp)[2]
+    return parseval_area(np.fft.rfft(kp.w))
 
 
 def support_about_centroid(kp: CurvatureProfile) -> SupportRepresentation:
     """Support function samples about the area centroid."""
     _require_closed(kp, "support_about_centroid")
-    u, center, _ = _support_pipeline(kp)
+    u, center = _support_pipeline(kp)
     # centroid of a convex region is interior, so u > 0 must hold
     assert u.min() > 0.0, "support about centroid not positive"
     return SupportRepresentation(center, PeriodicField(kp.grid, u))
@@ -408,34 +423,6 @@ def bonnesen_sigma(I: float) -> float:
 def isoperimetric_ratio(kp: CurvatureProfile) -> float:
     L = length(kp)
     return L * L / (4.0 * math.pi * area(kp))
-
-
-def measure(
-    kp: CurvatureProfile,
-    t: float = 0.0,
-    lam: float = math.nan,
-    radii: bool = True,
-) -> GeometrySnapshot:
-    """Assemble the scalar snapshot; radii=False skips the radii solve."""
-    _require_closed(kp, "measure")
-    _, _, A = _support_pipeline(kp)
-    L = length(kp)
-    if radii:
-        r_in, r_out = inradius_outradius(kp)
-    else:
-        r_in = r_out = math.nan
-    return GeometrySnapshot(
-        t=t,
-        L=L,
-        A=A,
-        I=L * L / (4.0 * math.pi * A),
-        k_min=float(kp.k.min()),
-        k_max=float(kp.k.max()),
-        lam=lam,
-        closure_defect=closure_defect(kp),
-        r_in=r_in,
-        r_out=r_out,
-    )
 
 
 def support_identity_residual(kp: CurvatureProfile) -> float:

@@ -34,6 +34,11 @@ class FlowKind(enum.Enum):
     CONTRACTION = "Contraction"
 
 
+# plain names for the members: attribute access on an Enum class costs
+# more than the arithmetic of nonlocal_lambda, which every RK4 stage calls
+_LP, _AP, _G1, _G2 = FlowKind.LP, FlowKind.AP, FlowKind.G1, FlowKind.G2
+
+
 @dataclass(frozen=True)
 class FlowLaw:
     kind: FlowKind
@@ -48,46 +53,57 @@ class FlowLaw:
             raise LawError("alpha must be >= 1 for G1/G2")
 
 
-@dataclass(frozen=True)
-class LambdaValue:
-    value: float
-    t: float = 0.0
-
-
 def power(k: np.ndarray, alpha: float) -> np.ndarray:
     """k^alpha as exp(alpha*log k); k > 0 is an invariant so log is safe.
 
-    The stepping kernel uses the same form except at alpha = 1, where it
-    takes k itself, so the two agree to round-off, not bit for bit.
+    `lambda_value` and the diagnostics take k^alpha from here. The
+    stepping kernel computes it inline in the same form, except at
+    alpha = 1, where it takes k itself, so its lambda and `lambda_value`
+    agree to round-off, not bit for bit.
     """
     return np.exp(alpha * np.log(k))
 
 
-def lambda_value(law: FlowLaw, kp: CurvatureProfile, t: float = 0.0) -> LambdaValue:
-    """The law's nonlocal term for the given profile."""
-    if law.kind is FlowKind.CONTRACTION:
-        return LambdaValue(0.0, t)
+def nonlocal_lambda(kind: FlowKind, q: float, qw: float, L: float, A: float) -> float:
+    """lambda of a law from q = integral of k^alpha, qw = integral of
+    k^alpha/k (both over the normal angle), the length L and the area A.
+
+    Each law reads only its own terms: LP q; AP qw and L; G1 q, L and A;
+    G2 qw, L and A; Contraction none. The others may be NaN.
+    """
+    if kind is _LP:
+        return q / TWO_PI
+    if kind is _AP:
+        return qw / L
+    if kind is _G1:
+        return (2.0 * A / (L * L)) * q
+    if kind is _G2:
+        return (L / (2.0 * TWO_PI * A)) * qw
+    return 0.0
+
+
+def lambda_value(law: FlowLaw, kp: CurvatureProfile) -> float:
+    """The law's nonlocal term for the given profile.
+
+    Like the stepping kernel, it does not require a closed curve, so it
+    also evaluates the open intermediate states of a step.
+    """
     v = power(kp.k, law.alpha)
-    if law.kind is FlowKind.LP:
-        lam = integrate_values(v) / TWO_PI
-    elif law.kind is FlowKind.AP:
-        lam = integrate_values(v * kp.w) / integrate_values(kp.w)
-    elif law.kind is FlowKind.G1:
-        L = geometry.length(kp)
-        A = geometry.area(kp)
-        lam = (2.0 * A / (L * L)) * integrate_values(v)
-    else:  # G2
-        L = geometry.length(kp)
-        A = geometry.area(kp)
-        lam = (L / (4.0 * math.pi * A)) * integrate_values(v * kp.w)
-    return LambdaValue(lam, t)
+    w = kp.w
+    return nonlocal_lambda(
+        law.kind,
+        integrate_values(v),
+        integrate_values(v * w),
+        integrate_values(w),
+        geometry.parseval_area(np.fft.rfft(w)),
+    )
 
 
 def curvature_rhs(law: FlowLaw, kp: CurvatureProfile) -> PeriodicField:
     """Pointwise k_t = k^2 ((k^a)_thth + k^a - lambda)."""
     with np.errstate(over="ignore", invalid="ignore"):
         v = power(kp.k, law.alpha)
-        lam = lambda_value(law, kp).value
+        lam = lambda_value(law, kp)
         rhs = kp.k * kp.k * (deriv_values(v, 2) + v - lam)
     if not np.all(np.isfinite(rhs)):
         raise BlowUpError(
@@ -100,5 +116,5 @@ def curvature_rhs(law: FlowLaw, kp: CurvatureProfile) -> PeriodicField:
 def normal_speed(law: FlowLaw, kp: CurvatureProfile) -> PeriodicField:
     """k^alpha - lambda; positive where the curve moves inward."""
     v = power(kp.k, law.alpha)
-    lam = lambda_value(law, kp).value
+    lam = lambda_value(law, kp)
     return PeriodicField(kp.grid, v - lam)

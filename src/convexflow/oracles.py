@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .spectral import TWO_PI
 
 
 def ellipse_perimeter(a: float, b: float) -> float:
@@ -35,6 +35,18 @@ def ellipse_perimeter(a: float, b: float) -> float:
 
 def ellipse_area(a: float, b: float) -> float:
     return math.pi * a * b
+
+
+def support_polynomial_area(r0: float, modes) -> float:
+    """Area of the PerturbedCircle u = r0 + sum of amp*cos(m*theta - phase)
+    over its (m, amp, phase) modes, each m distinct, in closed form.
+
+    A = (1/2) integral of u (u'' + u); the modes are orthogonal, so each
+    adds (pi/2) (1 - m^2) amp^2 to the pi r0^2 of the circle.
+    """
+    return math.pi * r0 * r0 + 0.5 * math.pi * sum(
+        (1 - m * m) * amp * amp for m, amp, _ in modes
+    )
 
 
 def ellipse_curvature(a: float, b: float, theta) -> np.ndarray:

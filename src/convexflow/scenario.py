@@ -19,12 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import AUDIT_NAMES, DiagnosticsSeries, to_csv
-from .generators import Circle, CurveSpec, Ellipse, ExplicitSupport, PerturbedCircle
+from .generators import Circle, CurveSpec, Ellipse, PerturbedCircle
 from .geometry import CurvatureProfile, area, reconstruct_points, support_about_centroid
 from .laws import FlowKind, FlowLaw
+from .spectral import TWO_PI
 from .stepping import StepControl
-
-TWO_PI = 2.0 * math.pi
 
 
 class ScenarioError(ValueError):
@@ -116,13 +115,11 @@ _CURVE_FIELDS = {
     "Circle": ("r",),
     "Ellipse": ("a", "b"),
     "PerturbedCircle": ("r0", "modes"),
-    "ExplicitSupport": ("mean", "harmonics"),
 }
 _CURVE_TYPES = {
     "Circle": Circle,
     "Ellipse": Ellipse,
     "PerturbedCircle": PerturbedCircle,
-    "ExplicitSupport": ExplicitSupport,
 }
 
 
@@ -150,7 +147,7 @@ def parse_curve(doc) -> CurveSpec:
     kwargs = {}
     for name in names:
         value = doc[name]
-        if name in ("modes", "harmonics"):
+        if name == "modes":
             value = tuple((int(m), float(x), float(y)) for m, x, y in value)
         else:
             value = float(value)
@@ -257,7 +254,7 @@ def scenario_to_document(scenario: Scenario) -> dict:
     curve_doc: dict = {"kind": type(curve).__name__}
     for name in _CURVE_FIELDS[type(curve).__name__]:
         value = getattr(curve, name)
-        if name in ("modes", "harmonics"):
+        if name == "modes":
             value = [[m, x, y] for m, x, y in value]
         curve_doc[name] = value
     curve_doc["grid_n"] = curve.grid_n

@@ -9,12 +9,14 @@ kernel applies the same symbols to its own transforms (see `_kernels`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
+# the one definition of 2*pi in the package; every other module imports it
+TWO_PI = 2.0 * math.pi
 
 
 class GridError(ValueError):

@@ -263,7 +263,7 @@ class TestRateFormulas:
         alpha = 1.5
         kp = random_convex(seed)
         law = FlowLaw(kind, alpha)
-        lam = lambda_value(law, kp).value
+        lam = lambda_value(law, kp)
         v = power(kp.k, alpha)
         dA_id = integrate_values((lam - v) * kp.w)
         dL_id = TWO_PI * lam - integrate_values(v)
@@ -314,7 +314,7 @@ class TestInequalityAudit:
     def test_sandwich_matches_lambda_differences(self, seed, alpha):
         kp = random_convex(seed)
         lam = {
-            kind: lambda_value(FlowLaw(kind, alpha), kp).value for kind in NONLOCAL
+            kind: lambda_value(FlowLaw(kind, alpha), kp) for kind in NONLOCAL
         }
         margins = inequality_audit(kp, alpha=alpha)
         rel = 1e-12
@@ -424,6 +424,11 @@ class TestCollector:
         # the gradient term peaks between the tips, off any uniform grid
         assert rec.Psi_max == pytest.approx(ELLIPSE21_PSI, rel=1e-8)
         assert set(coll.series.margin_names) >= {"holder", "gage", "andrews"}
+        assert rec.k_max == pytest.approx(2.0)
+        assert rec.k_min == pytest.approx(0.25)
+        assert rec.I >= 1.0
+        lo, hi = oracles.bonnesen_window(rec.L, rec.A)
+        assert lo - 1e-8 <= rec.r_in <= rec.r_out <= hi + 1e-8
 
     def test_disabled_audits_record_nan(self, ellipse21):
         coll = DiagnosticsCollector(

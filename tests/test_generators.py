@@ -6,7 +6,6 @@ import pytest
 from convexflow import (
     Circle,
     Ellipse,
-    ExplicitSupport,
     PerturbedCircle,
     closure_defect,
     generate,
@@ -57,20 +56,20 @@ class TestPerturbedCircle:
     def test_mode_one_forbidden(self):
         with pytest.raises(ValueError, match="translation"):
             PerturbedCircle(r0=1.0, modes=((1, 0.1, 0.0),))
-        with pytest.raises(ValueError, match="translation"):
-            ExplicitSupport(mean=1.0, harmonics=((1, 0.1, 0.0),))
 
-    def test_explicit_support_matches_perturbed(self):
-        a = generate(PerturbedCircle(r0=1.0, modes=((3, 0.05, 0.0),)))
-        b = generate(ExplicitSupport(mean=1.0, harmonics=((3, 0.05, 0.0),)))
-        assert np.abs(a.k - b.k).max() < 1e-14
+    def test_modes_are_amplitude_and_phase(self):
+        # u = r0 + amp cos(m theta - phase), so 1/k = u'' + u is
+        # r0 + (1 - m^2) amp cos(m theta - phase)
+        kp = generate(PerturbedCircle(r0=1.0, modes=((3, 0.05, 0.7),), grid_n=64))
+        rho = 1.0 - 8.0 * 0.05 * np.cos(3.0 * kp.grid.theta - 0.7)
+        assert np.abs(kp.w - rho).max() < 1e-14
 
     def test_generated_curves_close(self):
         specs = [
             Circle(r=3.0),
             Ellipse(a=2.0, b=1.0),
             PerturbedCircle(r0=1.0, modes=((2, 0.1, 0.4), (7, 0.005, 2.0))),
-            ExplicitSupport(mean=2.0, harmonics=((2, 0.15, -0.1), (4, 0.02, 0.01))),
+            PerturbedCircle(r0=2.0, modes=((2, 0.15, -0.5), (4, 0.02, 2.3))),
         ]
         for spec in specs:
             kp = generate(spec)

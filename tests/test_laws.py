@@ -54,15 +54,15 @@ class TestLambda:
             pytest.skip("law restricted to alpha >= 1")
         kp = generate(Circle(r=2.0))
         lam = lambda_value(FlowLaw(kind, alpha), kp)
-        assert lam.value == pytest.approx(2.0**-alpha, rel=1e-12)
+        assert lam == pytest.approx(2.0**-alpha, rel=1e-12)
 
     def test_contraction_lambda_zero(self):
         kp = generate(Circle(r=2.0))
-        assert lambda_value(FlowLaw(FlowKind.CONTRACTION, 1.0), kp).value == 0.0
+        assert lambda_value(FlowLaw(FlowKind.CONTRACTION, 1.0), kp) == 0.0
 
     def test_holder_ordering_on_ellipse(self, ellipse21):
-        lp = lambda_value(FlowLaw(FlowKind.LP, 1.0), ellipse21).value
-        ap = lambda_value(FlowLaw(FlowKind.AP, 1.0), ellipse21).value
+        lp = lambda_value(FlowLaw(FlowKind.LP, 1.0), ellipse21)
+        ap = lambda_value(FlowLaw(FlowKind.AP, 1.0), ellipse21)
         assert ap <= lp * (1.0 + 1e-10)
         assert lp - ap > 1e-3  # strict on a genuine non-circle
 
@@ -71,7 +71,7 @@ class TestLambda:
     def test_lambda_sandwich(self, seed, alpha):
         kp = random_convex(seed)
         lam = {
-            kind: lambda_value(FlowLaw(kind, alpha), kp).value
+            kind: lambda_value(FlowLaw(kind, alpha), kp)
             for kind in NONLOCAL_KINDS
         }
         slack = 1e-10 * lam[FlowKind.LP]
@@ -84,8 +84,8 @@ class TestLambda:
     def test_holder_all_alpha(self, alpha):
         for seed in range(5):
             kp = random_convex(seed)
-            lp = lambda_value(FlowLaw(FlowKind.LP, alpha), kp).value
-            ap = lambda_value(FlowLaw(FlowKind.AP, alpha), kp).value
+            lp = lambda_value(FlowLaw(FlowKind.LP, alpha), kp)
+            ap = lambda_value(FlowLaw(FlowKind.AP, alpha), kp)
             assert ap <= lp * (1.0 + 1e-10)
 
 
@@ -116,7 +116,7 @@ class TestCurvatureRhs:
         k_fn = lambda th: 1.0 + 0.1 * np.cos(2.0 * th)
         d2 = oracles.fd_deriv_callable(k_fn, np.array([0.0]), 2, grid.dtheta / 16)[0]
         k0 = k_fn(np.array([0.0]))[0]
-        lam = lambda_value(FlowLaw(FlowKind.LP, 1.0), kp).value
+        lam = lambda_value(FlowLaw(FlowKind.LP, 1.0), kp)
         expect = k0 * k0 * (d2 + k0 - lam)
         rhs = curvature_rhs(FlowLaw(FlowKind.LP, 1.0), kp)
         assert abs(rhs.values[0] - expect) < 1e-6

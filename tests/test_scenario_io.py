@@ -26,7 +26,6 @@ from convexflow import (
 )
 from convexflow.cli import _execute, main
 from convexflow.diagnostics import rate_fd_pairs
-from convexflow.generators import ExplicitSupport
 from convexflow.geometry import area, length
 from convexflow.laws import LawError
 
@@ -138,9 +137,8 @@ class TestParse:
         assert parse_curve(
             {"kind": "PerturbedCircle", "r0": 1, "modes": [[3, 0.05, 0.1]]}
         ) == PerturbedCircle(r0=1.0, modes=((3, 0.05, 0.1),))
-        assert parse_curve(
-            {"kind": "ExplicitSupport", "mean": 1, "harmonics": [[2, 0.1, 0.0]]}
-        ) == ExplicitSupport(mean=1.0, harmonics=((2, 0.1, 0.0),))
+        with pytest.raises(ScenarioError, match="unknown curve kind"):
+            parse_curve({"kind": "ExplicitSupport", "mean": 1, "harmonics": []})
         with pytest.raises(ScenarioError, match="missing key"):
             parse_curve({"kind": "Ellipse", "a": 2})
         with pytest.raises(ValueError, match="mode 1"):

@@ -8,13 +8,21 @@ import numpy as np
 import pytest
 
 import convexflow as cf
-from convexflow import _kernels, diagnostics
+from convexflow import _kernels, diagnostics, oracles
 from convexflow.geometry import ClosureError, CurvatureProfile
 from convexflow.spectral import AngularGrid
 from convexflow.stepping import ConfigurationError
 
 NONLOCAL = ("LP", "AP", "G1", "G2")
 LAWS = NONLOCAL + ("Contraction",)
+
+# PerturbedCircle (r0, modes) with closed-form areas (oracles)
+AREA_SPECS = [
+    (1.0, ((2, 0.2, 0.0),)),
+    (1.0, ((2, 0.05, 0.3), (3, 0.02, 1.1), (6, 0.004, -0.4))),
+    (2.5, ((4, 0.1, 2.0), (7, 0.01, 0.5))),
+    (0.3, ((5, 0.005, 0.0), (9, 0.0007, 3.0))),
+]
 
 # circle radius under the pure contraction flow, alpha = 1
 def circle_radius(r0: float, alpha: float, t: float) -> float:
@@ -283,14 +291,21 @@ class TestKernel:
         v = kp.k ** alpha
         assert q == pytest.approx(cf.integrate(cf.PeriodicField(kp.grid, v)), rel=1e-13)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_parseval_length_and_area(self, seed):
-        kp = cf.random_convex(seed, grid_n=128)
-        rhs = _kernels.Derivative(128, 1.0, cf.FlowKind.G1)
-        rhs(kp.k.copy(), np.empty(128))
-        L, A = rhs.length_area()
-        assert L == pytest.approx(cf.length(kp), rel=1e-12)
-        assert A == pytest.approx(cf.area(kp), rel=1e-12)
+    @pytest.mark.parametrize("case", range(4))
+    def test_parseval_length_and_area(self, case):
+        r0, modes = AREA_SPECS[case]
+        for n in (128, 256):
+            kp = cf.generate(cf.PerturbedCircle(r0=r0, modes=modes, grid_n=n))
+            rhs = _kernels.Derivative(n, 1.0, cf.FlowKind.G1)
+            rhs(kp.k.copy(), np.empty(n))
+            L, A = rhs.length_area()
+            # u = r0 + modes has perimeter 2 pi r0 (the modes integrate to 0)
+            assert L == pytest.approx(2.0 * np.pi * r0, rel=1e-12)
+            # the kernel and geometry.area share one formula; hold both
+            # to the closed form
+            expect = oracles.support_polynomial_area(r0, modes)
+            assert A == pytest.approx(expect, rel=1e-12)
+            assert cf.area(kp) == pytest.approx(expect, rel=1e-12)
 
     def test_parseval_area_ignores_mode_one(self):
         # u = (d^2 + 1)^-1 w off mode 1, A = (1/2) integral of u w: the
@@ -366,23 +381,21 @@ class TestKernel:
 
     @pytest.mark.parametrize("kind", LAWS)
     def test_step_is_rk4_of_curvature_rhs(self, kind):
-        # curvature_rhs of G1/G2 needs closed stage states: the ellipse's
-        # symmetry keeps them closed, a random_convex profile drifts past
-        # the closure tolerance within one step at this dt
-        kp = cf.generate(cf.Ellipse(2.0, 1.0, grid_n=64))
         law = cf.FlowLaw(kind, 2.0)
-        dt = cf.stable_dt(law, kp)
+        for kp in (cf.generate(cf.Ellipse(2.0, 1.0, grid_n=64)),
+                   cf.random_convex(2, grid_n=64)):
+            dt = cf.stable_dt(law, kp)
 
-        def f(k):
-            return cf.curvature_rhs(law, CurvatureProfile(kp.grid, k)).values
+            def f(k):
+                return cf.curvature_rhs(law, CurvatureProfile(kp.grid, k)).values
 
-        f1 = f(kp.k)
-        f2 = f(kp.k + 0.5 * dt * f1)
-        f3 = f(kp.k + 0.5 * dt * f2)
-        f4 = f(kp.k + dt * f3)
-        increment = (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        got = cf.step(law, kp, dt).k - kp.k
-        assert np.abs(got - increment).max() <= 1e-12 * np.abs(increment).max()
+            f1 = f(kp.k)
+            f2 = f(kp.k + 0.5 * dt * f1)
+            f3 = f(kp.k + 0.5 * dt * f2)
+            f4 = f(kp.k + dt * f3)
+            increment = (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            got = cf.step(law, kp, dt).k - kp.k
+            assert np.abs(got - increment).max() <= 1e-12 * np.abs(increment).max()
 
 
 class TestGuardNames:
