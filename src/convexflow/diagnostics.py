@@ -17,17 +17,16 @@ flow-level unit to keep round-off from being judged against round-off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import geometry
-from .geometry import CurvatureProfile, SupportRepresentation
+from .geometry import CurvatureProfile
 from .laws import FlowKind, FlowLaw, lambda_value, nonlocal_lambda, power
 from .spectral import (
     TWO_PI,
-    PeriodicField,
     deriv_values,
     integrate_values,
     refined_extremum_values,
@@ -66,18 +65,6 @@ class Margin:
 
     def ok(self, rtol: float = MARGIN_RTOL) -> bool:
         return self.value >= -rtol * self.scale
-
-
-@dataclass(frozen=True)
-class EntropyValue:
-    """Entropy estimate with its expected monotone direction.
-
-    direction: +1 non-decreasing, -1 non-increasing, 0 constant,
-    None recorded without a monotonicity claim.
-    """
-
-    value: float
-    direction: int | None
 
 
 @dataclass(frozen=True)
@@ -138,26 +125,9 @@ class SampleRecord:
     margins: Mapping[str, Margin] = field(default_factory=dict)
 
 
-_CSV_FIELDS = (
-    "t",
-    "L",
-    "A",
-    "I",
-    "k_min",
-    "k_max",
-    "lambda",
-    "closure_defect",
-    "r_in",
-    "r_out",
-    "dA_dt_formula",
-    "dL_dt_formula",
-    "Q_max",
-    "Q_ok",
-    "Psi_max",
-    "Phi_max",
-    "entropy",
-    "oscillation",
-)
+# the scalar fields in CSV column order; `lam` is written as "lambda"
+_RECORD_FIELDS = tuple(f.name for f in fields(SampleRecord) if f.name != "margins")
+_CSV_FIELDS = tuple("lambda" if f == "lam" else f for f in _RECORD_FIELDS)
 
 
 class DiagnosticsSeries:
@@ -214,12 +184,7 @@ def to_csv(series: DiagnosticsSeries) -> str:
     lines = [",".join(names)]
     margins = series.margin_names
     for s in series:
-        row = [
-            s.t, s.L, s.A, s.I, s.k_min, s.k_max, s.lam, s.closure_defect,
-            s.r_in, s.r_out, s.dA_dt_formula, s.dL_dt_formula, s.Q_max,
-            1.0 if s.Q_ok else 0.0, s.Psi_max, s.Phi_max, s.entropy,
-            s.oscillation,
-        ]
+        row = [float(getattr(s, f)) for f in _RECORD_FIELDS]
         row.extend(
             s.margins[m].value if m in s.margins else math.nan for m in margins
         )
@@ -256,21 +221,20 @@ def rate_formulas(law: FlowLaw, kp: CurvatureProfile) -> tuple[float, float]:
 
 
 def tso_quantity(
-    kp: CurvatureProfile,
-    ctx: TsoContext,
-    sup: SupportRepresentation | None = None,
+    kp: CurvatureProfile, ctx: TsoContext, u: np.ndarray | None = None
 ) -> tuple[float, bool]:
     """(Q_max, precondition_ok) for Q = k^alpha/(u - beta).
 
     Q_max is NaN when u dips to beta or below (the quotient loses
     meaning); precondition_ok reports the stronger condition min u >= 2
     beta under which the a-priori bound is proved. Extrema are taken on
-    a 4x trigonometric resample with parabolic refinement so the value
-    does not depend on where the grid happens to land.
+    a 32x (`_DENSE_FACTOR`) trigonometric resample with parabolic
+    refinement so the value does not depend on where the grid happens to
+    land. Callers that already hold the centroid support samples pass
+    them as `u`.
     """
-    if sup is None:
-        sup = geometry.support_about_centroid(kp)
-    u = np.asarray(sup.u)
+    if u is None:
+        u, _ = geometry.support_about_centroid(kp)
     u_fine = resample_values(u, _DENSE_FACTOR * u.shape[0])
     u_min = refined_extremum_values(u_fine, False)
     ok = u_min >= 2.0 * ctx.beta
@@ -284,7 +248,8 @@ def gradient_functional(kp: CurvatureProfile, alpha: float) -> float:
     """max of k^(2 alpha) + ((k^alpha)')^2, grid-independent.
 
     The maximizer generally falls between nodes, so the square sum is
-    evaluated on a 4x resample and the peak refined parabolically.
+    evaluated on a 32x (`_DENSE_FACTOR`) resample and the peak refined
+    parabolically.
     """
     v = power(kp.k, alpha)
     n_fine = _DENSE_FACTOR * kp.grid.n
@@ -319,26 +284,23 @@ def entropy_direction(law: FlowLaw) -> int | None:
     return None
 
 
-def entropy(law: FlowLaw, kp: CurvatureProfile) -> EntropyValue:
+def entropy(law: FlowLaw, kp: CurvatureProfile) -> float:
     """The law-and-alpha-appropriate entropy integral.
 
     LP tracks the curvature-power integral of order alpha-1 (constant 2
     pi when alpha = 1, recorded but exempt from monotonicity); AP weights
     it by L^(alpha-1), except alpha = 1 where the logarithmic integral of
     k L takes over. The remaining laws record the LP integrand with no
-    monotonicity claim attached.
+    monotonicity claim attached; `entropy_direction` gives the claim.
     """
     w = kp.w
     base = integrate_values(power(kp.k, law.alpha) * w)
-    direction = entropy_direction(law)
     if law.kind is FlowKind.AP:
         L = integrate_values(w)
         if law.alpha == 1.0:
-            value = integrate_values(np.log(kp.k * L))
-        else:
-            value = L ** (law.alpha - 1.0) * base
-        return EntropyValue(value, direction)
-    return EntropyValue(base, direction)
+            return integrate_values(np.log(kp.k * L))
+        return L ** (law.alpha - 1.0) * base
+    return base
 
 
 def _named_phi_margins(
@@ -367,16 +329,14 @@ def inequality_audit(
     kp: CurvatureProfile,
     alpha: float = 1.0,
     betas: Sequence[float] = DEFAULT_BETAS,
-    phis: Mapping[str, np.ndarray] | None = None,
 ) -> dict[str, Margin]:
     """Every audited inequality as named margins (large - small side).
 
     Exponent-family margins run over `betas` (each >= 0). The quadratic
-    test-function margins default to the two flow speeds (curvature power
+    test-function margins take the two flow speeds (curvature power
     minus the length- resp. area-stabilizing nonlocal term), for which
-    one side vanishes identically; extra test functions are accepted as
-    a name -> samples mapping. Margins comparing the four nonlocal terms
-    appear only for alpha >= 1, their domain of validity.
+    one side vanishes identically. Margins comparing the four nonlocal
+    terms appear only for alpha >= 1, their domain of validity.
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise AuditError(f"alpha must be finite and positive, got {alpha}")
@@ -423,10 +383,6 @@ def inequality_audit(
     unit = lam_scale * lam_scale
     _named_phi_margins("lp", v - lam_lp, w, A, unit, margins)
     _named_phi_margins("ap", v - lam_ap, w, A, unit, margins)
-    if phis:
-        for name, values in phis.items():
-            arr = PeriodicField(kp.grid, np.asarray(values, dtype=float)).values
-            _named_phi_margins(name, arr, w, A, unit, margins)
 
     andrews_large = L * iv
     andrews_small = TWO_PI * ivw
@@ -458,7 +414,6 @@ class DiagnosticsCollector:
         law: FlowLaw,
         kp0: CurvatureProfile,
         audits: Sequence[str] = AUDIT_NAMES,
-        betas: Sequence[float] = DEFAULT_BETAS,
     ):
         unknown = sorted(set(audits) - set(AUDIT_NAMES))
         if unknown:
@@ -468,7 +423,6 @@ class DiagnosticsCollector:
             )
         self.law = law
         self.audits = frozenset(audits)
-        self.betas = tuple(betas)
         tso = TsoContext.from_initial(kp0, law.alpha) if "tso" in self.audits else None
         self.series = DiagnosticsSeries(law, tso, phi_enabled="phi" in self.audits)
 
@@ -482,13 +436,12 @@ class DiagnosticsCollector:
         k = kp.k
         L = geometry.length(kp)
         A = geometry.parseval_area(np.fft.rfft(kp.w))
-        u, center = geometry._support_pipeline(kp)
-        sup = SupportRepresentation(center, PeriodicField(kp.grid, u))
+        u, _ = geometry._support_pipeline(kp)
 
         nan = math.nan
         r_in = r_out = nan
         if "radii" in self.audits:
-            r_in, r_out = geometry.inradius_outradius(kp, sup=sup)
+            r_in, r_out = geometry.inradius_outradius(kp, u=u)
 
         dA_dt = dL_dt = nan
         if "rates" in self.audits:
@@ -496,7 +449,7 @@ class DiagnosticsCollector:
 
         q_max, q_ok = nan, False
         if self.series.tso is not None:
-            q_max, q_ok = tso_quantity(kp, self.series.tso, sup=sup)
+            q_max, q_ok = tso_quantity(kp, self.series.tso, u=u)
 
         psi = gradient_functional(kp, law.alpha) if "psi" in self.audits else nan
 
@@ -504,11 +457,11 @@ class DiagnosticsCollector:
         if self.series.phi_enabled:
             phi = lower_bound_functional(s_accum, kp)
 
-        ent = entropy(law, kp).value if "entropy" in self.audits else nan
+        ent = entropy(law, kp) if "entropy" in self.audits else nan
 
         margins: dict[str, Margin] = {}
         if "margins" in self.audits:
-            margins = inequality_audit(kp, alpha=law.alpha, betas=self.betas)
+            margins = inequality_audit(kp, alpha=law.alpha)
 
         record = SampleRecord(
             t=t,

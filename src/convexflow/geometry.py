@@ -20,7 +20,6 @@ import numpy as np
 from .spectral import (
     TWO_PI,
     AngularGrid,
-    PeriodicField,
     antiderivative_values,
     deriv_values,
     first_harmonics_values,
@@ -77,17 +76,6 @@ class CurvatureProfile:
         w = 1.0 / self.k
         w.setflags(write=False)
         return w
-
-    def field(self) -> PeriodicField:
-        return PeriodicField(self.grid, self.k)
-
-
-@dataclass(frozen=True)
-class SupportRepresentation:
-    """Support samples u(theta) = <X - center, N> about a center point."""
-
-    center: tuple[float, float]
-    u: PeriodicField
 
 
 def length(kp: CurvatureProfile) -> float:
@@ -188,13 +176,16 @@ def area(kp: CurvatureProfile) -> float:
     return parseval_area(np.fft.rfft(kp.w))
 
 
-def support_about_centroid(kp: CurvatureProfile) -> SupportRepresentation:
-    """Support function samples about the area centroid."""
+def support_about_centroid(
+    kp: CurvatureProfile,
+) -> tuple[np.ndarray, tuple[float, float]]:
+    """(u, center): support samples u = <X - center, N> about the area
+    centroid of a closed curve."""
     _require_closed(kp, "support_about_centroid")
     u, center = _support_pipeline(kp)
     # centroid of a convex region is interior, so u > 0 must hold
     assert u.min() > 0.0, "support about centroid not positive"
-    return SupportRepresentation(center, PeriodicField(kp.grid, u))
+    return u, center
 
 
 # The inradius is the linear program max r subject to u(theta) - c.N(theta)
@@ -375,12 +366,11 @@ def _max_min(v: np.ndarray) -> _TouchingCircle:
 
 
 def _radius_certificates(
-    kp: CurvatureProfile, sup: SupportRepresentation | None = None
+    kp: CurvatureProfile, u: np.ndarray | None = None
 ) -> tuple[_TouchingCircle, _TouchingCircle]:
     """Inscribed and circumscribed circles with their certificates."""
-    if sup is None:
-        sup = support_about_centroid(kp)
-    u = sup.u.values
+    if u is None:
+        u, _ = support_about_centroid(kp)
     solved = []
     # min over c of max (u - c.N) is -(max over c of min (-u - c.N)) at -c
     for label, v in (("inradius", u), ("outradius", -u)):
@@ -394,8 +384,7 @@ def _radius_certificates(
 
 
 def inradius_outradius(
-    kp: CurvatureProfile,
-    sup: SupportRepresentation | None = None,
+    kp: CurvatureProfile, u: np.ndarray | None = None
 ) -> tuple[float, float]:
     """Largest inscribed and smallest circumscribed circle radii.
 
@@ -406,9 +395,9 @@ def inradius_outradius(
     whose normals balance, no resample point inside the inscribed circle
     or outside the circumscribed one); an uncertified answer raises.
     Callers that already hold the centroid support samples pass them as
-    `sup`.
+    `u`.
     """
-    inner, outer = _radius_certificates(kp, sup)
+    inner, outer = _radius_certificates(kp, u)
     return inner.radius, outer.radius
 
 
@@ -427,5 +416,5 @@ def isoperimetric_ratio(kp: CurvatureProfile) -> float:
 
 def support_identity_residual(kp: CurvatureProfile) -> float:
     """Max |u'' + u - 1/k| over the grid, u taken about the centroid."""
-    u = support_about_centroid(kp).u.values
+    u, _ = support_about_centroid(kp)
     return float(np.abs(deriv_values(u, 2) + u - kp.w).max())

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import CurvatureProfile
-from .spectral import PeriodicField, TWO_PI, deriv_values, integrate_values
+from .spectral import TWO_PI, deriv_values, integrate_values
 
 
 class LawError(ValueError):
@@ -99,7 +99,7 @@ def lambda_value(law: FlowLaw, kp: CurvatureProfile) -> float:
     )
 
 
-def curvature_rhs(law: FlowLaw, kp: CurvatureProfile) -> PeriodicField:
+def curvature_rhs(law: FlowLaw, kp: CurvatureProfile) -> np.ndarray:
     """Pointwise k_t = k^2 ((k^a)_thth + k^a - lambda)."""
     with np.errstate(over="ignore", invalid="ignore"):
         v = power(kp.k, law.alpha)
@@ -110,11 +110,11 @@ def curvature_rhs(law: FlowLaw, kp: CurvatureProfile) -> PeriodicField:
             f"curvature power overflow at k_max={kp.k.max():.6e}, "
             f"alpha={law.alpha}"
         )
-    return PeriodicField(kp.grid, rhs)
+    return rhs
 
 
-def normal_speed(law: FlowLaw, kp: CurvatureProfile) -> PeriodicField:
+def normal_speed(law: FlowLaw, kp: CurvatureProfile) -> np.ndarray:
     """k^alpha - lambda; positive where the curve moves inward."""
     v = power(kp.k, law.alpha)
     lam = lambda_value(law, kp)
-    return PeriodicField(kp.grid, v - lam)
+    return v - lam

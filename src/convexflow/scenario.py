@@ -94,7 +94,7 @@ def snapshot_of(
         r = math.sqrt(A0 / math.pi)
     else:
         r = math.sqrt(area(kp) / math.pi)
-    center = support_about_centroid(kp).center
+    _, center = support_about_centroid(kp)
     points = reconstruct_points(kp) - np.asarray(center)
     return Snapshot(index=index, t=t, limit_radius=r, points=points)
 
@@ -129,6 +129,17 @@ def _reject_unknown(doc: Mapping, known: set, where: str) -> None:
         raise ScenarioError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _parse_modes(value) -> tuple[tuple[int, float, float], ...]:
+    """PerturbedCircle modes: a list of [m, amp, phase] entries."""
+    try:
+        return tuple((int(m), float(a), float(p)) for m, a, p in value)
+    except (TypeError, ValueError):
+        raise ScenarioError(
+            f"curve PerturbedCircle modes must be a list of [m, amp, phase], "
+            f"got {value!r}"
+        ) from None
+
+
 def parse_curve(doc) -> CurveSpec:
     """Curve subdocument -> CurveSpec, strict on keys."""
     if not isinstance(doc, Mapping) or "kind" not in doc:
@@ -147,11 +158,7 @@ def parse_curve(doc) -> CurveSpec:
     kwargs = {}
     for name in names:
         value = doc[name]
-        if name == "modes":
-            value = tuple((int(m), float(x), float(y)) for m, x, y in value)
-        else:
-            value = float(value)
-        kwargs[name] = value
+        kwargs[name] = _parse_modes(value) if name == "modes" else float(value)
     if "grid_n" in doc:
         kwargs["grid_n"] = int(doc["grid_n"])
     return _CURVE_TYPES[kind](**kwargs)

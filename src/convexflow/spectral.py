@@ -23,10 +23,6 @@ class GridError(ValueError):
     pass
 
 
-class FieldError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class AngularGrid:
     """Uniform grid theta_j = j * 2*pi/n, j = 0..n-1. n must be even, >= 16."""
@@ -68,38 +64,6 @@ def _grid_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta, cos, sin
 
 
-def _check_values(grid: AngularGrid, values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (grid.n,):
-        raise FieldError(
-            f"expected {grid.n} samples, got shape {values.shape}"
-        )
-    if not np.all(np.isfinite(values)):
-        j = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise FieldError(
-            f"non-finite sample {values[j]!r} at index {j}"
-        )
-    return values
-
-
-@dataclass(frozen=True)
-class PeriodicField:
-    """Real samples of a 2*pi-periodic function on an AngularGrid."""
-
-    grid: AngularGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = _check_values(self.grid, self.values).copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if dtype is not None:
-            return self.values.astype(dtype)
-        return self.values
-
-
 def deriv_values(values: np.ndarray, order: int) -> np.ndarray:
     """Spectral d^order/dtheta^order of one period of samples.
 
@@ -119,31 +83,18 @@ def deriv_values(values: np.ndarray, order: int) -> np.ndarray:
     return np.fft.irfft(coef, n)
 
 
-def deriv(f: PeriodicField, order: int) -> PeriodicField:
-    """Spectral derivative of a field (orders 1 and 2)."""
-    return PeriodicField(f.grid, deriv_values(f.values, order))
-
-
 def integrate_values(values: np.ndarray) -> float:
+    """Trapezoid quadrature over the period; spectrally accurate."""
     n = values.shape[0]
     return (TWO_PI / n) * float(values.sum())
 
 
-def integrate(f: PeriodicField) -> float:
-    """Trapezoid quadrature over the period; spectrally accurate."""
-    return integrate_values(f.values)
-
-
 def first_harmonics_values(values: np.ndarray) -> tuple[float, float]:
+    """(integral of f*cos, integral of f*sin) over one period."""
     n = values.shape[0]
     _, cos, sin = _grid_arrays(n)
     d = TWO_PI / n
     return d * float(values @ cos), d * float(values @ sin)
-
-
-def first_harmonics(f: PeriodicField) -> tuple[float, float]:
-    """(integral of f*cos, integral of f*sin) over one period."""
-    return first_harmonics_values(f.values)
 
 
 def resample_values(values: np.ndarray, n_fine: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels, diagnostics
-from .diagnostics import AUDIT_NAMES, DEFAULT_BETAS, DiagnosticsCollector, DiagnosticsSeries
+from .diagnostics import AUDIT_NAMES, DiagnosticsCollector, DiagnosticsSeries
 from .geometry import ConvexityError, CurvatureProfile, _require_closed
 from .laws import BlowUpError, FlowKind, FlowLaw
 
@@ -139,7 +139,6 @@ def run(
     sample_dt: float | None = None,
     sample_every: int | None = None,
     audits: Sequence[str] = AUDIT_NAMES,
-    betas: Sequence[float] = DEFAULT_BETAS,
     projection: bool = False,
     on_sample: Callable[[float, CurvatureProfile, int], None] | None = None,
 ) -> RunResult:
@@ -171,7 +170,7 @@ def run(
 
     grid = kp0.grid
 
-    collector = DiagnosticsCollector(law, kp0, audits=audits, betas=betas)
+    collector = DiagnosticsCollector(law, kp0, audits=audits)
     record = collector.collect(0.0, kp0, 0.0)
     if on_sample is not None:
         on_sample(0.0, kp0, 0)

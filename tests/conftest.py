@@ -21,12 +21,10 @@ def ellipse21():
 
 @pytest.fixture
 def field_of():
-    """Build a PeriodicField from a callable on a given grid size."""
-    from convexflow import PeriodicField
+    """Samples of a callable on the n-point angular grid."""
 
     def make(fn, n=256):
-        grid = AngularGrid(n)
-        return PeriodicField(grid, fn(grid.theta))
+        return fn(AngularGrid(n).theta)
 
     return make
 

@@ -94,17 +94,17 @@ class TestCurvatureRhs:
     def test_circle_equilibrium(self, kind):
         kp = generate(Circle(r=2.0))
         rhs = curvature_rhs(FlowLaw(kind, 1.5), kp)
-        assert np.abs(rhs.values).max() < 1e-10
+        assert np.abs(rhs).max() < 1e-10
 
     def test_contraction_circle(self):
         kp = generate(Circle(r=2.0))
         rhs = curvature_rhs(FlowLaw(FlowKind.CONTRACTION, 1.0), kp)
-        assert np.abs(rhs.values - 2.0**-3).max() < 1e-12
+        assert np.abs(rhs - 2.0**-3).max() < 1e-12
 
     def test_perturbed_matches_hand_expansion(self):
         kp = perturbed(eps=0.1)
         rhs = curvature_rhs(FlowLaw(FlowKind.LP, 1.0), kp)
-        assert rhs.values[0] == pytest.approx(
+        assert rhs[0] == pytest.approx(
             oracles.perturbed_circle_rhs_at_zero(0.1), abs=1e-12
         )
 
@@ -119,7 +119,7 @@ class TestCurvatureRhs:
         lam = lambda_value(FlowLaw(FlowKind.LP, 1.0), kp)
         expect = k0 * k0 * (d2 + k0 - lam)
         rhs = curvature_rhs(FlowLaw(FlowKind.LP, 1.0), kp)
-        assert abs(rhs.values[0] - expect) < 1e-6
+        assert abs(rhs[0] - expect) < 1e-6
 
     def test_overflow_reports_k_max(self, grid256):
         huge = np.full(256, 1e200)
@@ -136,17 +136,17 @@ class TestNormalSpeed:
     def test_circle_speed_zero(self, kind):
         kp = generate(Circle(r=0.7))
         speed = normal_speed(FlowLaw(kind, 2.0), kp)
-        assert np.abs(speed.values).max() < 1e-10
+        assert np.abs(speed).max() < 1e-10
 
     def test_contraction_speed_positive(self, ellipse21):
         speed = normal_speed(FlowLaw(FlowKind.CONTRACTION, 1.0), ellipse21)
-        assert np.array_equal(speed.values, power(ellipse21.k, 1.0))
-        assert speed.values.min() > 0.0
+        assert np.array_equal(speed, power(ellipse21.k, 1.0))
+        assert speed.min() > 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lp_speed_sign_at_extremes(self, seed):
         kp = random_convex(seed)
-        speed = normal_speed(FlowLaw(FlowKind.LP, 1.3), kp).values
+        speed = normal_speed(FlowLaw(FlowKind.LP, 1.3), kp)
         assert speed[kp.k.argmax()] > 0.0
         assert speed[kp.k.argmin()] < 0.0
 

@@ -396,6 +396,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "tpyo" in err
 
+    @pytest.mark.parametrize(
+        "modes", [5, [[2, 0.1]], [["x", 0.1, 0]]], ids=["int", "pair", "text"]
+    )
+    def test_malformed_modes_exit_two(self, tmp_path, capsys, modes):
+        curve = {"kind": "PerturbedCircle", "r0": 1, "modes": modes, "grid_n": 64}
+        path = small_scenario(tmp_path, curve=curve)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "modes" in err and "[m, amp, phase]" in err
+
     def test_oracle(self, capsys):
         assert main(["oracle"]) == 0
         out = capsys.readouterr().out
