@@ -53,7 +53,6 @@ def _execute(scenario: Scenario) -> tuple[RunResult, list[Snapshot]]:
         sample_dt=scenario.sample_dt,
         sample_every=scenario.sample_every,
         audits=scenario.audits,
-        projection=scenario.projection,
         on_sample=on_sample,
     )
     return result, snapshots

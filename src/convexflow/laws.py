@@ -57,9 +57,9 @@ def power(k: np.ndarray, alpha: float) -> np.ndarray:
     """k^alpha as exp(alpha*log k); k > 0 is an invariant so log is safe.
 
     `lambda_value` and the diagnostics take k^alpha from here. The
-    stepping kernel computes it inline in the same form, except at
-    alpha = 1, where it takes k itself, so its lambda and `lambda_value`
-    agree to round-off, not bit for bit.
+    stepping kernel, which holds w = 1/k, computes it as exp(-alpha*log w),
+    or 1/w at alpha = 1, so its lambda and `lambda_value` agree to
+    round-off, not bit for bit.
     """
     return np.exp(alpha * np.log(k))
 
@@ -100,7 +100,8 @@ def lambda_value(law: FlowLaw, kp: CurvatureProfile) -> float:
 
 
 def curvature_rhs(law: FlowLaw, kp: CurvatureProfile) -> np.ndarray:
-    """Pointwise k_t = k^2 ((k^a)_thth + k^a - lambda)."""
+    """Pointwise k_t = k^2 ((k^a)_thth + k^a - lambda); the stepping
+    kernel's w-form rate is -k_t / k^2, and the tests compare the two."""
     with np.errstate(over="ignore", invalid="ignore"):
         v = power(kp.k, law.alpha)
         lam = lambda_value(law, kp)

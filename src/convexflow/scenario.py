@@ -43,7 +43,6 @@ class Scenario:
     snapshot_every: int
     output_dir: str
     audits: tuple[str, ...]
-    projection: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +106,7 @@ _REQUIRED = ("law.kind", "law.alpha", "curve", "t_end")
 
 _TOP_KEYS = {
     "law", "curve", "control", "t_end", "sample_every", "sample_dt",
-    "snapshot_every", "output_dir", "audits", "projection",
+    "snapshot_every", "output_dir", "audits",
 }
 
 # constructor field names per curve kind, grid_n always optional
@@ -127,6 +126,14 @@ def _reject_unknown(doc: Mapping, known: set, where: str) -> None:
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ScenarioError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
+def _number(value, key: str, cast=float):
+    """cast(value) for the scalar at `key`, as a ScenarioError naming it."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{key} must be a number, got {value!r}") from None
 
 
 def _parse_modes(value) -> tuple[tuple[int, float, float], ...]:
@@ -158,9 +165,11 @@ def parse_curve(doc) -> CurveSpec:
     kwargs = {}
     for name in names:
         value = doc[name]
-        kwargs[name] = _parse_modes(value) if name == "modes" else float(value)
+        kwargs[name] = (
+            _parse_modes(value) if name == "modes" else _number(value, f"curve.{name}")
+        )
     if "grid_n" in doc:
-        kwargs["grid_n"] = int(doc["grid_n"])
+        kwargs["grid_n"] = _number(doc["grid_n"], "curve.grid_n", int)
     return _CURVE_TYPES[kind](**kwargs)
 
 
@@ -175,7 +184,7 @@ def _parse_law(doc) -> FlowLaw:
             f"unknown law kind {doc['kind']!r}; expected one of "
             f"{', '.join(k.value for k in FlowKind)}"
         ) from None
-    return FlowLaw(kind, float(doc["alpha"]))
+    return FlowLaw(kind, _number(doc["alpha"], "law.alpha"))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -207,10 +216,12 @@ def parse_scenario(text: str) -> Scenario:
     _reject_unknown(
         control_doc, {f.name for f in fields(StepControl)}, "control"
     )
-    control = StepControl(**{k: float(v) if k != "max_steps" else int(v)
-                             for k, v in control_doc.items()})
+    control = StepControl(**{
+        k: _number(v, f"control.{k}", int if k == "max_steps" else float)
+        for k, v in control_doc.items()
+    })
 
-    t_end = float(doc["t_end"])
+    t_end = _number(doc["t_end"], "t_end")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ScenarioError(f"t_end must be positive and finite, got {t_end}")
     # cadence: every sample_every steps (default 25), or every sample_dt
@@ -220,16 +231,16 @@ def parse_scenario(text: str) -> Scenario:
     sample_dt = None
     sample_every = None
     if "sample_dt" in doc:
-        sample_dt = float(doc["sample_dt"])
+        sample_dt = _number(doc["sample_dt"], "sample_dt")
         if not (math.isfinite(sample_dt) and sample_dt > 0.0):
             raise ScenarioError(
                 f"sample_dt must be positive and finite, got {sample_dt}"
             )
     else:
-        sample_every = int(doc.get("sample_every", 25))
+        sample_every = _number(doc.get("sample_every", 25), "sample_every", int)
         if sample_every < 1:
             raise ScenarioError(f"sample_every must be >= 1, got {sample_every}")
-    snapshot_every = int(doc.get("snapshot_every", 0))
+    snapshot_every = _number(doc.get("snapshot_every", 0), "snapshot_every", int)
     if snapshot_every < 0:
         raise ScenarioError(f"snapshot_every must be >= 0, got {snapshot_every}")
 
@@ -251,7 +262,6 @@ def parse_scenario(text: str) -> Scenario:
         snapshot_every=snapshot_every,
         output_dir=str(doc.get("output_dir", "out")),
         audits=audits,
-        projection=bool(doc.get("projection", False)),
     )
 
 
@@ -282,7 +292,6 @@ def scenario_to_document(scenario: Scenario) -> dict:
         "snapshot_every": scenario.snapshot_every,
         "output_dir": scenario.output_dir,
         "audits": list(scenario.audits),
-        "projection": scenario.projection,
     }
     if scenario.sample_dt is None:
         doc["sample_every"] = scenario.sample_every

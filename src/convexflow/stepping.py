@@ -1,11 +1,11 @@
 """Adaptive explicit time stepping for the curvature evolution.
 
 The scheme is classical four-stage Runge-Kutta on the method-of-lines
-system, with the step size tied to the parabolic stability bound of the
-diffusion coefficient alpha*k^(alpha+1). Runs advance sample interval by
-sample interval through the kernel (`_kernels`); each boundary is landed on
-exactly so that series from different resolutions or safety factors can
-be compared at matched times.
+system for the radius of curvature 1/k, with the step size tied to the
+parabolic stability bound of the diffusion coefficient alpha*k^(alpha+1).
+Runs advance sample interval by sample interval through the kernel
+(`_kernels`); each boundary is landed on exactly so that series from
+different resolutions or safety factors can be compared at matched times.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class StepControl:
     """
 
     safety: float = 0.25
-    dt_min: float = 0.0
     dt_max: float = math.inf
     max_steps: int = 10_000_000
     convergence_tol: float = 1e-3
@@ -46,13 +45,8 @@ class StepControl:
     def __post_init__(self) -> None:
         if not (0.0 < self.safety <= 1.0):
             raise ConfigurationError(f"safety must be in (0, 1], got {self.safety}")
-        if math.isnan(self.dt_min) or math.isnan(self.dt_max):
-            raise ConfigurationError("dt_min/dt_max must not be NaN")
-        if not (0.0 <= self.dt_min <= self.dt_max):
-            raise ConfigurationError(
-                f"need 0 <= dt_min <= dt_max, got dt_min={self.dt_min}, "
-                f"dt_max={self.dt_max}"
-            )
+        if not (self.dt_max > 0.0):
+            raise ConfigurationError(f"dt_max must be positive, got {self.dt_max}")
         if self.max_steps < 1:
             raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
         if not (self.convergence_tol > 0.0):
@@ -87,16 +81,11 @@ class RunResult:
 
 
 def stable_dt(law: FlowLaw, kp: CurvatureProfile, ctl: StepControl | None = None) -> float:
-    """Clamped parabolic stability bound for the profile's stiffest point."""
+    """Parabolic stability bound for the profile's stiffest point, clamped
+    to dt_max; the step size `run` starts from."""
     ctl = StepControl() if ctl is None else ctl
-    dtheta = kp.grid.dtheta
-    raw = ctl.safety * dtheta * dtheta / (law.alpha * float(kp.k.max()) ** (law.alpha + 1.0))
-    if ctl.dt_min > raw:
-        raise ConfigurationError(
-            f"dt_min={ctl.dt_min:.6e} exceeds the stability bound {raw:.6e}; "
-            "refusing to run unstably"
-        )
-    return float(min(max(raw, ctl.dt_min), ctl.dt_max))
+    raw = _kernels.step_bound(ctl.safety, kp.grid.dtheta, law.alpha, kp.k.max())
+    return float(min(raw, ctl.dt_max))
 
 
 # kernel status -> (run status, the guard named in RunResult.guard)
@@ -115,13 +104,13 @@ def step(
     """One forced RK4 step of exactly dt.
 
     No adaptivity: the caller owns the stability question (stable_dt
-    gives the bound). Guard trips raise instead of returning a status.
+    gives the bound), so the unbounded safety leaves dt to the dt_max
+    clamp. Guard trips raise instead of returning a status.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
     k, _, _, _, code = _kernels.advance(
-        kp.k.copy(), 0.0, dt, law.alpha, law.kind,
-        1.0, dt, dt, math.inf, False, 8,
+        kp.k.copy(), 0.0, dt, law.alpha, law.kind, math.inf, dt, math.inf, 1
     )
     if code == _kernels.STATUS_CONVEXITY:
         raise ConvexityError("curvature lost positivity during the step")
@@ -139,7 +128,6 @@ def run(
     sample_dt: float | None = None,
     sample_every: int | None = None,
     audits: Sequence[str] = AUDIT_NAMES,
-    projection: bool = False,
     on_sample: Callable[[float, CurvatureProfile, int], None] | None = None,
 ) -> RunResult:
     """Advance to t_end, a guard trip, convergence, or the step cap.
@@ -166,7 +154,6 @@ def run(
         sample_dt = t_end / 200.0
 
     _require_closed(kp0, "run")
-    stable_dt(law, kp0, ctl)  # validates dt_min against the bound up front
 
     grid = kp0.grid
 
@@ -210,8 +197,7 @@ def run(
 
         k, s_accum, t_adv, n_steps, code = _kernels.advance(
             k, s_accum, span, law.alpha, law.kind,
-            ctl.safety, ctl.dt_min, ctl.dt_max, ctl.blowup_k,
-            projection, budget,
+            ctl.safety, ctl.dt_max, ctl.blowup_k, budget,
         )
         steps_used += n_steps
 

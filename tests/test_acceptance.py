@@ -332,7 +332,7 @@ def test_criterion_9_closure_preservation(all_runs):
         9,
         not problems,
         f"closure defect at most {worst:.1e} of L(0) across {len(all_runs)}"
-        f" runs with projection off (budget 1e-6)",
+        f" runs, none re-closed after a step (budget 1e-6)",
     )
 
 

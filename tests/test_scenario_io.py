@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,7 +64,6 @@ class TestParse:
         assert set(s.audits) == {
             "rates", "radii", "tso", "psi", "phi", "entropy", "margins"
         }
-        assert s.projection is False
 
     def test_g1_alpha_floor(self):
         doc = json.loads(MINIMAL)
@@ -159,7 +159,6 @@ class TestParse:
             "snapshot_every": 3,
             "output_dir": "elsewhere",
             "audits": ["rates", "margins"],
-            "projection": True,
         }
         s = parse_scenario(json.dumps(doc))
         assert parse_scenario(json.dumps(scenario_to_document(s))) == s
@@ -178,6 +177,14 @@ class TestParse:
         doc.update(sample_dt=0.05, sample_every=10)
         with pytest.raises(ScenarioError, match="not both"):
             parse_scenario(json.dumps(doc))
+
+    def test_readme_scenarios_parse(self):
+        # every scenario document the README shows must pass the strict parser
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert blocks
+        for block in blocks:
+            parse_scenario(block)
 
     def test_default_control_echo_stays_finite_json(self):
         # dt_max defaults to infinity; the echo must remain strict JSON
@@ -405,6 +412,25 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "modes" in err and "[m, amp, phase]" in err
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"curve": {"kind": "Circle", "r": [1], "grid_n": 64}}, "curve.r"),
+            ({"curve": {"kind": "Circle", "r": 1, "grid_n": None}}, "curve.grid_n"),
+            ({"law": {"kind": "LP", "alpha": {}}}, "law.alpha"),
+            ({"t_end": "soon"}, "t_end"),
+            ({"sample_every": [25]}, "sample_every"),
+            ({"snapshot_every": "often"}, "snapshot_every"),
+            ({"control": {"safety": None}}, "control.safety"),
+            ({"control": {"max_steps": math.inf}}, "control.max_steps"),
+            ({"projection": True}, "projection"),
+            ({"control": {"dt_min": 0.0}}, "dt_min"),
+        ],
+    )
+    def test_bad_key_exit_two_names_it(self, tmp_path, capsys, overrides, key):
+        assert main(["run", str(small_scenario(tmp_path, **overrides))]) == 2
+        assert key in capsys.readouterr().err
 
     def test_oracle(self, capsys):
         assert main(["oracle"]) == 0

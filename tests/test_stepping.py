@@ -42,8 +42,9 @@ class TestStepControl:
             cf.StepControl(safety=safety)
 
     def test_bad_dt_window(self):
-        with pytest.raises(ConfigurationError, match="dt_min"):
-            cf.StepControl(dt_min=1.0, dt_max=0.5)
+        for dt_max in (0.0, -1.0, math.nan):
+            with pytest.raises(ConfigurationError, match="dt_max"):
+                cf.StepControl(dt_max=dt_max)
 
     def test_bad_caps(self):
         with pytest.raises(ConfigurationError, match="max_steps"):
@@ -72,12 +73,6 @@ class TestStableDt:
         dt_circle = cf.stable_dt(law, unit_circle)
         dt_ellipse = cf.stable_dt(law, ellipse21)
         assert dt_circle / dt_ellipse == pytest.approx(8.0, rel=1e-12)
-
-    def test_dt_min_conflict(self, unit_circle):
-        law = cf.FlowLaw("LP", 1.0)
-        bound = cf.stable_dt(law, unit_circle)
-        with pytest.raises(ConfigurationError, match="refusing to run unstably"):
-            cf.stable_dt(law, unit_circle, cf.StepControl(dt_min=2.0 * bound))
 
     def test_clamping(self, unit_circle):
         law = cf.FlowLaw("LP", 1.0)
@@ -255,20 +250,30 @@ class TestRunTargets:
         assert res.status in (cf.RunStatus.TIME_LIMIT, cf.RunStatus.CONVERGED)
         assert diagnostics.monotonicity_violations(res.series) == []
 
-    def test_projection_keeps_closure(self):
-        kp = cf.generate(cf.PerturbedCircle(1.0, ((3, 0.05, 0.4),), grid_n=128))
-        res = cf.run(cf.FlowLaw("LP", 1.0), kp, None, 0.2, sample_dt=0.02,
-                     audits=(), projection=True)
-        assert res.status in (cf.RunStatus.TIME_LIMIT, cf.RunStatus.CONVERGED)
-        defects = [cf.closure_defect(CurvatureProfile(kp.grid, res.final.k))]
-        assert max(defects) < 1e-10
+    def test_exact_invariants(self):
+        # in w = 1/k, closure (mode 1 of w) is a linear invariant of every
+        # law and the length (mode 0) one of LP, so RK4 keeps both to
+        # round-off, far inside the 1e-6 closure budget
+        kp = cf.random_convex(0, grid_n=256)
+        res = cf.run(cf.FlowLaw("G1", 2.0), kp, None, 0.12, sample_every=25,
+                     audits=())
+        assert res.status is cf.RunStatus.TIME_LIMIT
+        defect = res.series.column("closure_defect")
+        assert defect.max() <= 1e-14 * res.series[0].L
+
+        kp = cf.generate(cf.Ellipse(2.0, 1.0, grid_n=128))
+        res = cf.run(cf.FlowLaw("LP", 1.0), kp, None, 1.0, sample_dt=0.005,
+                     audits=())
+        assert res.status is cf.RunStatus.TIME_LIMIT
+        L = res.series.column("L")
+        assert np.abs(L / L[0] - 1.0).max() <= 1e-14
 
 
 def advance(k, span=1.0, law=cf.FlowKind.LP, alpha=1.0, *, safety=0.25,
             blowup_k=1e6, budget=100_000):
     return _kernels.advance(
         np.array(k, dtype=float), 0.0, span, alpha, law,
-        safety, 0.0, math.inf, blowup_k, False, budget,
+        safety, math.inf, blowup_k, budget,
     )
 
 
@@ -285,8 +290,9 @@ class TestKernel:
         law = cf.FlowLaw(kind, alpha)
         rhs = _kernels.Derivative(n, alpha, law.kind)
         f = np.empty(n)
-        q = rhs(kp.k.copy(), f)
-        expect = cf.curvature_rhs(law, kp)
+        q = rhs(kp.w.copy(), f)
+        # w_t = -k_t / k^2
+        expect = -cf.curvature_rhs(law, kp) * kp.w * kp.w
         assert np.abs(f - expect).max() <= 1e-12 * np.abs(expect).max()
         v = kp.k ** alpha
         assert q == pytest.approx(cf.integrate_values(v), rel=1e-13)
@@ -297,7 +303,7 @@ class TestKernel:
         for n in (128, 256):
             kp = cf.generate(cf.PerturbedCircle(r0=r0, modes=modes, grid_n=n))
             rhs = _kernels.Derivative(n, 1.0, cf.FlowKind.G1)
-            rhs(kp.k.copy(), np.empty(n))
+            rhs(kp.w.copy(), np.empty(n))
             L, A = rhs.length_area()
             # u = r0 + modes has perimeter 2 pi r0 (the modes integrate to 0)
             assert L == pytest.approx(2.0 * np.pi * r0, rel=1e-12)
@@ -314,7 +320,7 @@ class TestKernel:
         w = (1.0 + 0.3 * np.cos(2 * g.theta) + 0.05 * np.sin(4 * g.theta)
              + 0.2 * np.cos(g.theta))
         rhs = _kernels.Derivative(64, 1.0, cf.FlowKind.G1)
-        rhs(1.0 / w, np.empty(64))
+        rhs(w, np.empty(64))
         L, A = rhs.length_area()
         assert L == pytest.approx(2.0 * np.pi, rel=1e-14)
         u_dot_w = 2.0 * np.pi - np.pi * 0.3 * 0.1 - np.pi * 0.05 * 0.05 / 15.0
@@ -369,8 +375,8 @@ class TestKernel:
         assert steps > 0 and out.min() > 0.0
 
     def test_nonfinite_during_run(self):
-        # k^(alpha+2) overflows near k = 1050 while the step-size bound,
-        # k^(alpha+1), is still finite and k is far below blowup_k
+        # the step-size bound's alpha*k^(alpha+1) overflows near k = 1080,
+        # far below blowup_k, and leaves a zero step
         with np.errstate(over="ignore", invalid="ignore"):
             out, _, _, steps, code = advance(
                 circle_k(1e-3), law=cf.FlowKind.CONTRACTION, alpha=100.0
@@ -381,20 +387,21 @@ class TestKernel:
 
     @pytest.mark.parametrize("kind", LAWS)
     def test_step_is_rk4_of_curvature_rhs(self, kind):
+        # the kernel steps w = 1/k, whose rate is w_t = -k_t / k^2
         law = cf.FlowLaw(kind, 2.0)
         for kp in (cf.generate(cf.Ellipse(2.0, 1.0, grid_n=64)),
                    cf.random_convex(2, grid_n=64)):
             dt = cf.stable_dt(law, kp)
 
-            def f(k):
-                return cf.curvature_rhs(law, CurvatureProfile(kp.grid, k))
+            def f(w):
+                return -cf.curvature_rhs(law, CurvatureProfile(kp.grid, 1.0 / w)) * w * w
 
-            f1 = f(kp.k)
-            f2 = f(kp.k + 0.5 * dt * f1)
-            f3 = f(kp.k + 0.5 * dt * f2)
-            f4 = f(kp.k + dt * f3)
+            f1 = f(kp.w)
+            f2 = f(kp.w + 0.5 * dt * f1)
+            f3 = f(kp.w + 0.5 * dt * f2)
+            f4 = f(kp.w + dt * f3)
             increment = (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-            got = cf.step(law, kp, dt).k - kp.k
+            got = cf.step(law, kp, dt).w - kp.w
             assert np.abs(got - increment).max() <= 1e-12 * np.abs(increment).max()
 
 
