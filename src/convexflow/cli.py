@@ -58,6 +58,15 @@ def _execute(scenario: Scenario) -> tuple[RunResult, list[Snapshot]]:
     return result, snapshots
 
 
+def _stepping(result: RunResult) -> dict:
+    """The run's deterministic step counters, as the manifest records them."""
+    return {
+        "steps": result.steps,
+        "rejected": result.rejected,
+        "dt_range": None if result.dt_range is None else list(result.dt_range),
+    }
+
+
 def _finish(scenario: Scenario, result: RunResult, snapshots) -> tuple[bool, list[str]]:
     emit(
         result.series,
@@ -66,6 +75,7 @@ def _finish(scenario: Scenario, result: RunResult, snapshots) -> tuple[bool, lis
         scenario=scenario,
         status=result.status.value,
         guard=result.guard,
+        stepping=_stepping(result),
     )
     problems = audit_series(result.series)
     ok = result.status in CLEAN and not problems
@@ -76,9 +86,11 @@ def _cmd_run(args) -> int:
     scenario = parse_scenario(Path(args.scenario).read_text())
     result, snapshots = _execute(scenario)
     ok, problems = _finish(scenario, result, snapshots)
+    dt = "none" if result.dt_range is None else "{:.3g}..{:.3g}".format(*result.dt_range)
     print(
         f"{result.status.value}: t={result.t_final:.6g} after {result.steps} "
-        f"steps (guard: {result.guard or 'none'}), {len(result.series)} samples, "
+        f"steps, {result.rejected} rejected, dt {dt} "
+        f"(guard: {result.guard or 'none'}), {len(result.series)} samples, "
         f"{len(snapshots)} snapshots -> {scenario.output_dir}"
     )
     for msg in problems:

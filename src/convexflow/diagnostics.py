@@ -17,8 +17,11 @@ flow-level unit to keep round-off from being judged against round-off.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Mapping, Sequence
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -65,6 +68,37 @@ class Margin:
 
     def ok(self, rtol: float = MARGIN_RTOL) -> bool:
         return self.value >= -rtol * self.scale
+
+
+@lru_cache(maxsize=16)
+def _margin_index(names: tuple[str, ...]) -> dict[str, int]:
+    return {name: i for i, name in enumerate(names)}
+
+
+class _MarginTable(Mapping):
+    """One sample's margins as the series keeps them: the name index is
+    shared by every sample with the same names, and the (value, scale)
+    pairs sit in one array of doubles, about a tenth of the memory of a
+    dict of Margin objects. Reading a name returns its Margin."""
+
+    __slots__ = ("_index", "_pairs")
+
+    def __init__(self, margins: Mapping[str, Margin]):
+        self._index = _margin_index(tuple(margins))
+        self._pairs = array("d")
+        for m in margins.values():
+            self._pairs.append(m.value)
+            self._pairs.append(m.scale)
+
+    def __getitem__(self, name: str) -> Margin:
+        i = 2 * self._index[name]
+        return Margin(self._pairs[i], self._pairs[i + 1])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 @dataclass(frozen=True)
@@ -459,9 +493,9 @@ class DiagnosticsCollector:
 
         ent = entropy(law, kp) if "entropy" in self.audits else nan
 
-        margins: dict[str, Margin] = {}
+        margins: Mapping[str, Margin] = {}
         if "margins" in self.audits:
-            margins = inequality_audit(kp, alpha=law.alpha)
+            margins = _MarginTable(inequality_audit(kp, alpha=law.alpha))
 
         record = SampleRecord(
             t=t,

@@ -35,7 +35,7 @@ class FlowKind(enum.Enum):
 
 
 # plain names for the members: attribute access on an Enum class costs
-# more than the arithmetic of nonlocal_lambda, which every RK4 stage calls
+# more than the arithmetic of nonlocal_lambda, which every ETDRK4 stage calls
 _LP, _AP, _G1, _G2 = FlowKind.LP, FlowKind.AP, FlowKind.G1, FlowKind.G2
 
 

@@ -183,6 +183,21 @@ def linearized_decay_rate(alpha: float, k_inf: float) -> float:
     return 3.0 * alpha * k_inf ** (1.0 + alpha)
 
 
+def phi_functions(z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phi_1, phi_2, phi_3) of real z, elementwise, by the matrix
+    exponential of the augmented matrix [[z, 1, 0, 0], [0, 0, 1, 0],
+    [0, 0, 0, 1], [0, 0, 0, 0]], whose first row is
+    (e^z, phi_1(z), phi_2(z), phi_3(z))."""
+    from scipy.linalg import expm
+
+    z = np.asarray(z, dtype=np.float64)
+    aug = np.zeros(z.shape + (4, 4))
+    aug[..., 0, 0] = z
+    aug[..., 0, 1] = aug[..., 1, 2] = aug[..., 2, 3] = 1.0
+    row = expm(aug)[..., 0, :]
+    return row[..., 1], row[..., 2], row[..., 3]
+
+
 def reference_table() -> list[tuple[str, float]]:
     """Everything the test suite pins, labeled for the CLI `oracle` command."""
     rows = [

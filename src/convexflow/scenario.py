@@ -152,6 +152,8 @@ def parse_curve(doc) -> CurveSpec:
     if not isinstance(doc, Mapping) or "kind" not in doc:
         raise ScenarioError("curve must be an object with a 'kind' key")
     kind = doc["kind"]
+    if not isinstance(kind, str):
+        raise ScenarioError(f"curve.kind must be a string, got {kind!r}")
     if kind not in _CURVE_FIELDS:
         raise ScenarioError(
             f"unknown curve kind {kind!r}; expected one of "
@@ -244,13 +246,20 @@ def parse_scenario(text: str) -> Scenario:
     if snapshot_every < 0:
         raise ScenarioError(f"snapshot_every must be >= 0, got {snapshot_every}")
 
-    audits = tuple(doc.get("audits", AUDIT_NAMES))
+    audits = doc.get("audits", list(AUDIT_NAMES))
+    if not (isinstance(audits, list) and all(isinstance(a, str) for a in audits)):
+        raise ScenarioError(f"audits must be a list of audit names, got {audits!r}")
+    audits = tuple(audits)
     unknown = sorted(set(audits) - set(AUDIT_NAMES))
     if unknown:
         raise ScenarioError(
             f"unknown audit name(s): {', '.join(unknown)}; "
             f"expected among {', '.join(AUDIT_NAMES)}"
         )
+
+    output_dir = doc.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ScenarioError(f"output_dir must be a string, got {output_dir!r}")
 
     return Scenario(
         law=law,
@@ -260,7 +269,7 @@ def parse_scenario(text: str) -> Scenario:
         sample_every=sample_every,
         sample_dt=sample_dt,
         snapshot_every=snapshot_every,
-        output_dir=str(doc.get("output_dir", "out")),
+        output_dir=output_dir,
         audits=audits,
     )
 
@@ -314,14 +323,16 @@ def emit(
     scenario: Scenario,
     status: str,
     guard: str | None = None,
+    stepping: dict | None = None,
 ) -> dict:
     """Write one run's outputs into out_dir and return the manifest.
 
     Files: scenario.json (the echoed configuration), series.csv, one
     curve_NNNN.json plus curve_NNNN.svg per snapshot, and manifest.json
-    naming all of them with the final status and the guard that ended the
-    run (None when no guard did). Content depends only on
-    the inputs, so identical runs emit byte-identical files.
+    naming all of them with the final status, the guard that ended the
+    run (None when no guard did) and the step counters in `stepping`
+    (accepted steps, rejected attempts and the accepted dt range). Content
+    depends only on the inputs, so identical runs emit byte-identical files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -344,7 +355,13 @@ def emit(
         render_snapshot(snap, out / f"{name}.svg")
         files += [f"{name}.json", f"{name}.svg"]
 
-    manifest = {"files": sorted(files), "guard": guard, "scenario": echo, "status": status}
+    manifest = {
+        "files": sorted(files),
+        "guard": guard,
+        "scenario": echo,
+        "status": status,
+        "stepping": stepping,
+    }
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )

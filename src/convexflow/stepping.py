@@ -1,10 +1,12 @@
-"""Adaptive explicit time stepping for the curvature evolution.
+"""Adaptive time stepping for the curvature evolution.
 
-The scheme is classical four-stage Runge-Kutta on the method-of-lines
-system for the radius of curvature 1/k, with the step size tied to the
-parabolic stability bound of the diffusion coefficient alpha*k^(alpha+1).
-Runs advance sample interval by sample interval through the kernel
-(`_kernels`); each boundary is landed on exactly so that series from
+The scheme is exponential time differencing RK4 (Cox and Matthews) on
+the method-of-lines system for the radius of curvature 1/k: the stiff
+diffusion, with coefficient alpha*k_max^(alpha+1), is integrated exactly
+mode by mode and the rest explicitly, so the step size is set by
+accuracy alone, through a step-doubling error estimate, and not by the
+grid. One kernel state (`_kernels.Stepper`) carries the step size across
+sample intervals; each boundary is landed on exactly so that series from
 different resolutions or safety factors can be compared at matched times.
 """
 
@@ -15,9 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-import numpy as np
-
-from . import _kernels, diagnostics
+from . import _kernels
 from .diagnostics import AUDIT_NAMES, DiagnosticsCollector, DiagnosticsSeries
 from .geometry import ConvexityError, CurvatureProfile, _require_closed
 from .laws import BlowUpError, FlowKind, FlowLaw
@@ -31,9 +31,10 @@ class ConfigurationError(ValueError):
 class StepControl:
     """Step-size, guard, and convergence settings for a run.
 
-    safety scales the raw stability bound; values up to ~0.28 keep the
-    stiffest Fourier mode inside the RK4 real-axis stability interval,
-    and the default leaves margin for the nonlinearity.
+    safety scales the local error tolerance of a step: a step is accepted
+    when its step-doubling estimate of the largest relative error of 1/k
+    is at most 4e-9 * safety (1e-9 at the default), so halving safety
+    halves the tolerance. dt_max caps the step size.
     """
 
     safety: float = 0.25
@@ -68,7 +69,10 @@ class RunStatus(Enum):
 @dataclass(frozen=True)
 class RunResult:
     """Outcome of run(). `guard` names the guard that ended the run: None,
-    "convexity", "blowup", "nonfinite" or "step_limit"."""
+    "convexity", "blowup", "nonfinite" or "step_limit". `steps` counts
+    accepted steps and `rejected` the step attempts thrown away;
+    `dt_range` is the (smallest, largest) accepted step, None when no step
+    was taken."""
 
     status: RunStatus
     final: CurvatureProfile
@@ -76,16 +80,10 @@ class RunResult:
     t_final: float
     steps: int
     guard: str | None
+    rejected: int = 0
+    dt_range: tuple[float, float] | None = None
 
     backend = "numpy"  # the one stepping lane; perfbench records still name it
-
-
-def stable_dt(law: FlowLaw, kp: CurvatureProfile, ctl: StepControl | None = None) -> float:
-    """Parabolic stability bound for the profile's stiffest point, clamped
-    to dt_max; the step size `run` starts from."""
-    ctl = StepControl() if ctl is None else ctl
-    raw = _kernels.step_bound(ctl.safety, kp.grid.dtheta, law.alpha, kp.k.max())
-    return float(min(raw, ctl.dt_max))
 
 
 # kernel status -> (run status, the guard named in RunResult.guard)
@@ -101,22 +99,21 @@ def step(
     kp: CurvatureProfile,
     dt: float,
 ) -> CurvatureProfile:
-    """One forced RK4 step of exactly dt.
+    """One forced ETDRK4 step of exactly dt, with sigma from kp's k_max.
 
-    No adaptivity: the caller owns the stability question (stable_dt
-    gives the bound), so the unbounded safety leaves dt to the dt_max
-    clamp. Guard trips raise instead of returning a status.
+    No error control: the caller owns the accuracy question. Guard trips
+    raise instead of returning a status; a stage or a result whose 1/k
+    is not positive raises ConvexityError.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    k, _, _, _, code = _kernels.advance(
-        kp.k.copy(), 0.0, dt, law.alpha, law.kind, math.inf, dt, math.inf, 1
-    )
+    stepper = _kernels.Stepper(kp.k, law.alpha, law.kind, 1.0, math.inf, math.inf)
+    code = stepper.force(dt)
     if code == _kernels.STATUS_CONVEXITY:
         raise ConvexityError("curvature lost positivity during the step")
     if code in (_kernels.STATUS_BLOWUP, _kernels.STATUS_NONFINITE):
         raise BlowUpError(f"curvature blew up during a step of dt={dt:.6e}")
-    return CurvatureProfile(kp.grid, k)
+    return CurvatureProfile(kp.grid, stepper.k())
 
 
 def run(
@@ -168,9 +165,10 @@ def run(
     if float(kp0.k.max()) >= ctl.blowup_k:
         return RunResult(RunStatus.BLOW_UP, kp0, collector.series, 0.0, 0, "blowup")
 
-    k = kp0.k.copy()
+    stepper = _kernels.Stepper(
+        kp0.k, law.alpha, law.kind, ctl.safety, ctl.dt_max, ctl.blowup_k
+    )
     kp_cur = kp0
-    s_accum = 0.0
     t_cur = 0.0
     steps_used = 0
     sample_idx = 0
@@ -186,25 +184,16 @@ def run(
         if sample_dt is not None:
             boundary += 1
             t_next = min(boundary * sample_dt, t_end)
-            span = t_next - t_cur
             budget = remaining
         else:
             t_next = t_end
-            span = t_end - t_cur
             budget = min(sample_every, remaining)
-        if span <= 0.0:
+        if t_next <= t_cur:
             continue
 
-        k, s_accum, t_adv, n_steps, code = _kernels.advance(
-            k, s_accum, span, law.alpha, law.kind,
-            ctl.safety, ctl.dt_max, ctl.blowup_k, budget,
-        )
+        n_steps, code = stepper.advance(t_next, budget)
         steps_used += n_steps
-
-        if code == _kernels.STATUS_OK:
-            t_sample = t_next
-        else:
-            t_sample = t_cur + t_adv
+        t_sample = stepper.t
         if code in _GUARD_TRIPS:
             status, guard = _GUARD_TRIPS[code]
         elif code == _kernels.STATUS_BUDGET and steps_used >= ctl.max_steps:
@@ -212,8 +201,8 @@ def run(
 
         if t_sample > t_cur:
             t_cur = t_sample
-            kp_cur = CurvatureProfile(grid, k)
-            record = collector.collect(t_cur, kp_cur, s_accum)
+            kp_cur = CurvatureProfile(grid, stepper.k())
+            record = collector.collect(t_cur, kp_cur, stepper.s)
             sample_idx += 1
             if on_sample is not None:
                 on_sample(t_cur, kp_cur, sample_idx)
@@ -228,4 +217,8 @@ def run(
         status = RunStatus.TIME_LIMIT if t_cur >= t_end else RunStatus.STEP_LIMIT
     if status is RunStatus.STEP_LIMIT:
         guard = "step_limit"
-    return RunResult(status, kp_cur, collector.series, t_cur, steps_used, guard)
+    dt_range = (stepper.h_min, stepper.h_max) if steps_used else None
+    return RunResult(
+        status, kp_cur, collector.series, t_cur, steps_used, guard,
+        stepper.rejected, dt_range,
+    )

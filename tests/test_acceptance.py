@@ -1,10 +1,10 @@
 """End-to-end acceptance checks, one per shipped guarantee.
 
 Each test prints a single PASS/FAIL line; run with `-s` to watch them
-appear as the runs complete. The module takes two to three minutes: the
+appear as the runs complete. The module takes about 20 seconds: the
 robustness check repeats every conservation run at doubled resolution
-and halved CFL safety, and the convergence targets integrate until the
-oscillation actually dies.
+and halved safety (half the local error tolerance of a step), and the
+convergence targets integrate until the oscillation actually dies.
 """
 
 from __future__ import annotations

@@ -408,6 +408,18 @@ class TestCollector:
         lo, hi = oracles.bonnesen_window(rec.L, rec.A)
         assert lo - 1e-8 <= rec.r_in <= rec.r_out <= hi + 1e-8
 
+    def test_recorded_margins_match_the_audit(self, ellipse21):
+        # the series keeps margins compactly; reading them back gives the
+        # audit's own Margin values, bit for bit
+        law = FlowLaw(FlowKind.LP, 1.0)
+        coll = DiagnosticsCollector(law, ellipse21)
+        rec = coll.collect(0.0, ellipse21, s_accum=0.0)
+        audit = inequality_audit(ellipse21, alpha=1.0)
+        assert list(rec.margins) == list(audit)
+        assert dict(rec.margins.items()) == audit
+        assert "nope" not in rec.margins
+        assert failed_margins(rec.margins) == failed_margins(audit)
+
     def test_disabled_audits_record_nan(self, ellipse21):
         coll = DiagnosticsCollector(
             FlowLaw(FlowKind.LP, 1.0), ellipse21, audits=("rates",)

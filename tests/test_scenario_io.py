@@ -328,16 +328,46 @@ class TestCli:
         assert "StepLimit" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "control, guard",
-        [({}, None), ({"max_steps": 50}, "step_limit"), ({"safety": 1.0}, "convexity")],
+        "control, guard", [({}, None), ({"max_steps": 50}, "step_limit")]
     )
     def test_run_names_the_guard(self, tmp_path, capsys, control, guard):
-        # safety 1 puts the stiffest mode outside the RK4 stability interval
         path = small_scenario(tmp_path, control=control)
         main(["run", str(path)])
         assert f"(guard: {guard or 'none'})" in capsys.readouterr().out
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["guard"] == guard
+
+    @pytest.mark.parametrize(
+        "control, guard", [({}, "blowup"), ({"blowup_k": math.inf}, "convexity")]
+    )
+    def test_run_names_the_guard_past_extinction(self, tmp_path, capsys, control, guard):
+        # the contracting unit circle dies at t = 1/2: the blowup guard ends
+        # the run, or, with it off, the step size underflows (t + dt == t)
+        path = small_scenario(
+            tmp_path,
+            law={"kind": "Contraction", "alpha": 1},
+            curve={"kind": "Circle", "r": 1, "grid_n": 64},
+            t_end=0.6,
+            control=control,
+        )
+        with np.errstate(over="ignore"):
+            assert main(["run", str(path)]) == 1
+        assert f"(guard: {guard})" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["guard"] == guard
+
+    def test_manifest_records_step_counters(self, tmp_path, capsys):
+        path = small_scenario(tmp_path)
+        result, _ = _execute(parse_scenario(path.read_text()))
+        assert main(["run", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"after {result.steps} steps, {result.rejected} rejected, dt " in out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["stepping"] == {
+            "steps": result.steps,
+            "rejected": result.rejected,
+            "dt_range": list(result.dt_range),
+        }
 
     def test_run_rerun_is_byte_identical(self, tmp_path):
         path = small_scenario(tmp_path, snapshot_every=2)
@@ -426,6 +456,11 @@ class TestCli:
             ({"control": {"max_steps": math.inf}}, "control.max_steps"),
             ({"projection": True}, "projection"),
             ({"control": {"dt_min": 0.0}}, "dt_min"),
+            ({"audits": 5}, "audits"),
+            ({"audits": "rates"}, "audits"),
+            ({"audits": [1]}, "audits"),
+            ({"curve": {"kind": ["Circle"]}}, "curve.kind"),
+            ({"output_dir": 5}, "output_dir"),
         ],
     )
     def test_bad_key_exit_two_names_it(self, tmp_path, capsys, overrides, key):

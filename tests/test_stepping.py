@@ -9,7 +9,7 @@ import pytest
 
 import convexflow as cf
 from convexflow import _kernels, diagnostics, oracles
-from convexflow.geometry import ClosureError, CurvatureProfile
+from convexflow.geometry import ClosureError, ConvexityError, CurvatureProfile
 from convexflow.spectral import AngularGrid
 from convexflow.stepping import ConfigurationError
 
@@ -55,38 +55,12 @@ class TestStepControl:
             cf.StepControl(blowup_k=-1.0)
 
 
-class TestStableDt:
-    def test_unit_circle_formula(self, unit_circle):
-        dt = cf.stable_dt(cf.FlowLaw("LP", 1.0), unit_circle)
-        assert dt == pytest.approx(0.25 * (2.0 * np.pi / 256) ** 2, rel=1e-15)
-
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
-    def test_kmax_doubling(self, alpha):
-        big = cf.generate(cf.Circle(1.0))
-        small = cf.generate(cf.Circle(0.5))  # k doubles
-        law = cf.FlowLaw("LP", alpha)
-        ratio = cf.stable_dt(law, big) / cf.stable_dt(law, small)
-        assert ratio == pytest.approx(2.0 ** (alpha + 1.0), rel=1e-12)
-
-    def test_ellipse_alpha2_factor_eight(self, unit_circle, ellipse21):
-        law = cf.FlowLaw("LP", 2.0)
-        dt_circle = cf.stable_dt(law, unit_circle)
-        dt_ellipse = cf.stable_dt(law, ellipse21)
-        assert dt_circle / dt_ellipse == pytest.approx(8.0, rel=1e-12)
-
-    def test_clamping(self, unit_circle):
-        law = cf.FlowLaw("LP", 1.0)
-        dt = cf.stable_dt(law, unit_circle, cf.StepControl(dt_max=1e-6))
-        assert dt == 1e-6
-
-
 class TestStep:
     @pytest.mark.parametrize("kind", NONLOCAL)
     def test_circle_equilibrium(self, kind):
         kp = cf.generate(cf.Circle(2.0))
         law = cf.FlowLaw(kind, 1.5)
-        dt = cf.stable_dt(law, kp)
-        out = cf.step(law, kp, dt)
+        out = cf.step(law, kp, 5.7e-4)
         assert np.abs(out.k - kp.k).max() < 1e-12
 
     def test_bad_dt(self, unit_circle):
@@ -98,7 +72,7 @@ class TestStep:
         # reference; the error ratio of a 4th-order one-step method is ~16
         kp = cf.generate(cf.Ellipse(2.0, 1.0, grid_n=64))
         law = cf.FlowLaw("LP", 1.0)
-        dt = 0.5 * cf.stable_dt(law, kp)
+        dt = 3.0e-4
 
         def substeps(m: int) -> np.ndarray:
             cur = kp
@@ -110,6 +84,13 @@ class TestStep:
         e1 = np.abs(substeps(1) - ref).max()
         e2 = np.abs(substeps(2) - ref).max()
         assert 12.0 < e1 / e2 < 20.0
+
+    def test_forced_step_loses_convexity(self):
+        # a step far past what the error control would take: a stage of it
+        # leaves 1/k > 0 on the 6:1 ellipse
+        kp = cf.generate(cf.Ellipse(6.0, 1.0, grid_n=64))
+        with pytest.raises(ConvexityError, match="positivity"):
+            cf.step(cf.FlowLaw("AP", 2.0), kp, 0.1)
 
     def test_contraction_circle_closed_form(self):
         # integrate the shrinking circle to t = 0.375; r goes 1 -> 0.5
@@ -215,6 +196,22 @@ class TestRunStatuses:
         assert res.series[-1].oscillation <= 1e-2
         assert res.t_final < 10.0
 
+    def test_step_counters(self):
+        kp = cf.generate(cf.Ellipse(2.0, 1.0, grid_n=64))
+        law = cf.FlowLaw("LP", 1.0)
+        res = cf.run(law, kp, None, 0.3, sample_dt=0.01, audits=())
+        lo, hi = res.dt_range
+        assert 0.0 < lo <= hi <= 0.01
+        assert lo * res.steps <= res.t_final <= hi * res.steps
+        assert res.rejected >= 0
+        again = cf.run(law, kp, None, 0.3, sample_dt=0.01, audits=())
+        assert (again.steps, again.rejected, again.dt_range) == (
+            res.steps, res.rejected, res.dt_range
+        )
+        # a run that takes no step has no range
+        assert cf.run(law, cf.generate(cf.Circle(1.0)), None, 1.0,
+                      audits=()).dt_range is None
+
 
 class TestRunTargets:
     def test_lp_limit_radius(self):
@@ -252,8 +249,8 @@ class TestRunTargets:
 
     def test_exact_invariants(self):
         # in w = 1/k, closure (mode 1 of w) is a linear invariant of every
-        # law and the length (mode 0) one of LP, so RK4 keeps both to
-        # round-off, far inside the 1e-6 closure budget
+        # law and the length (mode 0) one of LP; ETDRK4 leaves both modes
+        # to round-off, far inside the 1e-6 closure budget
         kp = cf.random_convex(0, grid_n=256)
         res = cf.run(cf.FlowLaw("G1", 2.0), kp, None, 0.12, sample_every=25,
                      audits=())
@@ -271,10 +268,17 @@ class TestRunTargets:
 
 def advance(k, span=1.0, law=cf.FlowKind.LP, alpha=1.0, *, safety=0.25,
             blowup_k=1e6, budget=100_000):
-    return _kernels.advance(
-        np.array(k, dtype=float), 0.0, span, alpha, law,
-        safety, math.inf, blowup_k, budget,
+    """One Stepper advance from t = 0: (k, s, t, steps, status)."""
+    stepper = _kernels.Stepper(
+        np.array(k, dtype=float), alpha, law, safety, math.inf, blowup_k
     )
+    steps, code = stepper.advance(span, budget)
+    return stepper.k(), stepper.s, stepper.t, steps, code
+
+
+def spectrum(w):
+    """rfft of w as the float view of its (re, im) pairs the kernel reads."""
+    return np.fft.rfft(w).view(np.float64)
 
 
 def circle_k(r, n=64):
@@ -289,9 +293,12 @@ class TestKernel:
         kp = cf.random_convex(1, grid_n=n)
         law = cf.FlowLaw(kind, alpha)
         rhs = _kernels.Derivative(n, alpha, law.kind)
-        f = np.empty(n)
-        q = rhs(kp.w.copy(), f)
-        # w_t = -k_t / k^2
+        w = np.empty(n)
+        R = np.empty(n + 2)
+        q = rhs(spectrum(kp.w), w, R)
+        assert np.abs(w - kp.w).max() <= 1e-14 * kp.w.max()
+        # w_t = -k_t / k^2, returned as its spectrum
+        f = np.fft.irfft(R.view(complex), n)
         expect = -cf.curvature_rhs(law, kp) * kp.w * kp.w
         assert np.abs(f - expect).max() <= 1e-12 * np.abs(expect).max()
         v = kp.k ** alpha
@@ -303,8 +310,7 @@ class TestKernel:
         for n in (128, 256):
             kp = cf.generate(cf.PerturbedCircle(r0=r0, modes=modes, grid_n=n))
             rhs = _kernels.Derivative(n, 1.0, cf.FlowKind.G1)
-            rhs(kp.w.copy(), np.empty(n))
-            L, A = rhs.length_area()
+            L, A = rhs.length_area(spectrum(kp.w))
             # u = r0 + modes has perimeter 2 pi r0 (the modes integrate to 0)
             assert L == pytest.approx(2.0 * np.pi * r0, rel=1e-12)
             # the kernel and geometry.area share one formula; hold both
@@ -320,8 +326,7 @@ class TestKernel:
         w = (1.0 + 0.3 * np.cos(2 * g.theta) + 0.05 * np.sin(4 * g.theta)
              + 0.2 * np.cos(g.theta))
         rhs = _kernels.Derivative(64, 1.0, cf.FlowKind.G1)
-        rhs(w, np.empty(64))
-        L, A = rhs.length_area()
+        L, A = rhs.length_area(spectrum(w))
         assert L == pytest.approx(2.0 * np.pi, rel=1e-14)
         u_dot_w = 2.0 * np.pi - np.pi * 0.3 * 0.1 - np.pi * 0.05 * 0.05 / 15.0
         assert A == pytest.approx(0.5 * u_dot_w, rel=1e-14)
@@ -354,12 +359,14 @@ class TestKernel:
         assert advance(k, blowup_k=2.0)[3:] == (0, _kernels.STATUS_BLOWUP)
 
     def test_budget(self):
-        _, _, t, steps, code = advance(circle_k(1.0), budget=3)
+        # the ellipse is not an equilibrium, so the span takes many steps
+        k0 = cf.generate(cf.Ellipse(2.0, 1.0, grid_n=64)).k
+        _, _, t, steps, code = advance(k0, budget=3)
         assert (steps, code) == (3, _kernels.STATUS_BUDGET)
         assert 0.0 < t < 1.0
 
     def test_blowup_during_run(self):
-        # the contracting circle crosses k = 1.01 after a few dozen steps
+        # the contracting circle crosses k = 1.01 in its second step
         k0 = circle_k(1.0)
         out, _, t, steps, code = advance(k0, law=cf.FlowKind.CONTRACTION,
                                          blowup_k=1.01)
@@ -368,15 +375,29 @@ class TestKernel:
         assert 1.0 < out.max() < 1.01
 
     def test_convexity_during_run(self):
-        # safety 1 puts the stiffest mode outside the RK4 stability interval
-        k0 = cf.generate(cf.Ellipse(2.0, 1.0, grid_n=64)).k
-        out, _, _, steps, code = advance(k0, safety=1.0)
+        # a forced step far past what the error control would take: a
+        # stage leaves w > 0, and the held state is kept
+        k0 = cf.generate(cf.Ellipse(6.0, 1.0, grid_n=64)).k
+        stepper = _kernels.Stepper(k0, 2.0, cf.FlowKind.AP, 0.25, math.inf, 1e6)
+        held = stepper.k()
+        assert stepper.force(0.1) == _kernels.STATUS_CONVEXITY
+        assert np.array_equal(stepper.k(), held)
+
+    def test_step_size_underflow_is_convexity(self):
+        # with the blowup guard off, the contracting circle runs into its
+        # singularity until no representable step is small enough
+        with np.errstate(over="ignore"):
+            out, _, t, steps, code = advance(
+                circle_k(1.0), span=0.6, law=cf.FlowKind.CONTRACTION,
+                blowup_k=math.inf,
+            )
         assert code == _kernels.STATUS_CONVEXITY
-        assert steps > 0 and out.min() > 0.0
+        assert steps > 0 and t == pytest.approx(0.5, abs=1e-9)
+        assert np.all(np.isfinite(out)) and out.min() > 1e6
 
     def test_nonfinite_during_run(self):
-        # the step-size bound's alpha*k^(alpha+1) overflows near k = 1080,
-        # far below blowup_k, and leaves a zero step
+        # sigma = alpha*k^(alpha+1) overflows near k = 1100, far below
+        # blowup_k
         with np.errstate(over="ignore", invalid="ignore"):
             out, _, _, steps, code = advance(
                 circle_k(1e-3), law=cf.FlowKind.CONTRACTION, alpha=100.0
@@ -387,22 +408,64 @@ class TestKernel:
 
     @pytest.mark.parametrize("kind", LAWS)
     def test_step_is_rk4_of_curvature_rhs(self, kind):
-        # the kernel steps w = 1/k, whose rate is w_t = -k_t / k^2
+        # one forced step is Cox-Matthews ETDRK4 of the w-form rate
+        # w_t = -k_t / k^2, split as c w + N with c_m = sigma (1 - m^2) off
+        # modes 0 and 1, sigma = alpha k_max^(alpha+1), and its phi
+        # coefficients taken from the matrix-exponential oracle
         law = cf.FlowLaw(kind, 2.0)
+        dt = 1e-3
         for kp in (cf.generate(cf.Ellipse(2.0, 1.0, grid_n=64)),
                    cf.random_convex(2, grid_n=64)):
-            dt = cf.stable_dt(law, kp)
+            n = kp.grid.n
 
-            def f(w):
-                return -cf.curvature_rhs(law, CurvatureProfile(kp.grid, 1.0 / w)) * w * w
+            def N(S):
+                w = np.fft.irfft(S, n)
+                prof = CurvatureProfile(kp.grid, 1.0 / w)
+                return np.fft.rfft(-cf.curvature_rhs(law, prof) * w * w) - c * S
 
-            f1 = f(kp.w)
-            f2 = f(kp.w + 0.5 * dt * f1)
-            f3 = f(kp.w + 0.5 * dt * f2)
-            f4 = f(kp.w + dt * f3)
-            increment = (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            m = np.arange(n // 2 + 1)
+            c = np.where(m >= 2, 2.0 * kp.k.max() ** 3 * (1.0 - m * m), 0.0)
+            z = dt * c
+            p1, p2, p3 = oracles.phi_functions(z)
+            half1, _, _ = oracles.phi_functions(0.5 * z)
+            E, E2, Q = np.exp(z), np.exp(0.5 * z), 0.5 * dt * half1
+
+            S = np.fft.rfft(kp.w)
+            Nu = N(S)
+            a = E2 * S + Q * Nu
+            Na = N(a)
+            b = E2 * S + Q * Na
+            Nb = N(b)
+            cs = E2 * a + Q * (2.0 * Nb - Nu)
+            Nc = N(cs)
+            new = E * S + dt * ((p1 - 3.0 * p2 + 4.0 * p3) * Nu
+                                + 2.0 * (p2 - 2.0 * p3) * (Na + Nb)
+                                + (4.0 * p3 - p2) * Nc)
+            increment = np.fft.irfft(new, n) - kp.w
             got = cf.step(law, kp, dt).w - kp.w
             assert np.abs(got - increment).max() <= 1e-12 * np.abs(increment).max()
+
+    def test_phi_functions_match_expm(self):
+        # the kernel's phi_1..3 against the 4x4 matrix exponential, from
+        # the Taylor branch across the |z| = 1/2 switch to the closed forms
+        z = -np.concatenate([np.logspace(-10, 4, 141),
+                             np.linspace(0.49, 0.51, 21), [0.5]])
+        for got, want in zip(_kernels.phi_functions(z), oracles.phi_functions(z)):
+            assert np.abs(got / want - 1.0).max() <= 1e-13
+        assert [f[0] for f in _kernels.phi_functions([0.0])] == [1.0, 0.5, 1.0 / 6.0]
+
+    def test_step_count_independent_of_n(self):
+        # the stiff diffusion is integrated exactly, so the error control
+        # alone sets the steps: about the same count at every n
+        law = cf.FlowLaw("LP", 1.0)
+        counts = []
+        for n in (128, 256, 512):
+            kp = cf.generate(cf.Ellipse(2.0, 1.0, grid_n=n))
+            res = cf.run(law, kp, None, 0.3, sample_dt=0.3 / 80, audits=())
+            assert res.status is cf.RunStatus.TIME_LIMIT
+            counts.append(res.steps)
+        assert max(counts) < 1000
+        assert max(counts) <= 1.05 * min(counts), counts
 
 
 class TestGuardNames:
@@ -420,10 +483,14 @@ class TestGuardNames:
         assert (res.status, res.guard) == (cf.RunStatus.STEP_LIMIT, "step_limit")
 
     def test_convexity(self):
-        kp = cf.generate(cf.Ellipse(2.0, 1.0, grid_n=64))
-        res = cf.run(cf.FlowLaw("LP", 1.0), kp, cf.StepControl(safety=1.0), 0.5,
-                     audits=())
+        # with the blowup guard off, a contraction past extinction shrinks
+        # its step until t + dt == t, which the kernel reports as convexity
+        kp = cf.generate(cf.Circle(1.0, grid_n=64))
+        ctl = cf.StepControl(blowup_k=math.inf)
+        with np.errstate(over="ignore"):
+            res = cf.run(cf.FlowLaw("Contraction", 1.0), kp, ctl, 0.6, audits=())
         assert (res.status, res.guard) == (cf.RunStatus.CONVEXITY_LOST, "convexity")
+        assert res.t_final == pytest.approx(0.5, abs=1e-9)
 
     def test_blowup(self):
         kp = cf.generate(cf.Circle(1.0, grid_n=64))
@@ -442,8 +509,8 @@ class TestGuardNames:
 
 class TestTemporalRobustness:
     def test_halving_safety_leaves_scalars(self, assert_matched_scalars):
-        # halving the step size must not move any recorded scalar at t = 1
-        # beyond 1e-8 relative
+        # halving safety, and with it the local error tolerance of a step,
+        # must not move any recorded scalar at t = 1 beyond 1e-8 relative
         kp = cf.generate(cf.Ellipse(2.0, 1.0, grid_n=64))
         law = cf.FlowLaw("LP", 1.0)
         runs = [
