@@ -244,7 +244,7 @@ def rate_formulas(law: FlowLaw, kp: CurvatureProfile) -> tuple[float, float]:
     q = integrate_values(v)
     qw = integrate_values(v * kp.w)
     L = geometry.length(kp)
-    A = geometry.parseval_area(np.fft.rfft(kp.w))
+    A = geometry.parseval_area(kp.W)
     lam = nonlocal_lambda(law.kind, q, qw, L, A)
     dA_dt, dL_dt = lam * L - qw, TWO_PI * lam - q
     if law.kind is FlowKind.LP:
@@ -255,7 +255,10 @@ def rate_formulas(law: FlowLaw, kp: CurvatureProfile) -> tuple[float, float]:
 
 
 def tso_quantity(
-    kp: CurvatureProfile, ctx: TsoContext, u: np.ndarray | None = None
+    kp: CurvatureProfile,
+    ctx: TsoContext,
+    u: np.ndarray | None = None,
+    v_fine: np.ndarray | None = None,
 ) -> tuple[float, bool]:
     """(Q_max, precondition_ok) for Q = k^alpha/(u - beta).
 
@@ -265,7 +268,7 @@ def tso_quantity(
     a 32x (`_DENSE_FACTOR`) trigonometric resample with parabolic
     refinement so the value does not depend on where the grid happens to
     land. Callers that already hold the centroid support samples pass
-    them as `u`.
+    them as `u`, and that resample of k^alpha as `v_fine`.
     """
     if u is None:
         u, _ = geometry.support_about_centroid(kp)
@@ -274,20 +277,25 @@ def tso_quantity(
     ok = u_min >= 2.0 * ctx.beta
     if u_min <= ctx.beta:
         return math.nan, False
-    v_fine = resample_values(power(kp.k, ctx.alpha), u_fine.shape[0])
+    if v_fine is None:
+        v_fine = resample_values(power(kp.k, ctx.alpha), u_fine.shape[0])
     return refined_extremum_values(v_fine / (u_fine - ctx.beta), True), ok
 
 
-def gradient_functional(kp: CurvatureProfile, alpha: float) -> float:
+def gradient_functional(
+    kp: CurvatureProfile, alpha: float, v_fine: np.ndarray | None = None
+) -> float:
     """max of k^(2 alpha) + ((k^alpha)')^2, grid-independent.
 
     The maximizer generally falls between nodes, so the square sum is
     evaluated on a 32x (`_DENSE_FACTOR`) resample and the peak refined
-    parabolically.
+    parabolically. Callers that already hold that resample of k^alpha
+    pass it as `v_fine`.
     """
     v = power(kp.k, alpha)
     n_fine = _DENSE_FACTOR * kp.grid.n
-    v_fine = resample_values(v, n_fine)
+    if v_fine is None:
+        v_fine = resample_values(v, n_fine)
     vp_fine = resample_values(deriv_values(v, 1), n_fine)
     return refined_extremum_values(v_fine * v_fine + vp_fine * vp_fine, True)
 
@@ -377,7 +385,7 @@ def inequality_audit(
     k = kp.k
     w = kp.w
     L = geometry.length(kp)
-    A = geometry.parseval_area(np.fft.rfft(w))
+    A = geometry.parseval_area(kp.W)
 
     v = power(k, alpha)
     iv = integrate_values(v)
@@ -437,10 +445,14 @@ class DiagnosticsCollector:
 
     `audits` selects which diagnostics are computed; disabled ones record
     NaN columns. The support pipeline (reconstruction and centroid) is
-    evaluated once per sample and shared by everything that needs it;
+    evaluated once per sample and shared by everything that needs it, as
+    is the 32x resample of k^alpha that the Tso quotient and Psi read;
     the area comes from `geometry.parseval_area`, with no closure check,
     so a run that drifts open is recorded (closure_defect) rather than
-    stopped.
+    stopped. The collector carries the certified inscribed and
+    circumscribed circles of the previous sample, from whose contacts
+    the next sample's radii are solved (`geometry.inradius_outradius`);
+    it is one run's state, so each run needs its own collector.
     """
 
     def __init__(
@@ -459,6 +471,7 @@ class DiagnosticsCollector:
         self.audits = frozenset(audits)
         tso = TsoContext.from_initial(kp0, law.alpha) if "tso" in self.audits else None
         self.series = DiagnosticsSeries(law, tso, phi_enabled="phi" in self.audits)
+        self._circles: tuple[geometry.TouchingCircle, ...] | None = None
 
     def collect(
         self,
@@ -469,23 +482,30 @@ class DiagnosticsCollector:
         law = self.law
         k = kp.k
         L = geometry.length(kp)
-        A = geometry.parseval_area(np.fft.rfft(kp.w))
+        A = geometry.parseval_area(kp.W)
         u, _ = geometry._support_pipeline(kp)
 
         nan = math.nan
         r_in = r_out = nan
         if "radii" in self.audits:
-            r_in, r_out = geometry.inradius_outradius(kp, u=u)
+            self._circles = geometry.inradius_outradius(kp, u=u, start=self._circles)
+            r_in, r_out = (circle.radius for circle in self._circles)
 
         dA_dt = dL_dt = nan
         if "rates" in self.audits:
             dA_dt, dL_dt = rate_formulas(law, kp)
 
+        v_fine = None
+        if self.series.tso is not None or "psi" in self.audits:
+            v_fine = resample_values(power(k, law.alpha), _DENSE_FACTOR * kp.grid.n)
+
         q_max, q_ok = nan, False
         if self.series.tso is not None:
-            q_max, q_ok = tso_quantity(kp, self.series.tso, u=u)
+            q_max, q_ok = tso_quantity(kp, self.series.tso, u=u, v_fine=v_fine)
 
-        psi = gradient_functional(kp, law.alpha) if "psi" in self.audits else nan
+        psi = nan
+        if "psi" in self.audits:
+            psi = gradient_functional(kp, law.alpha, v_fine=v_fine)
 
         phi = nan
         if self.series.phi_enabled:

@@ -24,6 +24,7 @@ from .spectral import (
     deriv_values,
     first_harmonics_values,
     integrate_values,
+    resample_spectrum,
     resample_values,
 )
 
@@ -76,6 +77,13 @@ class CurvatureProfile:
         w = 1.0 / self.k
         w.setflags(write=False)
         return w
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        """rfft of the radius of curvature 1/k (read-only)."""
+        W = np.fft.rfft(self.w)
+        W.setflags(write=False)
+        return W
 
 
 def length(kp: CurvatureProfile) -> float:
@@ -173,7 +181,7 @@ def parseval_area(W: np.ndarray) -> float:
 def area(kp: CurvatureProfile) -> float:
     """Enclosed area of a closed curve (`parseval_area` of its 1/k)."""
     _require_closed(kp, "area")
-    return parseval_area(np.fft.rfft(kp.w))
+    return parseval_area(kp.W)
 
 
 def support_about_centroid(
@@ -191,8 +199,8 @@ def support_about_centroid(
 # The inradius is the linear program max r subject to u(theta) - c.N(theta)
 # >= r for every theta, over the center offset c from the centroid; the
 # outradius is the same program for -u. Each is seeded by an exchange on
-# the _OVERSAMPLE-fold resample and polished by Newton on the KKT system
-# of the trigonometric interpolant.
+# the _OVERSAMPLE-fold resample, or by the contacts of a nearby curve, and
+# polished by Newton on the KKT system of the trigonometric interpolant.
 _OVERSAMPLE = 4
 _MAX_PIVOTS = 100
 _MAX_NEWTON = 30
@@ -203,7 +211,7 @@ _WEIGHT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
-class _TouchingCircle:
+class TouchingCircle:
     """A radius with its optimality certificate.
 
     center is the circle's offset from the centroid. The circle touches
@@ -216,6 +224,11 @@ class _TouchingCircle:
     center: np.ndarray
     theta: np.ndarray
     weights: np.ndarray
+
+
+def _negated(circle: TouchingCircle) -> TouchingCircle:
+    """The circumscribed circle of u as the max-min circle of -u, and back."""
+    return TouchingCircle(-circle.radius, -circle.center, circle.theta, circle.weights)
 
 
 def _exchange(
@@ -320,32 +333,19 @@ def _kkt_polish(
     raise RuntimeError(f"KKT polish did not converge in {_MAX_NEWTON} steps")
 
 
-def _max_min(v: np.ndarray) -> _TouchingCircle:
-    """max over c of min over theta of the interpolant of v minus c.N."""
-    n = v.size
-    coef = np.fft.rfft(v) / n
-    coef[1 : n // 2] *= 2.0
-    modes = np.arange(coef.size)
-    coef = np.stack([coef, 1j * modes * coef, -(modes * modes) * coef], axis=1)
-
-    fine = AngularGrid(_OVERSAMPLE * n)
-    v_fine = resample_values(v, fine.n)
-    cols = np.stack([np.ones(fine.n), fine.cos, fine.sin])
-    tol = _RADIUS_RTOL * float(np.abs(v_fine).max())
-
-    basis, lam, y = _exchange(v_fine, cols, tol)
-    c, r = y[1:], float(y[0])
-    # Between samples f_c dips at most max|f_c''| h^2/8 below them, and the
-    # optimum lies within that dip of the discrete one. Where it is below
-    # tol (near-circles, whose f_c is flat up to round-off) the discrete
-    # answer is exact and there is no well-posed contact to polish.
-    f2_fine = resample_values(deriv_values(v, 2), fine.n) + c @ cols[1:]
-    if np.abs(f2_fine).max() * fine.dtheta**2 / 8.0 <= tol:
-        held = lam > 0.0
-        return _TouchingCircle(r, c, fine.theta[basis[held]], lam[held])
-    theta, lam = _contacts(basis, lam, fine.n)
-    # active set: drop a contact whose weight turns negative, add the
-    # resample point furthest across the circle, polish again
+def _active_set(
+    coef: np.ndarray,
+    v_fine: np.ndarray,
+    cols: np.ndarray,
+    tol: float,
+    c: np.ndarray,
+    r: float,
+    theta: np.ndarray,
+    lam: np.ndarray,
+) -> TouchingCircle:
+    """Polish the contacts; drop a contact whose weight turns negative, or
+    add the resample point furthest across the circle, and polish again,
+    until the answer is certified."""
     for _ in range(_MAX_ROUNDS):
         c, r, theta, lam = _kkt_polish(coef, c, r, theta, lam, tol)
         slack = v_fine - np.array([r, c[0], c[1]]) @ cols
@@ -354,10 +354,10 @@ def _max_min(v: np.ndarray) -> _TouchingCircle:
             keep = np.arange(lam.size) != lam.argmin()
             theta, lam = theta[keep], lam[keep]
         elif slack[j] < -tol:
-            theta = np.append(theta, fine.theta[j])
+            theta = np.append(theta, AngularGrid(v_fine.size).theta[j])
             lam = np.append(lam, 0.0)
         else:
-            return _TouchingCircle(r, c, theta, lam)
+            return TouchingCircle(r, c, theta, lam)
     raise RuntimeError(
         f"no certificate after {_MAX_ROUNDS} active-set rounds (weights "
         f"{np.array2string(lam, precision=3)}, a resample point "
@@ -365,28 +365,54 @@ def _max_min(v: np.ndarray) -> _TouchingCircle:
     )
 
 
-def _radius_certificates(
-    kp: CurvatureProfile, u: np.ndarray | None = None
-) -> tuple[_TouchingCircle, _TouchingCircle]:
-    """Inscribed and circumscribed circles with their certificates."""
-    if u is None:
-        u, _ = support_about_centroid(kp)
-    solved = []
-    # min over c of max (u - c.N) is -(max over c of min (-u - c.N)) at -c
-    for label, v in (("inradius", u), ("outradius", -u)):
+def _max_min(
+    coef: np.ndarray,
+    v_fine: np.ndarray,
+    v2_fine: np.ndarray,
+    start: TouchingCircle | None,
+) -> TouchingCircle:
+    """max over c of min over theta of the interpolant of v minus c.N.
+
+    coef is the interpolant of v with its first two derivatives (see
+    `_kkt_polish`); v_fine and v2_fine are v and v'' on the resample. A
+    start is the answer for a nearby v: its contacts replace the exchange,
+    and if they lead to no certificate the exchange runs after all.
+    """
+    fine = AngularGrid(v_fine.size)
+    cols = np.stack([np.ones(fine.n), fine.cos, fine.sin])
+    tol = _RADIUS_RTOL * float(np.abs(v_fine).max())
+
+    # Between samples f_c dips at most max|f_c''| h^2/8 below them, and the
+    # optimum lies within that dip of the discrete one. Where it is below
+    # tol (near-circles, whose f_c is flat up to round-off) the discrete
+    # answer is exact and there is no well-posed contact to polish.
+    def flat(c: np.ndarray) -> bool:
+        dip = np.abs(v2_fine + c @ cols[1:]).max() * fine.dtheta**2 / 8.0
+        return bool(dip <= tol)
+
+    if start is not None and not flat(start.center):
         try:
-            solved.append(_max_min(v))
-        except RuntimeError as exc:
-            raise RuntimeError(f"{label}: {exc}") from exc
-    inner, neg = solved
-    outer = _TouchingCircle(-neg.radius, -neg.center, neg.theta, neg.weights)
-    return inner, outer
+            return _active_set(
+                coef, v_fine, cols, tol,
+                start.center, start.radius, start.theta, start.weights,
+            )
+        except (RuntimeError, np.linalg.LinAlgError):
+            pass  # the start led to no certificate: solve without it
+    basis, lam, y = _exchange(v_fine, cols, tol)
+    c, r = y[1:], float(y[0])
+    if flat(c):
+        held = lam > 0.0
+        return TouchingCircle(r, c, fine.theta[basis[held]], lam[held])
+    theta, lam = _contacts(basis, lam, fine.n)
+    return _active_set(coef, v_fine, cols, tol, c, r, theta, lam)
 
 
 def inradius_outradius(
-    kp: CurvatureProfile, u: np.ndarray | None = None
-) -> tuple[float, float]:
-    """Largest inscribed and smallest circumscribed circle radii.
+    kp: CurvatureProfile,
+    u: np.ndarray | None = None,
+    start: tuple[TouchingCircle, TouchingCircle] | None = None,
+) -> tuple[TouchingCircle, TouchingCircle]:
+    """Largest inscribed and smallest circumscribed circle, certified.
 
     Both are exact for the trigonometric interpolant of the support
     function: an exchange on a 4x resample finds the touching samples,
@@ -395,10 +421,36 @@ def inradius_outradius(
     whose normals balance, no resample point inside the inscribed circle
     or outside the circumscribed one); an uncertified answer raises.
     Callers that already hold the centroid support samples pass them as
-    `u`.
+    `u`. `start` is the pair returned for a nearby curve, such as the
+    previous sample of a run: Newton then begins at its contacts, and
+    the exchange runs only where that yields no certificate.
     """
-    inner, outer = _radius_certificates(kp, u)
-    return inner.radius, outer.radius
+    if u is None:
+        u, _ = support_about_centroid(kp)
+    n = u.size
+    U = np.fft.rfft(u)
+    coef = U / n
+    coef[1 : n // 2] *= 2.0
+    modes = np.arange(coef.size)
+    coef = np.stack([coef, 1j * modes * coef, -(modes * modes) * coef], axis=1)
+    n_fine = _OVERSAMPLE * n
+    u_fine = resample_spectrum(U, n, n_fine)
+    u2_fine = resample_values(deriv_values(u, 2), n_fine)
+    inner_start = outer_start = None
+    if start is not None:
+        inner_start, outer_start = start[0], _negated(start[1])
+    # min over c of max (u - c.N) is -(max over c of min (-u - c.N)) at -c;
+    # negating u negates its spectrum and resamples exactly
+    solved = []
+    for label, sign, s in (
+        ("inradius", 1.0, inner_start),
+        ("outradius", -1.0, outer_start),
+    ):
+        try:
+            solved.append(_max_min(sign * coef, sign * u_fine, sign * u2_fine, s))
+        except RuntimeError as exc:
+            raise RuntimeError(f"{label}: {exc}") from exc
+    return solved[0], _negated(solved[1])
 
 
 def bonnesen_sigma(I: float) -> float:

@@ -95,7 +95,7 @@ def lambda_value(law: FlowLaw, kp: CurvatureProfile) -> float:
         integrate_values(v),
         integrate_values(v * w),
         integrate_values(w),
-        geometry.parseval_area(np.fft.rfft(w)),
+        geometry.parseval_area(kp.W),
     )
 
 

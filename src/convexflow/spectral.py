@@ -99,10 +99,13 @@ def first_harmonics_values(values: np.ndarray) -> tuple[float, float]:
 
 def resample_values(values: np.ndarray, n_fine: int) -> np.ndarray:
     """Trigonometric interpolation of samples onto a finer uniform grid."""
-    n = values.shape[0]
+    return resample_spectrum(np.fft.rfft(values), values.shape[0], n_fine)
+
+
+def resample_spectrum(coef: np.ndarray, n: int, n_fine: int) -> np.ndarray:
+    """`resample_values` of n samples from their rfft, which is not changed."""
     if n_fine < n:
         raise ValueError("resample target must not be coarser")
-    coef = np.fft.rfft(values)
     out = np.zeros(n_fine // 2 + 1, dtype=complex)
     out[: n // 2 + 1] = coef
     # the coarse Nyquist bin becomes an interior mode on the fine grid and

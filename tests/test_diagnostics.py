@@ -13,8 +13,10 @@ from convexflow import (
     FlowKind,
     FlowLaw,
     Margin,
+    PerturbedCircle,
     SampleRecord,
     TsoContext,
+    area,
     entropy,
     generate,
     gradient_functional,
@@ -23,10 +25,12 @@ from convexflow import (
     lower_bound_functional,
     random_convex,
     rate_formulas,
+    run,
+    support_about_centroid,
     to_csv,
     tso_quantity,
 )
-from convexflow import oracles
+from convexflow import geometry, oracles
 from convexflow.diagnostics import (
     AuditError,
     DEFAULT_BETAS,
@@ -420,6 +424,24 @@ class TestCollector:
         assert "nope" not in rec.margins
         assert failed_margins(rec.margins) == failed_margins(audit)
 
+    def test_recorded_functionals_match_standalone_calls(self, ellipse21):
+        # collect shares one rfft of 1/k and one dense resample of k^alpha
+        # between the functionals; each records what it computes alone
+        law = FlowLaw(FlowKind.LP, 1.0)
+        coll = DiagnosticsCollector(law, ellipse21)
+        rec = coll.collect(0.0, ellipse21, s_accum=0.0)
+        u, _ = support_about_centroid(ellipse21)
+        assert rec.A == area(ellipse21)
+        assert rec.lam == lambda_value(law, ellipse21)
+        assert (rec.dA_dt_formula, rec.dL_dt_formula) == rate_formulas(law, ellipse21)
+        assert (rec.Q_max, rec.Q_ok) == tso_quantity(ellipse21, coll.series.tso, u=u)
+        assert rec.Psi_max == gradient_functional(ellipse21, 1.0)
+
+    def test_profile_spectrum_is_cached_and_read_only(self, ellipse21):
+        assert ellipse21.W is ellipse21.W
+        assert np.array_equal(ellipse21.W, np.fft.rfft(ellipse21.w))
+        assert not ellipse21.W.flags.writeable
+
     def test_disabled_audits_record_nan(self, ellipse21):
         coll = DiagnosticsCollector(
             FlowLaw(FlowKind.LP, 1.0), ellipse21, audits=("rates",)
@@ -456,6 +478,50 @@ class TestCollector:
         assert got[1] == r1.margins["holder"].value
         with pytest.raises(AttributeError):
             series.column("no_such_column")
+
+
+class TestWarmRadii:
+    @pytest.mark.parametrize(
+        "kind, alpha, curve, t_end",
+        [
+            (FlowKind.LP, 1.0, Ellipse(a=2.0, b=1.0, grid_n=128), 0.5),
+            (FlowKind.AP, 2.0, Ellipse(a=2.0, b=1.0, grid_n=128), 0.5),
+            (
+                FlowKind.G1,
+                2.0,
+                PerturbedCircle(r0=1.0, modes=((2, 0.1, 0.3), (3, 0.05, 1.0)), grid_n=128),
+                0.2,
+            ),
+        ],
+    )
+    def test_collector_radii_match_a_cold_solve(
+        self, kind, alpha, curve, t_end, monkeypatch
+    ):
+        # the collector starts each sample's radii at the previous
+        # sample's contacts; only the first sample runs the exchange
+        exchanges = []
+        exchange = geometry._exchange
+
+        def counted(*args):
+            exchanges.append(1)
+            return exchange(*args)
+
+        monkeypatch.setattr(geometry, "_exchange", counted)
+        profiles = []
+        res = run(
+            FlowLaw(kind, alpha),
+            generate(curve),
+            t_end=t_end,
+            sample_dt=t_end / 40,
+            audits=("radii",),
+            on_sample=lambda t, kp, index: profiles.append(kp),
+        )
+        assert len(exchanges) == 2
+        assert len(profiles) == len(res.series) == 41
+        for kp, rec in zip(profiles, res.series):
+            inner, outer = geometry.inradius_outradius(kp)
+            assert rec.r_in == pytest.approx(inner.radius, rel=1e-13, abs=0.0)
+            assert rec.r_out == pytest.approx(outer.radius, rel=1e-13, abs=0.0)
 
 
 class TestCsv:

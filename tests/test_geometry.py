@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import os
@@ -161,19 +162,19 @@ class TestSupport:
 class TestRadii:
     def test_circle(self):
         kp = generate(Circle(r=2.0))
-        r_in, r_out = inradius_outradius(kp)
-        assert abs(r_in - 2.0) < 1e-7
-        assert abs(r_out - 2.0) < 1e-7
+        inner, outer = inradius_outradius(kp)
+        assert abs(inner.radius - 2.0) < 1e-7
+        assert abs(outer.radius - 2.0) < 1e-7
 
     def test_ellipse_semi_axes(self, ellipse21):
-        r_in, r_out = inradius_outradius(ellipse21)
-        assert abs(r_in - 1.0) < 1e-6
-        assert abs(r_out - 2.0) < 1e-6
+        inner, outer = inradius_outradius(ellipse21)
+        assert abs(inner.radius - 1.0) < 1e-6
+        assert abs(outer.radius - 2.0) < 1e-6
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bonnesen_window_and_ratio(self, seed):
         kp = random_convex(seed)
-        r_in, r_out = inradius_outradius(kp)
+        r_in, r_out = (c.radius for c in inradius_outradius(kp))
         assert r_in <= r_out + 1e-12
         lo, hi = oracles.bonnesen_window(length(kp), area(kp))
         assert lo - 1e-8 <= r_in and r_out <= hi + 1e-8
@@ -205,38 +206,44 @@ CERTIFIED_CURVES = {
 }
 
 
+def assert_hold_on_a_dense_resample(u, inner, outer):
+    """No point of a 64x resample of u lies across either circle."""
+    dense = AngularGrid(64 * u.size)
+    u = resample_values(u, dense.n)
+    f_in = u - inner.center[0] * dense.cos - inner.center[1] * dense.sin
+    f_out = u - outer.center[0] * dense.cos - outer.center[1] * dense.sin
+    assert f_in.min() >= inner.radius * (1.0 - 1e-12)
+    assert f_out.max() <= outer.radius * (1.0 + 1e-12)
+
+
+def assert_weights_balance(circles):
+    for circle in circles:
+        w, th = circle.weights, circle.theta
+        assert w.size >= 2 and np.all(w >= 0.0)
+        assert abs(w.sum() - 1.0) < 1e-12
+        assert abs(w @ np.cos(th)) < 1e-12 and abs(w @ np.sin(th)) < 1e-12
+
+
 class TestRadiusCertificate:
     @pytest.mark.parametrize("name", sorted(CERTIFIED_CURVES))
     def test_circles_hold_on_a_dense_resample(self, name):
         kp = CERTIFIED_CURVES[name]()
         u, _ = support_about_centroid(kp)
-        inner, outer = geometry._radius_certificates(kp, u)
-        assert (inner.radius, outer.radius) == inradius_outradius(kp, u)
-        dense = AngularGrid(64 * kp.grid.n)
-        u = resample_values(u, dense.n)
-        f_in = u - inner.center[0] * dense.cos - inner.center[1] * dense.sin
-        f_out = u - outer.center[0] * dense.cos - outer.center[1] * dense.sin
-        assert f_in.min() >= inner.radius * (1.0 - 1e-12)
-        assert f_out.max() <= outer.radius * (1.0 + 1e-12)
+        assert_hold_on_a_dense_resample(u, *inradius_outradius(kp, u))
 
     @pytest.mark.parametrize("name", sorted(CERTIFIED_CURVES))
     def test_contact_weights_balance(self, name):
-        kp = CERTIFIED_CURVES[name]()
-        for circle in geometry._radius_certificates(kp):
-            w, th = circle.weights, circle.theta
-            assert w.size >= 2 and np.all(w >= 0.0)
-            assert abs(w.sum() - 1.0) < 1e-12
-            assert abs(w @ np.cos(th)) < 1e-12 and abs(w @ np.sin(th)) < 1e-12
+        assert_weights_balance(inradius_outradius(CERTIFIED_CURVES[name]()))
 
     def test_ellipse_touches_at_the_axis_ends(self, ellipse21):
-        inner, outer = geometry._radius_certificates(ellipse21)
+        inner, outer = inradius_outradius(ellipse21)
         assert np.sort(inner.theta) == pytest.approx([math.pi / 2, 3 * math.pi / 2])
         assert np.sort(outer.theta) == pytest.approx([0.0, math.pi], abs=1e-12)
 
     def test_random_convex_0_is_not_overstated(self):
         # a center search over the refined resample minimum reported
         # 0.9195150579, 1e-6 above the largest circle the curve holds
-        r_in, _ = inradius_outradius(random_convex(0))
+        r_in = inradius_outradius(random_convex(0))[0].radius
         assert r_in == pytest.approx(0.9195140659, abs=1e-10)
         assert r_in < 0.9195150579 - 9e-7
 
@@ -244,6 +251,69 @@ class TestRadiusCertificate:
         monkeypatch.setattr(geometry, "_MAX_NEWTON", 1)
         with pytest.raises(RuntimeError, match="inradius: KKT polish did not converge"):
             inradius_outradius(ellipse21)
+
+
+def one_sample_later(kp, dt=0.01):
+    """kp after one LP alpha=1 sample interval: the next curve of a run."""
+    law = FlowLaw(FlowKind.LP, 1.0)
+    return run(law, kp, t_end=dt, sample_dt=dt, audits=()).final
+
+
+def no_exchange(*args):
+    raise AssertionError("the exchange ran")
+
+
+class TestWarmStart:
+    """Radii solved from the contacts of a nearby curve's circles."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["ellipse n=128", "ellipse n=512", "random_convex(1)", "random_convex(5)"],
+    )
+    def test_warm_circles_hold_on_a_dense_resample(self, name, monkeypatch):
+        kp0 = CERTIFIED_CURVES[name]()
+        kp1 = one_sample_later(kp0)
+        u, _ = support_about_centroid(kp1)
+        cold = inradius_outradius(kp1, u)
+        start = inradius_outradius(kp0)
+        monkeypatch.setattr(geometry, "_exchange", no_exchange)
+        warm = inradius_outradius(kp1, u, start=start)
+        assert_hold_on_a_dense_resample(u, *warm)
+        assert_weights_balance(warm)
+        for w, c in zip(warm, cold):
+            assert w.radius == pytest.approx(c.radius, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("foreign", ["random_convex(3)", "rotated contacts"])
+    def test_foreign_start_gives_the_cold_answer(self, foreign):
+        kp = random_convex(0)
+        u, _ = support_about_centroid(kp)
+        cold = inradius_outradius(kp, u)
+        if foreign == "random_convex(3)":
+            start = inradius_outradius(random_convex(3))
+        else:
+            start = tuple(
+                dataclasses.replace(c, theta=c.theta + math.pi / 2) for c in cold
+            )
+        warm = inradius_outradius(kp, u, start=start)
+        assert_hold_on_a_dense_resample(u, *warm)
+        assert_weights_balance(warm)
+        for w, c in zip(warm, cold):
+            assert w.radius == pytest.approx(c.radius, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["circle", "contraction"])
+    def test_near_circle_takes_the_discrete_branch(self, name):
+        kp = CERTIFIED_CURVES[name]()
+        cold = inradius_outradius(kp)
+        fine = AngularGrid(geometry._OVERSAMPLE * kp.grid.n)
+        ellipse = inradius_outradius(CERTIFIED_CURVES["ellipse n=128"]())
+        for start in (cold, ellipse):
+            warm = inradius_outradius(kp, start=start)
+            for w, c in zip(warm, cold):
+                # the discrete answer touches at resample points
+                assert np.isin(w.theta, fine.theta).all()
+                assert w.radius == c.radius
+                assert np.array_equal(w.theta, c.theta)
+                assert np.array_equal(w.weights, c.weights)
 
 
 def test_import_loads_no_scipy():
@@ -294,9 +364,9 @@ class TestScaling:
         assert abs(area(kp1) - s * s * area(kp0)) < 1e-10 * area(kp1)
         I0, I1 = isoperimetric_ratio(kp0), isoperimetric_ratio(kp1)
         assert abs(I1 - I0) < 1e-10
-        r0 = inradius_outradius(kp0)
-        r1 = inradius_outradius(kp1)
-        assert abs(r1[1] / r1[0] - r0[1] / r0[0]) < 1e-7
+        in0, out0 = inradius_outradius(kp0)
+        in1, out1 = inradius_outradius(kp1)
+        assert abs(out1.radius / in1.radius - out0.radius / in0.radius) < 1e-7
 
 
 class TestMeasure:
