@@ -91,7 +91,9 @@ def _cmd_run(args) -> int:
         f"{result.status.value}: t={result.t_final:.6g} after {result.steps} "
         f"steps, {result.rejected} rejected, dt {dt} "
         f"(guard: {result.guard or 'none'}), {len(result.series)} samples, "
-        f"{len(snapshots)} snapshots -> {scenario.output_dir}"
+        f"{len(snapshots)} snapshots -> {scenario.output_dir} "
+        f"(kernel {result.timings.kernel_s:.3g} s, "
+        f"collect {result.timings.collect_s:.3g} s)"
     )
     for msg in problems:
         print(f"audit: {msg}")

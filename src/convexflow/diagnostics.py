@@ -2,11 +2,14 @@
 
 Everything here is a pure function of a curvature profile plus, at most,
 scalars the integrator accumulates (time, the running time integral of
-the curvature-power quadrature). A collector threads the per-sample
-results into a time-ordered series; the audit helpers then re-check the
-recorded series as a whole: conservation, monotone functionals, the
-support bound on Q, and finite-difference consistency of the rate
-formulas.
+the curvature-power quadrature). Each functional takes either one
+profile or a block of them as `CurvatureRows`, and computes on (B, n)
+rows with transforms and sums along the last axis; one profile is a
+block of one, and a row's value does not depend on the block it sits
+in. A collector threads the per-sample results into a time-ordered,
+columnar series; the audit helpers then re-check the recorded series
+as a whole: conservation, monotone functionals, the support bound on
+Q, and finite-difference consistency of the rate formulas.
 
 Margins are oriented so that nonnegative means the inequality holds.
 Every margin carries its own magnitude scale; equality cases (circles)
@@ -17,22 +20,22 @@ flow-level unit to keep round-off from being judged against round-off.
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import geometry
-from .geometry import CurvatureProfile
+from .geometry import CurvatureProfile, CurvatureRows
 from .laws import FlowKind, FlowLaw, lambda_value, nonlocal_lambda, power
 from .spectral import (
     TWO_PI,
+    deriv_spectrum,
     deriv_values,
     integrate_values,
     refined_extremum_values,
+    resample_spectrum,
     resample_values,
 )
 
@@ -53,6 +56,11 @@ TSO_RTOL = 1e-6
 # parabolic-vertex residual below 1e-8 relative even for the sharp
 # asymmetric peaks that k^3-type speeds develop
 _DENSE_FACTOR = 32
+# dense points per collected block: a block holds max(1, this // (32 n))
+# samples, so each (rows, 32 n) float64 temporary of the dense functionals
+# stays at 256 KB whatever n is (8 rows at n=128, 2 at n=512), and they
+# keep at most two alive at once
+_BLOCK_POINTS = 1 << 15
 
 
 class AuditError(ValueError):
@@ -61,44 +69,16 @@ class AuditError(ValueError):
 
 @dataclass(frozen=True)
 class Margin:
-    """One audited inequality: value = large side - small side."""
+    """One audited inequality: value = large side - small side.
+
+    For a block of profiles, value and scale hold one entry per row.
+    """
 
     value: float
     scale: float
 
     def ok(self, rtol: float = MARGIN_RTOL) -> bool:
         return self.value >= -rtol * self.scale
-
-
-@lru_cache(maxsize=16)
-def _margin_index(names: tuple[str, ...]) -> dict[str, int]:
-    return {name: i for i, name in enumerate(names)}
-
-
-class _MarginTable(Mapping):
-    """One sample's margins as the series keeps them: the name index is
-    shared by every sample with the same names, and the (value, scale)
-    pairs sit in one array of doubles, about a tenth of the memory of a
-    dict of Margin objects. Reading a name returns its Margin."""
-
-    __slots__ = ("_index", "_pairs")
-
-    def __init__(self, margins: Mapping[str, Margin]):
-        self._index = _margin_index(tuple(margins))
-        self._pairs = array("d")
-        for m in margins.values():
-            self._pairs.append(m.value)
-            self._pairs.append(m.scale)
-
-    def __getitem__(self, name: str) -> Margin:
-        i = 2 * self._index[name]
-        return Margin(self._pairs[i], self._pairs[i + 1])
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
 
 
 @dataclass(frozen=True)
@@ -162,51 +142,130 @@ class SampleRecord:
 # the scalar fields in CSV column order; `lam` is written as "lambda"
 _RECORD_FIELDS = tuple(f.name for f in fields(SampleRecord) if f.name != "margins")
 _CSV_FIELDS = tuple("lambda" if f == "lam" else f for f in _RECORD_FIELDS)
+_FIELD_ROW = {name: i for i, name in enumerate(_RECORD_FIELDS)}
+_FIELD_ROW["lambda"] = _FIELD_ROW["lam"]
+
+
+def _require_after(t_prev: float, t: float) -> None:
+    if t <= t_prev:
+        raise AuditError(
+            f"sample times must increase: got t={t!r} after t={t_prev!r}"
+        )
 
 
 class DiagnosticsSeries:
-    """Time-ordered sample records for one run."""
+    """Time-ordered samples of one run, stored by column.
+
+    The scalars sit in one float64 row per field (Q_ok as 0.0 or 1.0) of
+    a table that grows by doubling, the margins in one 2-D array: the
+    values of margin i in row i and their scales in row M + i, M being
+    the number of `_margin_order` names, which the first sample fixes.
+    `column` is a read-only view of a row; `series[j]` assembles the
+    SampleRecord of sample j.
+    """
 
     def __init__(self, law: FlowLaw, tso: TsoContext | None, phi_enabled: bool):
         self.law = law
         self.tso = tso
         self.phi_enabled = phi_enabled
-        self.samples: list[SampleRecord] = []
+        self._n = 0
+        self._table = np.empty((len(_RECORD_FIELDS), 0))
+        self._margin_order: tuple[str, ...] | None = None
+        self._margins = np.empty((0, 0))
 
     def append(self, record: SampleRecord) -> None:
-        if self.samples and record.t <= self.samples[-1].t:
+        if self._n:
+            _require_after(float(self._table[0, self._n - 1]), record.t)
+        values = [float(getattr(record, name)) for name in _RECORD_FIELDS]
+        margins = record.margins
+        self._extend(
+            np.array(values)[:, None],
+            {name: Margin(np.array([m.value]), np.array([m.scale]))
+             for name, m in margins.items()},
+        )
+
+    def _extend(self, columns: np.ndarray, margins: Mapping[str, Margin]) -> None:
+        """Append rows: columns is (fields, B), margins name -> Margin of B."""
+        if self._margin_order is None:
+            self._margin_order = tuple(margins)
+            self._margins = np.empty((2 * len(margins), self._table.shape[1]))
+        elif set(margins) != set(self._margin_order):
             raise AuditError(
-                f"sample times must increase: got t={record.t!r} after "
-                f"t={self.samples[-1].t!r}"
+                f"margin names {sorted(margins)} differ from the series' "
+                f"{sorted(self._margin_order)}"
             )
-        self.samples.append(record)
+        b = columns.shape[1]
+        n, end = self._n, self._n + b
+        if end > self._table.shape[1]:
+            self._resize(max(end, 2 * self._table.shape[1], 16))
+        self._table[:, n:end] = columns
+        m = len(self._margin_order)
+        for i, name in enumerate(self._margin_order):
+            self._margins[i, n:end] = margins[name].value
+            self._margins[m + i, n:end] = margins[name].scale
+        self._n = end
+
+    def _resize(self, capacity: int) -> None:
+        n = self._n
+        table = np.empty((self._table.shape[0], capacity))
+        table[:, :n] = self._table[:, :n]
+        margins = np.empty((self._margins.shape[0], capacity))
+        margins[:, :n] = self._margins[:, :n]
+        self._table, self._margins = table, margins
+
+    def _trim(self) -> None:
+        """Release the capacity beyond the last sample."""
+        if self._table.shape[1] > self._n:
+            self._resize(self._n)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self._n
 
     def __iter__(self) -> Iterator[SampleRecord]:
-        return iter(self.samples)
+        return (self[j] for j in range(self._n))
 
-    def __getitem__(self, idx):
-        return self.samples[idx]
+    def __getitem__(self, j: int) -> SampleRecord:
+        n = self._n
+        if not -n <= j < n:
+            raise IndexError(f"sample {j} out of range for {n} samples")
+        j %= n
+        values = dict(zip(_RECORD_FIELDS, self._table[:, j].tolist()))
+        values["Q_ok"] = bool(values["Q_ok"])
+        order = self._margin_order or ()
+        pairs = self._margins[:, j].tolist()
+        m = len(order)
+        margins = {name: Margin(pairs[i], pairs[m + i]) for i, name in enumerate(order)}
+        return SampleRecord(**values, margins=margins)
 
     def column(self, name: str) -> np.ndarray:
-        """One scalar per sample; margin columns via 'margin_<name>'."""
+        """One scalar per sample (read-only); margin columns via
+        'margin_<name>', all NaN for a margin the series does not hold."""
         if name.startswith("margin_"):
+            order = self._margin_order or ()
             key = name[len("margin_"):]
-            return np.array(
-                [s.margins[key].value if key in s.margins else math.nan
-                 for s in self.samples]
-            )
-        attr = "lam" if name == "lambda" else name
-        return np.array([float(getattr(s, attr)) for s in self.samples])
+            if key not in order:
+                return np.full(self._n, math.nan)
+            col = self._margins[order.index(key), : self._n]
+        elif name in _FIELD_ROW:
+            col = self._table[_FIELD_ROW[name], : self._n]
+        else:
+            raise AttributeError(f"no series column {name!r}")
+        col = col.view()
+        col.flags.writeable = False
+        return col
+
+    def margin_table(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """(names, values, scales), sorted by name, one row per margin."""
+        order = self._margin_order or ()
+        rows = sorted(range(len(order)), key=order.__getitem__)
+        m = len(order)
+        values = self._margins[rows, : self._n]
+        scales = self._margins[[m + i for i in rows], : self._n]
+        return tuple(order[i] for i in rows), values, scales
 
     @property
     def margin_names(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for s in self.samples:
-            names.update(s.margins)
-        return tuple(sorted(names))
+        return tuple(sorted(self._margin_order or ()))
 
     def column_names(self) -> tuple[str, ...]:
         return _CSV_FIELDS + tuple("margin_" + m for m in self.margin_names)
@@ -215,24 +274,29 @@ class DiagnosticsSeries:
 def to_csv(series: DiagnosticsSeries) -> str:
     """Render the series as CSV, one row per sample, 17 significant digits."""
     names = series.column_names()
+    columns = [series.column(name).tolist() for name in names]
     lines = [",".join(names)]
-    margins = series.margin_names
-    for s in series:
-        row = [float(getattr(s, f)) for f in _RECORD_FIELDS]
-        row.extend(
-            s.margins[m].value if m in s.margins else math.nan for m in margins
-        )
-        lines.append(",".join(f"{x:.17g}" for x in row))
+    lines.extend(",".join(f"{x:.17g}" for x in row) for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 
-def oscillation(kp: CurvatureProfile) -> float:
+def _rows(kp: CurvatureProfile | CurvatureRows) -> CurvatureRows:
+    return kp if isinstance(kp, CurvatureRows) else CurvatureRows([kp])
+
+
+def _as_given(kp: CurvatureProfile | CurvatureRows, rows: np.ndarray):
+    """Per-row results as the caller passed the input: a block gets the
+    rows, one profile the value of its row."""
+    return rows if isinstance(kp, CurvatureRows) else rows[0].item()
+
+
+def oscillation(kp: CurvatureProfile | CurvatureRows):
     """(k_max - k_min)/k_mean, the convergence metric."""
-    k = kp.k
-    return float((k.max() - k.min()) / k.mean())
+    k = _rows(kp).k
+    return _as_given(kp, (k.max(axis=-1) - k.min(axis=-1)) / k.mean(axis=-1))
 
 
-def rate_formulas(law: FlowLaw, kp: CurvatureProfile) -> tuple[float, float]:
+def rate_formulas(law: FlowLaw, kp: CurvatureProfile | CurvatureRows):
     """Instantaneous (dA_dt, dL_dt) = (lambda L - qw, 2 pi lambda - q),
     q and qw the integrals of k^alpha and k^alpha/k.
 
@@ -240,26 +304,34 @@ def rate_formulas(law: FlowLaw, kp: CurvatureProfile) -> tuple[float, float]:
     the conserved quantities, and reporting the algebraic zero keeps the
     conservation audit independent of this function.
     """
-    v = power(kp.k, law.alpha)
+    rows = _rows(kp)
+    v = power(rows.k, law.alpha)
     q = integrate_values(v)
-    qw = integrate_values(v * kp.w)
-    L = geometry.length(kp)
-    A = geometry.parseval_area(kp.W)
+    qw = integrate_values(v * rows.w)
+    L = geometry.length(rows)
+    A = geometry.parseval_area(rows.W)
     lam = nonlocal_lambda(law.kind, q, qw, L, A)
     dA_dt, dL_dt = lam * L - qw, TWO_PI * lam - q
     if law.kind is FlowKind.LP:
-        dL_dt = 0.0
+        dL_dt = np.zeros_like(q)
     elif law.kind is FlowKind.AP:
-        dA_dt = 0.0
-    return dA_dt, dL_dt
+        dA_dt = np.zeros_like(q)
+    return _as_given(kp, dA_dt), _as_given(kp, dL_dt)
+
+
+def _dense_power(rows: CurvatureRows, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rfft of k^alpha, its 32x resample), per row."""
+    V = np.fft.rfft(power(rows.k, alpha))
+    n = rows.grid.n
+    return V, resample_spectrum(V, n, _DENSE_FACTOR * n)
 
 
 def tso_quantity(
-    kp: CurvatureProfile,
+    kp: CurvatureProfile | CurvatureRows,
     ctx: TsoContext,
     u: np.ndarray | None = None,
     v_fine: np.ndarray | None = None,
-) -> tuple[float, bool]:
+):
     """(Q_max, precondition_ok) for Q = k^alpha/(u - beta).
 
     Q_max is NaN when u dips to beta or below (the quotient loses
@@ -268,51 +340,70 @@ def tso_quantity(
     a 32x (`_DENSE_FACTOR`) trigonometric resample with parabolic
     refinement so the value does not depend on where the grid happens to
     land. Callers that already hold the centroid support samples pass
-    them as `u`, and that resample of k^alpha as `v_fine`.
+    them as `u` (required for a block), and the rows of that resample of
+    k^alpha as `v_fine`.
     """
+    rows = _rows(kp)
     if u is None:
         u, _ = geometry.support_about_centroid(kp)
-    u_fine = resample_values(u, _DENSE_FACTOR * u.shape[0])
-    u_min = refined_extremum_values(u_fine, False)
-    ok = u_min >= 2.0 * ctx.beta
-    if u_min <= ctx.beta:
-        return math.nan, False
+    u = np.reshape(u, (len(rows), -1))
+    ratio = resample_values(u, _DENSE_FACTOR * rows.grid.n)
+    u_min = refined_extremum_values(ratio, False)
     if v_fine is None:
-        v_fine = resample_values(power(kp.k, ctx.alpha), u_fine.shape[0])
-    return refined_extremum_values(v_fine / (u_fine - ctx.beta), True), ok
+        _, v_fine = _dense_power(rows, ctx.alpha)
+    ratio -= ctx.beta
+    # rows where u crosses beta divide by zero or flip sign; they read NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(v_fine, ratio, out=ratio)
+        q_max = refined_extremum_values(ratio, True)
+    crossed = u_min <= ctx.beta
+    q_max = np.where(crossed, math.nan, q_max)
+    ok = (u_min >= 2.0 * ctx.beta) & ~crossed
+    return _as_given(kp, q_max), _as_given(kp, ok)
 
 
 def gradient_functional(
-    kp: CurvatureProfile, alpha: float, v_fine: np.ndarray | None = None
-) -> float:
+    kp: CurvatureProfile | CurvatureRows,
+    alpha: float,
+    v_fine: np.ndarray | None = None,
+    V: np.ndarray | None = None,
+):
     """max of k^(2 alpha) + ((k^alpha)')^2, grid-independent.
 
     The maximizer generally falls between nodes, so the square sum is
     evaluated on a 32x (`_DENSE_FACTOR`) resample and the peak refined
-    parabolically. Callers that already hold that resample of k^alpha
-    pass it as `v_fine`.
+    parabolically. Callers that already hold the rows of the rfft of
+    k^alpha pass them as `V` together with their resample as `v_fine`;
+    the derivative is resampled from `V`.
     """
-    v = power(kp.k, alpha)
-    n_fine = _DENSE_FACTOR * kp.grid.n
-    if v_fine is None:
-        v_fine = resample_values(v, n_fine)
-    vp_fine = resample_values(deriv_values(v, 1), n_fine)
-    return refined_extremum_values(v_fine * v_fine + vp_fine * vp_fine, True)
+    rows = _rows(kp)
+    n = rows.grid.n
+    if V is None:
+        V, v_fine = _dense_power(rows, alpha)
+    square = resample_spectrum(deriv_spectrum(V, 1), n, _DENSE_FACTOR * n)
+    square *= square
+    # row by row, so that no third dense array is alive at once
+    for row, v in zip(square, v_fine):
+        row += v * v
+    return _as_given(kp, refined_extremum_values(square, True))
 
 
-def lower_bound_functional(s_accum: float | None, kp: CurvatureProfile) -> float:
+def lower_bound_functional(s_accum, kp: CurvatureProfile | CurvatureRows):
     """max of 1/k - L/(2 pi) - s_accum/(2 pi).
 
     s_accum is the integrator's running time integral of the curvature
-    power quadrature; None (no accumulator available) yields NaN and the
-    series flags the diagnostic as disabled.
+    power quadrature (for a block, one per row, NaN where there is
+    none); None (no accumulator available) yields NaN and the series
+    flags the diagnostic as disabled.
     """
+    rows = _rows(kp)
     if s_accum is None:
-        return math.nan
+        return _as_given(kp, np.full(len(rows), math.nan))
+    n = rows.grid.n
     w_max = refined_extremum_values(
-        resample_values(kp.w, _DENSE_FACTOR * kp.grid.n), True
+        resample_spectrum(rows.W, n, _DENSE_FACTOR * n), True
     )
-    return w_max - (geometry.length(kp) + s_accum) / TWO_PI
+    return _as_given(kp, w_max - (geometry.length(rows) + s_accum) / TWO_PI)
 
 
 def entropy_direction(law: FlowLaw) -> int | None:
@@ -326,7 +417,7 @@ def entropy_direction(law: FlowLaw) -> int | None:
     return None
 
 
-def entropy(law: FlowLaw, kp: CurvatureProfile) -> float:
+def entropy(law: FlowLaw, kp: CurvatureProfile | CurvatureRows):
     """The law-and-alpha-appropriate entropy integral.
 
     LP tracks the curvature-power integral of order alpha-1 (constant 2
@@ -335,22 +426,24 @@ def entropy(law: FlowLaw, kp: CurvatureProfile) -> float:
     k L takes over. The remaining laws record the LP integrand with no
     monotonicity claim attached; `entropy_direction` gives the claim.
     """
-    w = kp.w
-    base = integrate_values(power(kp.k, law.alpha) * w)
+    rows = _rows(kp)
+    w = rows.w
+    base = integrate_values(power(rows.k, law.alpha) * w)
     if law.kind is FlowKind.AP:
         L = integrate_values(w)
         if law.alpha == 1.0:
-            return integrate_values(np.log(kp.k * L))
-        return L ** (law.alpha - 1.0) * base
-    return base
+            base = integrate_values(np.log(rows.k * L[:, None]))
+        else:
+            base = L ** (law.alpha - 1.0) * base
+    return _as_given(kp, base)
 
 
 def _named_phi_margins(
     name: str,
     phi: np.ndarray,
     w: np.ndarray,
-    A: float,
-    unit: float,
+    A: np.ndarray,
+    unit: np.ndarray,
     out: dict[str, Margin],
 ) -> None:
     # both inequalities share the core integral of phi (phi'' + phi)
@@ -358,17 +451,17 @@ def _named_phi_margins(
     lhs1 = integrate_values(phi) ** 2
     out[f"mink1_{name}"] = Margin(
         lhs1 - TWO_PI * core,
-        max(abs(lhs1), abs(TWO_PI * core), TWO_PI * unit),
+        np.maximum(np.maximum(abs(lhs1), abs(TWO_PI * core)), TWO_PI * unit),
     )
     lhs2 = integrate_values(phi * w) ** 2
     out[f"mink2_{name}"] = Margin(
         lhs2 - 2.0 * A * core,
-        max(abs(lhs2), abs(2.0 * A * core), 2.0 * A * unit),
+        np.maximum(np.maximum(abs(lhs2), abs(2.0 * A * core)), 2.0 * A * unit),
     )
 
 
 def inequality_audit(
-    kp: CurvatureProfile,
+    kp: CurvatureProfile | CurvatureRows,
     alpha: float = 1.0,
     betas: Sequence[float] = DEFAULT_BETAS,
 ) -> dict[str, Margin]:
@@ -378,14 +471,16 @@ def inequality_audit(
     test-function margins take the two flow speeds (curvature power
     minus the length- resp. area-stabilizing nonlocal term), for which
     one side vanishes identically. Margins comparing the four nonlocal
-    terms appear only for alpha >= 1, their domain of validity.
+    terms appear only for alpha >= 1, their domain of validity. For a
+    block, each Margin holds one value and scale per row.
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise AuditError(f"alpha must be finite and positive, got {alpha}")
-    k = kp.k
-    w = kp.w
-    L = geometry.length(kp)
-    A = geometry.parseval_area(kp.W)
+    rows = _rows(kp)
+    k = rows.k
+    w = rows.w
+    L = geometry.length(rows)
+    A = geometry.parseval_area(rows.W)
 
     v = power(k, alpha)
     iv = integrate_values(v)
@@ -394,27 +489,30 @@ def inequality_audit(
         nonlocal_lambda(kind, iv, ivw, L, A)
         for kind in (FlowKind.LP, FlowKind.AP, FlowKind.G1, FlowKind.G2)
     )
-    lam_scale = max(abs(lam_lp), abs(lam_ap))
+    lam_scale = np.maximum(abs(lam_lp), abs(lam_ap))
 
     margins: dict[str, Margin] = {}
     margins["holder"] = Margin(lam_lp - lam_ap, lam_scale)
 
+    betas = [float(b) for b in betas]
     for b in betas:
-        b = float(b)
         if not (math.isfinite(b) and b >= 0.0):
             raise AuditError(f"beta exponents must be finite and >= 0, got {b}")
-        kb = power(k, b)
-        int_kb = integrate_values(kb)
-        tag = f"{b:g}"
-        large = (L / TWO_PI) * int_kb
-        small = integrate_values(kb * w)
-        margins[f"ineq11_b{tag}"] = Margin(large - small, max(large, small))
-        large = (2.0 * A / L) * integrate_values(kb * k)
-        margins[f"ineq22_b{tag}"] = Margin(large - int_kb, max(large, int_kb))
+    # every exponent at once: (rows, betas, n)
+    kb = power(k[:, None], np.array(betas)[:, None])
+    int_kb = integrate_values(kb)
+    large = (L / TWO_PI)[:, None] * int_kb
+    small = integrate_values(kb * w[:, None])
+    ineq11 = large - small, np.maximum(large, small)
+    large = (2.0 * A / L)[:, None] * integrate_values(kb * k[:, None])
+    ineq22 = large - int_kb, np.maximum(large, int_kb)
+    for j, b in enumerate(betas):
+        margins[f"ineq11_b{b:g}"] = Margin(ineq11[0][:, j], ineq11[1][:, j])
+        margins[f"ineq22_b{b:g}"] = Margin(ineq22[0][:, j], ineq22[1][:, j])
 
     # classical isoperimetric-type bound on the total turning
     gage_large = (2.0 * A / L) * integrate_values(k)
-    margins["gage"] = Margin(gage_large - TWO_PI, max(gage_large, TWO_PI))
+    margins["gage"] = Margin(gage_large - TWO_PI, np.maximum(gage_large, TWO_PI))
 
     if alpha >= 1.0:
         margins["gage1_lower"] = Margin(lam_g1 - lam_ap, lam_scale)
@@ -423,15 +521,20 @@ def inequality_audit(
         margins["gage2_upper"] = Margin(lam_lp - lam_g2, lam_scale)
 
     unit = lam_scale * lam_scale
-    _named_phi_margins("lp", v - lam_lp, w, A, unit, margins)
-    _named_phi_margins("ap", v - lam_ap, w, A, unit, margins)
+    _named_phi_margins("lp", v - lam_lp[:, None], w, A, unit, margins)
+    _named_phi_margins("ap", v - lam_ap[:, None], w, A, unit, margins)
 
     andrews_large = L * iv
     andrews_small = TWO_PI * ivw
     margins["andrews"] = Margin(
-        andrews_large - andrews_small, max(andrews_large, andrews_small)
+        andrews_large - andrews_small, np.maximum(andrews_large, andrews_small)
     )
-    return margins
+    if isinstance(kp, CurvatureRows):
+        return margins
+    return {
+        name: Margin(m.value[0].item(), m.scale[0].item())
+        for name, m in margins.items()
+    }
 
 
 def failed_margins(
@@ -444,15 +547,24 @@ class DiagnosticsCollector:
     """Accumulates a DiagnosticsSeries sample by sample during a run.
 
     `audits` selects which diagnostics are computed; disabled ones record
-    NaN columns. The support pipeline (reconstruction and centroid) is
-    evaluated once per sample and shared by everything that needs it, as
-    is the 32x resample of k^alpha that the Tso quotient and Psi read;
-    the area comes from `geometry.parseval_area`, with no closure check,
-    so a run that drifts open is recorded (closure_defect) rather than
-    stopped. The collector carries the certified inscribed and
-    circumscribed circles of the previous sample, from whose contacts
-    the next sample's radii are solved (`geometry.inradius_outradius`);
-    it is one run's state, so each run needs its own collector.
+    NaN columns. Samples are computed in blocks: `collect(..., defer=True)`
+    queues a sample, and the queue is computed as one `CurvatureRows`
+    block once it holds `max(1, _BLOCK_POINTS // (32 n))` samples, or at
+    the next call without `defer`, which also returns that sample's
+    record and releases the series' spare capacity. The block size keeps
+    each dense (rows, 32 n) temporary near 256 KB (`_BLOCK_POINTS`).
+
+    Per block, the support pipeline (reconstruction and centroid) runs
+    once and is shared by everything that needs it, as is one rfft of
+    k^alpha per row, which gives the 32x resample the Tso quotient and
+    Psi read and the derivative Psi resamples; the area comes from
+    `geometry.parseval_area`, with no closure check, so a run that
+    drifts open is recorded (closure_defect) rather than stopped. The
+    radii are solved row by row: the collector carries the certified
+    inscribed and circumscribed circles of the previous sample, from
+    whose contacts the next sample's radii are solved
+    (`geometry.inradius_outradius`); it is one run's state, so each run
+    needs its own collector.
     """
 
     def __init__(
@@ -471,6 +583,8 @@ class DiagnosticsCollector:
         self.audits = frozenset(audits)
         tso = TsoContext.from_initial(kp0, law.alpha) if "tso" in self.audits else None
         self.series = DiagnosticsSeries(law, tso, phi_enabled="phi" in self.audits)
+        self.block_rows = max(1, _BLOCK_POINTS // (_DENSE_FACTOR * kp0.grid.n))
+        self._queue: list[tuple[float, CurvatureProfile, float | None]] = []
         self._circles: tuple[geometry.TouchingCircle, ...] | None = None
 
     def collect(
@@ -478,54 +592,83 @@ class DiagnosticsCollector:
         t: float,
         kp: CurvatureProfile,
         s_accum: float | None = None,
-    ) -> SampleRecord:
-        law = self.law
-        k = kp.k
-        L = geometry.length(kp)
-        A = geometry.parseval_area(kp.W)
-        u, _ = geometry._support_pipeline(kp)
+        *,
+        defer: bool = False,
+    ) -> SampleRecord | None:
+        """Record the sample at t: at once, returning its record, or with
+        `defer` queued for its block, returning None."""
+        if self._queue:
+            _require_after(self._queue[-1][0], t)
+        elif len(self.series):
+            _require_after(float(self.series.column("t")[-1]), t)
+        self._queue.append((t, kp, s_accum))
+        if defer and len(self._queue) < self.block_rows:
+            return None
+        queue, self._queue = self._queue, []
+        self._compute(queue)
+        if defer:
+            return None
+        self.series._trim()
+        return self.series[-1]
 
-        nan = math.nan
+    def _compute(self, queue: list[tuple[float, CurvatureProfile, float | None]]):
+        law = self.law
+        tso = self.series.tso
+        profiles = [kp for _, kp, _ in queue]
+        rows = CurvatureRows(profiles)
+        b = len(rows)
+        nan = np.full(b, math.nan)
+        L = geometry.length(rows)
+        A = geometry.parseval_area(rows.W)
+        u, _ = geometry._support_pipeline(rows)
+
         r_in = r_out = nan
         if "radii" in self.audits:
-            self._circles = geometry.inradius_outradius(kp, u=u, start=self._circles)
-            r_in, r_out = (circle.radius for circle in self._circles)
+            r_in, r_out = np.empty(b), np.empty(b)
+            for i, kp in enumerate(profiles):
+                self._circles = geometry.inradius_outradius(
+                    kp, u=u[i], start=self._circles
+                )
+                r_in[i], r_out[i] = (circle.radius for circle in self._circles)
 
         dA_dt = dL_dt = nan
         if "rates" in self.audits:
-            dA_dt, dL_dt = rate_formulas(law, kp)
+            dA_dt, dL_dt = rate_formulas(law, rows)
 
-        v_fine = None
-        if self.series.tso is not None or "psi" in self.audits:
-            v_fine = resample_values(power(k, law.alpha), _DENSE_FACTOR * kp.grid.n)
+        V = v_fine = None
+        if tso is not None or "psi" in self.audits:
+            V, v_fine = _dense_power(rows, law.alpha)
 
-        q_max, q_ok = nan, False
-        if self.series.tso is not None:
-            q_max, q_ok = tso_quantity(kp, self.series.tso, u=u, v_fine=v_fine)
+        q_max, q_ok = nan, np.zeros(b)
+        if tso is not None:
+            q_max, q_ok = tso_quantity(rows, tso, u=u, v_fine=v_fine)
 
         psi = nan
         if "psi" in self.audits:
-            psi = gradient_functional(kp, law.alpha, v_fine=v_fine)
+            psi = gradient_functional(rows, law.alpha, v_fine=v_fine, V=V)
+        del V, v_fine
 
         phi = nan
         if self.series.phi_enabled:
-            phi = lower_bound_functional(s_accum, kp)
+            s_accum = np.array([math.nan if s is None else s for _, _, s in queue])
+            phi = lower_bound_functional(s_accum, rows)
 
-        ent = entropy(law, kp) if "entropy" in self.audits else nan
+        ent = entropy(law, rows) if "entropy" in self.audits else nan
 
         margins: Mapping[str, Margin] = {}
         if "margins" in self.audits:
-            margins = _MarginTable(inequality_audit(kp, alpha=law.alpha))
+            margins = inequality_audit(rows, alpha=law.alpha)
 
-        record = SampleRecord(
-            t=t,
+        k = rows.k
+        columns = dict(
+            t=np.array([t for t, _, _ in queue]),
             L=L,
             A=A,
             I=L * L / (2.0 * TWO_PI * A),
-            k_min=float(k.min()),
-            k_max=float(k.max()),
-            lam=lambda_value(law, kp),
-            closure_defect=geometry.closure_defect(kp),
+            k_min=k.min(axis=-1),
+            k_max=k.max(axis=-1),
+            lam=lambda_value(law, rows),
+            closure_defect=geometry.closure_defect(rows),
             r_in=r_in,
             r_out=r_out,
             dA_dt_formula=dA_dt,
@@ -535,11 +678,12 @@ class DiagnosticsCollector:
             Psi_max=psi,
             Phi_max=phi,
             entropy=ent,
-            oscillation=oscillation(kp),
-            margins=margins,
+            oscillation=oscillation(rows),
         )
-        self.series.append(record)
-        return record
+        table = np.empty((len(_RECORD_FIELDS), b))
+        for i, name in enumerate(_RECORD_FIELDS):
+            table[i] = columns[name]
+        self.series._extend(table, margins)
 
 
 # ---------------------------------------------------------------------------
@@ -553,17 +697,14 @@ def _mono_violations(
     label: str,
     rtol: float,
 ) -> list[str]:
-    out = []
-    for j in range(len(q) - 1):
-        a, b = q[j], q[j + 1]
-        slack = rtol * max(abs(a), abs(b)) + MONOTONE_ATOL
-        drift = (b - a) if direction < 0 else (a - b)
-        if drift > slack:
-            out.append(
-                f"{label} moved {'up' if direction < 0 else 'down'} by "
-                f"{drift:.3e} at t={t[j + 1]:.6g} (allowed {slack:.3e})"
-            )
-    return out
+    a, b = q[:-1], q[1:]
+    slack = rtol * np.maximum(abs(a), abs(b)) + MONOTONE_ATOL
+    drift = (b - a) if direction < 0 else (a - b)
+    return [
+        f"{label} moved {'up' if direction < 0 else 'down'} by "
+        f"{drift[j]:.3e} at t={t[j + 1]:.6g} (allowed {slack[j]:.3e})"
+        for j in np.flatnonzero(drift > slack)
+    ]
 
 
 def monotonicity_violations(
@@ -592,19 +733,20 @@ def psi_violations(series: DiagnosticsSeries, rtol: float = PSI_RTOL) -> list[st
     out: list[str] = []
     if not len(series):
         return out
-    psi0 = series[0].Psi_max
+    t, psi, k_max = (series.column(name).tolist() for name in ("t", "Psi_max", "k_max"))
+    psi0 = psi[0]
     if math.isnan(psi0):
         return out
     run_psi = -math.inf
     run_v2 = -math.inf
-    for s in series:
-        run_v2 = max(run_v2, s.k_max ** (2.0 * alpha))
-        run_psi = max(run_psi, s.Psi_max)
+    for tj, psi_j, k_j in zip(t, psi, k_max):
+        run_v2 = max(run_v2, k_j ** (2.0 * alpha))
+        run_psi = max(run_psi, psi_j)
         bound = max(psi0, run_v2) * (1.0 + rtol)
         if run_psi > bound:
             out.append(
                 f"Psi running max {run_psi:.12e} exceeds bound {bound:.12e} "
-                f"at t={s.t:.6g}"
+                f"at t={tj:.6g}"
             )
     return out
 
@@ -619,29 +761,27 @@ def tso_violations(series: DiagnosticsSeries, rtol: float = TSO_RTOL) -> list[st
     out: list[str] = []
     if ctx is None or series.law.kind not in (FlowKind.LP, FlowKind.AP):
         return out
-    for s in series:
-        if not (0.0 < s.t <= ctx.T1) or not s.Q_ok or math.isnan(s.Q_max):
+    columns = (series.column(name).tolist() for name in ("t", "Q_ok", "Q_max"))
+    for t, q_ok, q_max in zip(*columns):
+        if not (0.0 < t <= ctx.T1) or not q_ok or math.isnan(q_max):
             continue
-        bound = ctx.bound_at(s.t) * (1.0 + rtol)
-        if s.Q_max > bound:
-            out.append(
-                f"Q_max {s.Q_max:.12e} exceeds bound {bound:.12e} at t={s.t:.6g}"
-            )
+        bound = ctx.bound_at(t) * (1.0 + rtol)
+        if q_max > bound:
+            out.append(f"Q_max {q_max:.12e} exceeds bound {bound:.12e} at t={t:.6g}")
     return out
 
 
 def margin_violations(
     series: DiagnosticsSeries, rtol: float = MARGIN_RTOL
 ) -> list[str]:
-    out: list[str] = []
-    for j, s in enumerate(series):
-        for name in failed_margins(s.margins, rtol):
-            m = s.margins[name]
-            out.append(
-                f"margin {name} = {m.value:.3e} below -{rtol:.0e}*scale "
-                f"(scale {m.scale:.3e}) at sample {j}, t={s.t:.6g}"
-            )
-    return out
+    names, values, scales = series.margin_table()
+    t = series.column("t")
+    failed = ~(values >= -rtol * scales)
+    return [
+        f"margin {names[i]} = {values[i, j]:.3e} below -{rtol:.0e}*scale "
+        f"(scale {scales[i, j]:.3e}) at sample {j}, t={t[j]:.6g}"
+        for j, i in zip(*np.nonzero(failed.T))
+    ]
 
 
 def conservation_violations(
@@ -664,7 +804,7 @@ def conservation_violations(
     if drift[worst] > rtol:
         out.append(
             f"{name} drifted {drift[worst]:.3e} relative at "
-            f"t={series[worst].t:.6g} (allowed {rtol:.0e})"
+            f"t={series.column('t')[worst]:.6g} (allowed {rtol:.0e})"
         )
     return out
 
@@ -673,14 +813,14 @@ def closure_violations(series: DiagnosticsSeries, rtol: float = 1e-6) -> list[st
     out: list[str] = []
     if not len(series):
         return out
-    limit = rtol * series[0].L
-    for s in series:
-        if s.closure_defect > limit:
-            out.append(
-                f"closure defect {s.closure_defect:.3e} exceeds "
-                f"{rtol:.0e}*L(0) = {limit:.3e} at t={s.t:.6g}"
-            )
-    return out
+    limit = rtol * series.column("L")[0]
+    defect = series.column("closure_defect")
+    t = series.column("t")
+    return [
+        f"closure defect {defect[j]:.3e} exceeds "
+        f"{rtol:.0e}*L(0) = {limit:.3e} at t={t[j]:.6g}"
+        for j in np.flatnonzero(defect > limit)
+    ]
 
 
 def rate_fd_pairs(
@@ -699,15 +839,12 @@ def rate_fd_pairs(
     t = series.column("t")
     col = series.column(quantity)
     f = series.column("dL_dt_formula" if quantity == "L" else "dA_dt_formula")
-    fd, avg = [], []
-    for j in range(1, len(t) - 1):
-        h0 = t[j] - t[j - 1]
-        h1 = t[j + 1] - t[j]
-        if abs(h1 - h0) > 1e-9 * max(h0, h1):
-            continue
-        fd.append((col[j + 1] - col[j - 1]) / (h0 + h1))
-        avg.append((f[j - 1] + 4.0 * f[j] + f[j + 1]) / 6.0)
-    return np.asarray(fd), np.asarray(avg)
+    h0 = t[1:-1] - t[:-2]
+    h1 = t[2:] - t[1:-1]
+    equal = ~(abs(h1 - h0) > 1e-9 * np.maximum(h0, h1))
+    fd = (col[2:] - col[:-2]) / (h0 + h1)
+    avg = (f[:-2] + 4.0 * f[1:-1] + f[2:]) / 6.0
+    return fd[equal], avg[equal]
 
 
 def rate_violations(
@@ -716,12 +853,12 @@ def rate_violations(
     out: list[str] = []
     for quantity in ("A", "L"):
         fd, avg = rate_fd_pairs(series, quantity)
-        for x, y in zip(fd, avg):
-            if abs(x - y) > max(rtol * abs(y), atol):
-                out.append(
-                    f"d{quantity}/dt finite difference {x:.12e} vs formula "
-                    f"{y:.12e} beyond max({rtol:.0e} rel, {atol:.0e} abs)"
-                )
+        beyond = abs(fd - avg) > np.maximum(rtol * abs(avg), atol)
+        out += [
+            f"d{quantity}/dt finite difference {x:.12e} vs formula "
+            f"{y:.12e} beyond max({rtol:.0e} rel, {atol:.0e} abs)"
+            for x, y in zip(fd[beyond], avg[beyond])
+        ]
     return out
 
 

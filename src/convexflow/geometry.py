@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -21,11 +22,11 @@ from .spectral import (
     TWO_PI,
     AngularGrid,
     antiderivative_values,
+    deriv_spectrum,
     deriv_values,
     first_harmonics_values,
     integrate_values,
     resample_spectrum,
-    resample_values,
 )
 
 
@@ -86,15 +87,41 @@ class CurvatureProfile:
         return W
 
 
-def length(kp: CurvatureProfile) -> float:
-    """Arc length, integral of 1/k over the normal angle."""
+class CurvatureRows:
+    """Profiles of one grid as (B, n) rows of k, with w = 1/k and W =
+    rfft(w) per row.
+
+    The diagnostics functionals compute on rows, a single profile being a
+    block of one; every row is bit for bit what its profile alone gives.
+    """
+
+    def __init__(self, profiles: Sequence[CurvatureProfile]):
+        self.grid = profiles[0].grid
+        self.k = np.stack([kp.k for kp in profiles])
+
+    def __len__(self) -> int:
+        return self.k.shape[0]
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return 1.0 / self.k
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        return np.fft.rfft(self.w)
+
+
+def length(kp: CurvatureProfile | CurvatureRows):
+    """Arc length, integral of 1/k over the normal angle (per row)."""
     return integrate_values(kp.w)
 
 
-def closure_defect(kp: CurvatureProfile) -> float:
+def closure_defect(kp: CurvatureProfile | CurvatureRows):
     """Norm of the first Fourier moments of 1/k; zero iff the curve closes."""
     c1, s1 = first_harmonics_values(kp.w)
-    return math.hypot(c1, s1)
+    if isinstance(kp, CurvatureProfile):
+        return math.hypot(c1, s1)
+    return np.array(list(map(math.hypot, c1, s1)))
 
 
 def _require_closed(kp: CurvatureProfile, where: str) -> None:
@@ -107,6 +134,20 @@ def _require_closed(kp: CurvatureProfile, where: str) -> None:
         )
 
 
+def _nodes(
+    kp: CurvatureProfile | CurvatureRows,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, mx, my): the points X(theta_j) - X(0) as the tangent
+    integrates to them, and the mean of each tangent component, which
+    times 2 pi is the closure gap."""
+    grid = kp.grid
+    w = kp.w
+    Gx, mx = antiderivative_values(-grid.sin * w)
+    Gy, my = antiderivative_values(grid.cos * w)
+    mx, my = np.expand_dims(mx, -1), np.expand_dims(my, -1)
+    return Gx + mx * grid.theta, Gy + my * grid.theta, mx, my
+
+
 def reconstruct_points(
     kp: CurvatureProfile, anchor: tuple[float, float] = (0.0, 0.0)
 ) -> np.ndarray:
@@ -115,35 +156,30 @@ def reconstruct_points(
     Returns an (n+1, 2) array including the wrap-around endpoint X(2*pi);
     the gap between last and first rows equals the closure defect.
     """
-    grid = kp.grid
-    w = kp.w
-    gx = -grid.sin * w
-    gy = grid.cos * w
-    Gx, mx = antiderivative_values(gx)
-    Gy, my = antiderivative_values(gy)
-    n = grid.n
+    x, y, mx, my = _nodes(kp)
+    n = kp.grid.n
     pts = np.empty((n + 1, 2))
-    pts[:n, 0] = anchor[0] + Gx + mx * grid.theta
-    pts[:n, 1] = anchor[1] + Gy + my * grid.theta
-    pts[n, 0] = anchor[0] + Gx[0] + mx * TWO_PI
-    pts[n, 1] = anchor[1] + Gy[0] + my * TWO_PI
+    pts[:n, 0] = anchor[0] + x
+    pts[:n, 1] = anchor[1] + y
+    pts[n, 0] = anchor[0] + mx[0] * TWO_PI
+    pts[n, 1] = anchor[1] + my[0] * TWO_PI
     return pts
 
 
 def _support_pipeline(
-    kp: CurvatureProfile,
-) -> tuple[np.ndarray, tuple[float, float]]:
-    """Reconstruct, find the area centroid, return (u, center)."""
+    kp: CurvatureProfile | CurvatureRows,
+) -> tuple[np.ndarray, tuple]:
+    """Reconstruct, find the area centroid, return (u, center); for rows,
+    u holds one row per profile and center one (cx, cy) array pair."""
     grid = kp.grid
     w = kp.w
-    pts = reconstruct_points(kp)[:-1]
-    x, y = pts[:, 0], pts[:, 1]
+    x, y, _, _ = _nodes(kp)
     cos, sin = grid.cos, grid.sin
     # Green's theorem with dx = -sin*w dtheta, dy = cos*w dtheta
     area0 = 0.5 * integrate_values(w * (x * cos + y * sin))
     cx = integrate_values(x * x * cos * w) / (2.0 * area0)
     cy = integrate_values(y * y * sin * w) / (2.0 * area0)
-    u = (x - cx) * cos + (y - cy) * sin
+    u = (x - np.expand_dims(cx, -1)) * cos + (y - np.expand_dims(cy, -1)) * sin
     return u, (cx, cy)
 
 
@@ -166,16 +202,17 @@ def _area_weights(n: int) -> np.ndarray:
     return area
 
 
-def parseval_area(W: np.ndarray) -> float:
-    """Enclosed area from W = rfft(1/k), with no closure check.
+def parseval_area(W: np.ndarray):
+    """Enclosed area from W = rfft(1/k), with no closure check (per row).
 
     u = (d^2 + 1)^-1 (1/k) off mode 1 is the support function about some
     center, and A = (1/2) integral of u/k, which Parseval turns into
     (1/2) dtheta sum of c_m s_m |W_m|^2 (weights in `_area_weights`).
     """
     pairs = W.view(np.float64)
-    n = pairs.size - 2
-    return 0.5 * (TWO_PI / n) * float(np.dot(_area_weights(n), pairs * pairs))
+    n = pairs.shape[-1] - 2
+    total = np.vecdot(pairs * pairs, _area_weights(n))
+    return 0.5 * (TWO_PI / n) * (float(total) if W.ndim == 1 else total)
 
 
 def area(kp: CurvatureProfile) -> float:
@@ -296,40 +333,62 @@ def _kkt_polish(
 
     Unknowns c, r, theta_i, lam_i; equations f_c(theta_i) = r,
     f_c'(theta_i) = 0, sum lam_i N(theta_i) = 0, sum lam_i = 1. Square
-    for any number of contacts. coef holds the interpolant and its first
-    two derivatives as (modes, 3) coefficients of exp(i m theta). A
-    contact counts as settled once the quadratic model leaves less than
-    tol of descent, f'^2 <= 2 tol |f''|, which also holds where the
-    interpolant is flat and its stationary point is ill-determined.
+    for any number of contacts, and solved as such; only a singular
+    Jacobian falls back to least squares. coef holds the interpolant and
+    its first two derivatives as (modes, 3) coefficients of
+    exp(i m theta). A contact counts as settled once the quadratic model
+    leaves less than tol of descent, f'^2 <= 2 tol |f''|, which also
+    holds where the interpolant is flat and its stationary point is
+    ill-determined. The per-contact arithmetic is on Python floats: with
+    two or three contacts, numpy calls would cost more than the work.
     """
     k = theta.size
-    z = np.concatenate([c, [r], theta, lam])
-    diag = np.arange(k)
-    modes = np.arange(coef.shape[0])
+    modes = 1j * np.arange(coef.shape[0])
+    cx, cy, r = float(c[0]), float(c[1]), float(r)
+    theta, lam = theta.tolist(), lam.tolist()
+    zeros = [0.0] * k
     for _ in range(_MAX_NEWTON):
-        c, r, theta, lam = z[:2], z[2], z[3 : 3 + k], z[3 + k :]
-        p, p1, p2 = (np.exp(1j * np.outer(theta, modes)) @ coef).real.T
-        cos, sin = np.cos(theta), np.sin(theta)
-        f = p - c[0] * cos - c[1] * sin
-        f1 = p1 + c[0] * sin - c[1] * cos
-        f2 = p2 + c[0] * cos + c[1] * sin
-        balance = np.array([lam @ cos, lam @ sin, lam.sum() - 1.0])
+        interp = (np.exp(np.outer(theta, modes)) @ coef).real.tolist()
+        cos = [math.cos(x) for x in theta]
+        sin = [math.sin(x) for x in theta]
+        gap, f1, f2 = [], [], []
+        for (p, p1, p2), ci, si in zip(interp, cos, sin):
+            gap.append(p - cx * ci - cy * si - r)
+            f1.append(p1 + cx * si - cy * ci)
+            f2.append(p2 + cx * ci + cy * si)
+        balance = [
+            sum(l * ci for l, ci in zip(lam, cos)),
+            sum(l * si for l, si in zip(lam, sin)),
+            sum(lam) - 1.0,
+        ]
         if (
-            np.abs(f - r).max() <= tol
-            and np.all(f1 * f1 <= 2.0 * tol * np.abs(f2))
-            and np.abs(balance).max() <= _WEIGHT_TOL
+            max(map(abs, gap)) <= tol
+            and all(d * d <= 2.0 * tol * abs(dd) for d, dd in zip(f1, f2))
+            and max(map(abs, balance)) <= _WEIGHT_TOL
         ):
-            return c, float(r), theta, lam
-        J = np.zeros((2 * k + 3, 2 * k + 3))
-        J[:k, 0], J[:k, 1], J[:k, 2] = -cos, -sin, -1.0
-        J[k : 2 * k, 0], J[k : 2 * k, 1] = sin, -cos
-        J[diag, 3 + diag] = f1
-        J[k + diag, 3 + diag] = f2
-        J[2 * k, 3 : 3 + k], J[2 * k, 3 + k :] = -lam * sin, cos
-        J[2 * k + 1, 3 : 3 + k], J[2 * k + 1, 3 + k :] = lam * cos, sin
-        J[2 * k + 2, 3 + k :] = 1.0
-        F = np.concatenate([f - r, f1, balance])
-        z = z + np.linalg.lstsq(J, -F, rcond=None)[0]
+            return np.array([cx, cy]), r, np.array(theta), np.array(lam)
+        # columns: cx, cy, r, theta_0.., lam_0..
+        J = []
+        for i in range(k):
+            row = [-cos[i], -sin[i], -1.0] + zeros + zeros
+            row[3 + i] = f1[i]
+            J.append(row)
+        for i in range(k):
+            row = [sin[i], -cos[i], 0.0] + zeros + zeros
+            row[3 + i] = f2[i]
+            J.append(row)
+        J.append([0.0, 0.0, 0.0] + [-l * si for l, si in zip(lam, sin)] + cos)
+        J.append([0.0, 0.0, 0.0] + [l * ci for l, ci in zip(lam, cos)] + sin)
+        J.append([0.0, 0.0, 0.0] + zeros + [1.0] * k)
+        F = np.array(gap + f1 + balance)
+        try:
+            step = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(J, -F, rcond=None)[0]
+        step = step.tolist()
+        cx, cy, r = cx + step[0], cy + step[1], r + step[2]
+        theta = [x + d for x, d in zip(theta, step[3 : 3 + k])]
+        lam = [x + d for x, d in zip(lam, step[3 + k :])]
     raise RuntimeError(f"KKT polish did not converge in {_MAX_NEWTON} steps")
 
 
@@ -435,19 +494,19 @@ def inradius_outradius(
     coef = np.stack([coef, 1j * modes * coef, -(modes * modes) * coef], axis=1)
     n_fine = _OVERSAMPLE * n
     u_fine = resample_spectrum(U, n, n_fine)
-    u2_fine = resample_values(deriv_values(u, 2), n_fine)
+    u2_fine = resample_spectrum(deriv_spectrum(U, 2), n, n_fine)
     inner_start = outer_start = None
     if start is not None:
         inner_start, outer_start = start[0], _negated(start[1])
     # min over c of max (u - c.N) is -(max over c of min (-u - c.N)) at -c;
     # negating u negates its spectrum and resamples exactly
     solved = []
-    for label, sign, s in (
-        ("inradius", 1.0, inner_start),
-        ("outradius", -1.0, outer_start),
+    for label, (c, v, v2), s in (
+        ("inradius", (coef, u_fine, u2_fine), inner_start),
+        ("outradius", (-coef, -u_fine, -u2_fine), outer_start),
     ):
         try:
-            solved.append(_max_min(sign * coef, sign * u_fine, sign * u2_fine, s))
+            solved.append(_max_min(c, v, v2, s))
         except RuntimeError as exc:
             raise RuntimeError(f"{label}: {exc}") from exc
     return solved[0], _negated(solved[1])

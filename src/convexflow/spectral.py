@@ -5,6 +5,10 @@ the normal angle. Differentiation and quadrature are realized spectrally:
 derivatives multiply Fourier coefficients by (i*m)^order, integrals are the
 trapezoid rule (exact for resolved trigonometric content). The stepping
 kernel applies the same symbols to its own transforms (see `_kernels`).
+
+The `*_values` helpers act along the last axis, so a (B, n) array is B
+periods at once. They transform, reduce and index row by row, never by
+matrix products, so each row comes out bit for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -70,66 +74,80 @@ def deriv_values(values: np.ndarray, order: int) -> np.ndarray:
     Odd orders zero the Nyquist mode (its derivative is not representable on
     the grid); even orders keep it with the real symbol -(n/2)^2.
     """
+    return np.fft.irfft(deriv_spectrum(np.fft.rfft(values), order), values.shape[-1])
+
+
+def deriv_spectrum(coef: np.ndarray, order: int) -> np.ndarray:
+    """The rfft of `deriv_values` from the rfft of the samples (a new array)."""
     if order not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    n = values.shape[0]
-    coef = np.fft.rfft(values)
-    m = np.arange(n // 2 + 1, dtype=np.float64)
+    m = np.arange(coef.shape[-1], dtype=np.float64)
     if order == 1:
-        coef *= 1j * m
-        coef[-1] = 0.0
-    else:
-        coef *= -(m * m)
-    return np.fft.irfft(coef, n)
+        out = coef * (1j * m)
+        out[..., -1] = 0.0
+        return out
+    return coef * -(m * m)
 
 
-def integrate_values(values: np.ndarray) -> float:
+def _per_period(x: np.ndarray, values: np.ndarray):
+    """A reduction over the last axis: a float for one period, else rows."""
+    return float(x) if values.ndim == 1 else x
+
+
+def integrate_values(values: np.ndarray):
     """Trapezoid quadrature over the period; spectrally accurate."""
-    n = values.shape[0]
-    return (TWO_PI / n) * float(values.sum())
+    n = values.shape[-1]
+    return (TWO_PI / n) * _per_period(values.sum(axis=-1), values)
 
 
-def first_harmonics_values(values: np.ndarray) -> tuple[float, float]:
+def first_harmonics_values(values: np.ndarray):
     """(integral of f*cos, integral of f*sin) over one period."""
-    n = values.shape[0]
+    n = values.shape[-1]
     _, cos, sin = _grid_arrays(n)
     d = TWO_PI / n
-    return d * float(values @ cos), d * float(values @ sin)
+    return (
+        d * _per_period(np.vecdot(values, cos), values),
+        d * _per_period(np.vecdot(values, sin), values),
+    )
 
 
 def resample_values(values: np.ndarray, n_fine: int) -> np.ndarray:
     """Trigonometric interpolation of samples onto a finer uniform grid."""
-    return resample_spectrum(np.fft.rfft(values), values.shape[0], n_fine)
+    return resample_spectrum(np.fft.rfft(values), values.shape[-1], n_fine)
 
 
 def resample_spectrum(coef: np.ndarray, n: int, n_fine: int) -> np.ndarray:
     """`resample_values` of n samples from their rfft, which is not changed."""
     if n_fine < n:
         raise ValueError("resample target must not be coarser")
-    out = np.zeros(n_fine // 2 + 1, dtype=complex)
-    out[: n // 2 + 1] = coef
     # the coarse Nyquist bin becomes an interior mode on the fine grid and
     # would otherwise be double-counted by irfft's conjugate symmetry
     if n_fine > n:
-        out[n // 2] *= 0.5
-    return np.fft.irfft(out, n_fine) * (n_fine / n)
+        coef = coef.copy()
+        coef[..., n // 2] *= 0.5
+    # irfft pads the n // 2 + 1 bins with zeros up to n_fine // 2 + 1
+    fine = np.fft.irfft(coef, n_fine)
+    fine *= n_fine / n
+    return fine
 
 
-def refined_extremum_values(values: np.ndarray, want_max: bool) -> float:
+def refined_extremum_values(values: np.ndarray, want_max: bool):
     """Grid extremum sharpened by a parabola through the three samples.
 
     The vertex correction is bounded by the local sample variation, so
     flat or noisy data cannot send it far from the raw extremum.
     """
-    j = int(values.argmax() if want_max else values.argmin())
-    n = values.shape[0]
-    f0 = values[j]
-    fm = values[(j - 1) % n]
-    fp = values[(j + 1) % n]
+    n = values.shape[-1]
+    j = values.argmax(axis=-1) if want_max else values.argmin(axis=-1)
+    j = j[..., None]
+    f0 = np.take_along_axis(values, j, -1)[..., 0]
+    fm = np.take_along_axis(values, (j - 1) % n, -1)[..., 0]
+    fp = np.take_along_axis(values, (j + 1) % n, -1)[..., 0]
     curv = fp - 2.0 * f0 + fm
-    if abs(curv) < 1e-14 * max(1.0, abs(f0)):
-        return float(f0)
-    return float(f0 - (fp - fm) ** 2 / (8.0 * curv))
+    flat = np.abs(curv) < 1e-14 * np.maximum(1.0, np.abs(f0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = f0 - (fp - fm) ** 2 / (8.0 * curv)
+    return _per_period(np.where(flat, f0, vertex), values)
 
 
 def antiderivative_values(values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -139,13 +157,13 @@ def antiderivative_values(values: np.ndarray) -> tuple[np.ndarray, float]:
     The Nyquist bin is dropped: its primitive sin((n/2)*theta)/(n/2)
     vanishes at every grid node.
     """
-    n = values.shape[0]
+    n = values.shape[-1]
     coef = np.fft.rfft(values)
-    mean = coef[0].real / n
+    mean = _per_period(coef[..., 0].real / n, values)
     m = np.arange(n // 2 + 1, dtype=np.float64)
     m[0] = 1.0
     coef = coef / (1j * m)
-    coef[0] = 0.0
-    coef[-1] = 0.0
+    coef[..., 0] = 0.0
+    coef[..., -1] = 0.0
     g = np.fft.irfft(coef, n)
-    return g - g[0], mean
+    return g - g[..., :1], mean

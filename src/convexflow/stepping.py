@@ -13,12 +13,18 @@ different resolutions or safety factors can be compared at matched times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
 from . import _kernels
-from .diagnostics import AUDIT_NAMES, DiagnosticsCollector, DiagnosticsSeries
+from .diagnostics import (
+    AUDIT_NAMES,
+    DiagnosticsCollector,
+    DiagnosticsSeries,
+    oscillation,
+)
 from .geometry import ConvexityError, CurvatureProfile, _require_closed
 from .laws import BlowUpError, FlowKind, FlowLaw
 
@@ -67,12 +73,22 @@ class RunStatus(Enum):
 
 
 @dataclass(frozen=True)
+class RunTimings:
+    """Wall seconds of one run in the stepping kernel (`Stepper.advance`)
+    and in collecting its diagnostics. Not deterministic, so no emitted
+    file records them."""
+
+    kernel_s: float = 0.0
+    collect_s: float = 0.0
+
+
+@dataclass(frozen=True)
 class RunResult:
     """Outcome of run(). `guard` names the guard that ended the run: None,
     "convexity", "blowup", "nonfinite" or "step_limit". `steps` counts
     accepted steps and `rejected` the step attempts thrown away;
     `dt_range` is the (smallest, largest) accepted step, None when no step
-    was taken."""
+    was taken. `timings` is left out of comparisons."""
 
     status: RunStatus
     final: CurvatureProfile
@@ -82,6 +98,7 @@ class RunResult:
     guard: str | None
     rejected: int = 0
     dt_range: tuple[float, float] | None = None
+    timings: RunTimings = field(default_factory=RunTimings, compare=False)
 
     backend = "numpy"  # the one stepping lane; perfbench records still name it
 
@@ -137,6 +154,10 @@ def run(
     horizon or blow-up. On a guard trip the result carries the last good
     state and a final partial-interval sample, and `guard` names the
     guard that ended it.
+
+    Each sample is handed to the collector one sample late, once the
+    run knows whether another follows: all but the last are queued for
+    block collection, and the last computes what is still queued.
     """
     ctl = StepControl() if ctl is None else ctl
     if not (math.isfinite(t_end) and t_end > 0.0):
@@ -154,21 +175,32 @@ def run(
 
     grid = kp0.grid
 
+    kernel_s = 0.0
+    start = time.perf_counter()
     collector = DiagnosticsCollector(law, kp0, audits=audits)
-    record = collector.collect(0.0, kp0, 0.0)
+    check_convergence = law.kind is not FlowKind.CONTRACTION
+    converged = check_convergence and oscillation(kp0) <= ctl.convergence_tol
+    collect_s = time.perf_counter() - start
     if on_sample is not None:
         on_sample(0.0, kp0, 0)
 
-    check_convergence = law.kind is not FlowKind.CONTRACTION
-    if check_convergence and record.oscillation <= ctl.convergence_tol:
-        return RunResult(RunStatus.CONVERGED, kp0, collector.series, 0.0, 0, None)
-    if float(kp0.k.max()) >= ctl.blowup_k:
-        return RunResult(RunStatus.BLOW_UP, kp0, collector.series, 0.0, 0, "blowup")
+    if converged or float(kp0.k.max()) >= ctl.blowup_k:
+        start = time.perf_counter()
+        collector.collect(0.0, kp0, 0.0)
+        timings = RunTimings(0.0, collect_s + time.perf_counter() - start)
+        if converged:
+            status, guard = RunStatus.CONVERGED, None
+        else:
+            status, guard = RunStatus.BLOW_UP, "blowup"
+        return RunResult(
+            status, kp0, collector.series, 0.0, 0, guard, timings=timings
+        )
 
     stepper = _kernels.Stepper(
         kp0.k, law.alpha, law.kind, ctl.safety, ctl.dt_max, ctl.blowup_k
     )
     kp_cur = kp0
+    held = (0.0, kp0, 0.0)  # the latest sample, not yet collected
     t_cur = 0.0
     steps_used = 0
     sample_idx = 0
@@ -191,7 +223,9 @@ def run(
         if t_next <= t_cur:
             continue
 
+        start = time.perf_counter()
         n_steps, code = stepper.advance(t_next, budget)
+        kernel_s += time.perf_counter() - start
         steps_used += n_steps
         t_sample = stepper.t
         if code in _GUARD_TRIPS:
@@ -202,16 +236,20 @@ def run(
         if t_sample > t_cur:
             t_cur = t_sample
             kp_cur = CurvatureProfile(grid, stepper.k())
-            record = collector.collect(t_cur, kp_cur, stepper.s)
+            start = time.perf_counter()
+            collector.collect(*held, defer=True)
+            held = (t_cur, kp_cur, stepper.s)
+            converged = check_convergence and oscillation(kp_cur) <= ctl.convergence_tol
+            collect_s += time.perf_counter() - start
             sample_idx += 1
             if on_sample is not None:
                 on_sample(t_cur, kp_cur, sample_idx)
-            if (
-                status is None
-                and check_convergence
-                and record.oscillation <= ctl.convergence_tol
-            ):
+            if status is None and converged:
                 status = RunStatus.CONVERGED
+
+    start = time.perf_counter()
+    collector.collect(*held)
+    collect_s += time.perf_counter() - start
 
     if status is None:
         status = RunStatus.TIME_LIMIT if t_cur >= t_end else RunStatus.STEP_LIMIT
@@ -220,5 +258,5 @@ def run(
     dt_range = (stepper.h_min, stepper.h_max) if steps_used else None
     return RunResult(
         status, kp_cur, collector.series, t_cur, steps_used, guard,
-        stepper.rejected, dt_range,
+        stepper.rejected, dt_range, RunTimings(kernel_s, collect_s),
     )

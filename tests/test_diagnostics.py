@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -524,6 +526,161 @@ class TestWarmRadii:
             assert rec.r_out == pytest.approx(outer.radius, rel=1e-13, abs=0.0)
 
 
+class TestBlocks:
+    @pytest.mark.parametrize(
+        "kind, alpha, curve, t_end",
+        [
+            (FlowKind.LP, 1.0, Ellipse(a=2.0, b=1.0, grid_n=128), 0.5),
+            (FlowKind.AP, 2.0, Ellipse(a=2.0, b=1.0, grid_n=128), 0.5),
+            (
+                FlowKind.G1,
+                2.0,
+                PerturbedCircle(r0=1.0, modes=((2, 0.1, 0.3), (3, 0.05, 1.0)), grid_n=128),
+                0.2,
+            ),
+        ],
+    )
+    def test_rows_match_single_sample_collect(
+        self, kind, alpha, curve, t_end, monkeypatch
+    ):
+        # run() collects in blocks of 8 rows at n=128; collecting the same
+        # samples one at a time must give the same series bit for bit, the
+        # radii (warm-started along either sequence) to 1e-13
+        law = FlowLaw(kind, alpha)
+        kp0 = generate(curve)
+        samples = []
+        collect = DiagnosticsCollector.collect
+
+        def recorded(self, t, kp, s_accum=None, **kwargs):
+            samples.append((t, kp, s_accum))
+            return collect(self, t, kp, s_accum, **kwargs)
+
+        monkeypatch.setattr(DiagnosticsCollector, "collect", recorded)
+        profiles = []
+        res = run(law, kp0, t_end=t_end, sample_dt=t_end / 40,
+                  on_sample=lambda t, kp, index: profiles.append(kp))
+        monkeypatch.undo()
+        assert [kp for _, kp, _ in samples] == profiles
+        assert DiagnosticsCollector(law, kp0).block_rows == 8 < len(res.series) == 41
+
+        single = DiagnosticsCollector(law, kp0)
+        for t, kp, s_accum in samples:
+            assert single.collect(t, kp, s_accum) == single.series[-1]
+        assert single.series.column_names() == res.series.column_names()
+        for name in res.series.column_names():
+            got, want = res.series.column(name), single.series.column(name)
+            if name in ("r_in", "r_out"):
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            else:
+                assert np.array_equal(got, want, equal_nan=True), name
+        for j in (0, 17, 40):
+            assert res.series[j].margins == single.series[j].margins
+
+    def test_block_rows_follow_the_memory_budget(self):
+        law = FlowLaw(FlowKind.LP, 1.0)
+        rows = {
+            n: DiagnosticsCollector(law, generate(Circle(r=1.0, grid_n=n))).block_rows
+            for n in (64, 128, 512, 1024, 4096)
+        }
+        assert rows == {64: 16, 128: 8, 512: 2, 1024: 1, 4096: 1}
+
+    def test_deferred_samples_are_computed_with_the_next_direct_call(
+        self, ellipse21, unit_circle
+    ):
+        coll = DiagnosticsCollector(FlowLaw(FlowKind.LP, 1.0), ellipse21)
+        assert coll.collect(0.0, ellipse21, 0.0, defer=True) is None
+        assert len(coll.series) == 0
+        with pytest.raises(AuditError, match="increase"):
+            coll.collect(0.0, unit_circle, defer=True)
+        rec = coll.collect(0.5, unit_circle, 0.1)
+        assert len(coll.series) == 2
+        assert rec == coll.series[1]
+        assert coll.series[0].k_max == pytest.approx(2.0)
+        assert rec.oscillation == 0.0
+
+    def test_functionals_take_a_block_or_one_profile(self, ellipse21):
+        law = FlowLaw(FlowKind.AP, 1.5)
+        profiles = [ellipse21, random_convex(1), random_convex(2)]
+        rows = geometry.CurvatureRows(profiles)
+        ctx = TsoContext.from_initial(ellipse21, law.alpha)
+        u, _ = geometry._support_pipeline(rows)
+        s_accum = np.array([0.0, 0.5, 1.0])
+        block = {
+            "oscillation": oscillation(rows),
+            "rates": rate_formulas(law, rows),
+            "tso": tso_quantity(rows, ctx, u=u),
+            "psi": gradient_functional(rows, law.alpha),
+            "phi": lower_bound_functional(s_accum, rows),
+            "entropy": entropy(law, rows),
+            "lambda": lambda_value(law, rows),
+        }
+        margins = inequality_audit(rows, alpha=law.alpha)
+        for i, kp in enumerate(profiles):
+            assert block["oscillation"][i] == oscillation(kp)
+            assert (block["rates"][0][i], block["rates"][1][i]) == rate_formulas(law, kp)
+            assert (block["tso"][0][i], block["tso"][1][i]) == tso_quantity(kp, ctx)
+            assert block["psi"][i] == gradient_functional(kp, law.alpha)
+            assert block["phi"][i] == lower_bound_functional(s_accum[i], kp)
+            assert block["entropy"][i] == entropy(law, kp)
+            assert block["lambda"][i] == lambda_value(law, kp)
+            one = inequality_audit(kp, alpha=law.alpha)
+            assert list(one) == list(margins)
+            assert one == {
+                name: Margin(m.value[i], m.scale[i]) for name, m in margins.items()
+            }
+
+
+class TestColumnarSeries:
+    def test_column_is_read_only(self, ellipse21):
+        coll = DiagnosticsCollector(FlowLaw(FlowKind.LP, 1.0), ellipse21)
+        coll.collect(0.0, ellipse21, s_accum=0.0)
+        for name in ("t", "L", "margin_holder"):
+            col = coll.series.column(name)
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 1.0
+        assert coll.series[0].t == 0.0
+        assert math.isnan(coll.series.column("margin_no_such_margin")[0])
+
+    def test_records_round_trip(self):
+        s = series_of(FlowKind.G1, 2.0)
+        recs = [
+            record(0.1 * j, L=1.0 + j, Q_max=2.0, Q_ok=bool(j % 2), Psi_max=3.0,
+                   Phi_max=0.5, entropy=1.0,
+                   margins={"b": Margin(-1.0 * j, 2.0), "a": Margin(3.0, j)})
+            for j in range(20)
+        ]
+        for rec in recs:
+            s.append(rec)
+        assert len(s) == 20
+        assert list(s) == recs
+        assert s[-1] == recs[-1]
+        assert s.margin_names == ("a", "b")
+        with pytest.raises(IndexError):
+            s[20]
+        with pytest.raises(AuditError, match="margin names"):
+            s.append(record(5.0, margins={"a": Margin(1.0, 1.0)}))
+
+    def test_result_footprint(self):
+        # the series keeps one float64 per scalar and two per margin for
+        # each sample, with no spare capacity once the run is over
+        law = FlowLaw(FlowKind.LP, 1.0)
+        kp0 = generate(Ellipse(a=2.0, b=1.0, grid_n=128))
+        run(law, kp0, t_end=1.0, sample_dt=1 / 200)  # warm the caches
+        tracemalloc.start()
+        try:
+            res = run(law, kp0, t_end=1.0, sample_dt=1 / 200)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            assert len(res.series) == 201
+            del res
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= 100 * 1024
+
+
 class TestCsv:
     def test_round_trip(self, ellipse21, unit_circle):
         coll = DiagnosticsCollector(FlowLaw(FlowKind.LP, 1.0), ellipse21)
@@ -690,13 +847,16 @@ class TestRateAudit:
         assert len(fd) == 3  # interior points flanked by equal steps only
 
     def test_corrupt_formula_flagged(self):
-        s = self.exp_series(0.05, 9)
-        bad = s[4]
-        s.samples[4] = record(
-            bad.t, L=bad.L, A=bad.A,
-            dL_dt_formula=bad.dL_dt_formula * 1.01,
-            dA_dt_formula=bad.dA_dt_formula,
-        )
+        s = series_of(FlowKind.G1, 1.0)
+        for j, rec in enumerate(self.exp_series(0.05, 9)):
+            if j == 4:
+                rec = record(
+                    rec.t, L=rec.L, A=rec.A,
+                    dL_dt_formula=rec.dL_dt_formula * 1.01,
+                    dA_dt_formula=rec.dA_dt_formula,
+                )
+            s.append(rec)
+        assert s[4].dL_dt_formula == pytest.approx(1.01 * math.exp(0.2), rel=1e-15)
         assert any("dL/dt" in msg for msg in rate_violations(s))
         assert not any("dA/dt" in msg for msg in rate_violations(s))
 

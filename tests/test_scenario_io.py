@@ -369,6 +369,17 @@ class TestCli:
             "dt_range": list(result.dt_range),
         }
 
+    def test_summary_prints_timings_that_no_file_records(self, tmp_path, capsys):
+        # wall times differ from run to run: the summary line shows them,
+        # and the byte-identical outputs must not contain them
+        path = small_scenario(tmp_path)
+        assert main(["run", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"\(kernel [0-9.e+-]+ s, collect [0-9.e+-]+ s\)", out)
+        for name in ("manifest.json", "series.csv", "scenario.json"):
+            text = (tmp_path / "out" / name).read_text()
+            assert "kernel_s" not in text and "collect_s" not in text
+
     def test_run_rerun_is_byte_identical(self, tmp_path):
         path = small_scenario(tmp_path, snapshot_every=2)
         assert main(["run", str(path)]) == 0

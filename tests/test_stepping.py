@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -518,3 +519,42 @@ class TestTemporalRobustness:
             for s in (0.25, 0.125)
         ]
         assert_matched_scalars(runs[0].series, runs[1].series, 1e-8)
+
+
+class TestBlockCollection:
+    # run() queues each sample for block collection and computes what is
+    # queued at the last one; whatever ends the run, every sample it
+    # handed to on_sample must come out as a computed row
+    @pytest.mark.parametrize(
+        "law, curve, ctl, t_end, status",
+        [
+            ("LP", cf.Ellipse(2.0, 1.0, grid_n=64), None, 0.1, "TIME_LIMIT"),
+            ("LP", cf.Ellipse(2.0, 1.0, grid_n=64),
+             cf.StepControl(convergence_tol=0.8), 10.0, "CONVERGED"),
+            ("LP", cf.Ellipse(2.0, 1.0, grid_n=64),
+             cf.StepControl(max_steps=120), 10.0, "STEP_LIMIT"),
+            ("Contraction", cf.Circle(1.0, grid_n=64), None, 0.51, "BLOW_UP"),
+            ("Contraction", cf.Circle(1.0, grid_n=64),
+             cf.StepControl(blowup_k=math.inf), 0.6, "CONVEXITY_LOST"),
+        ],
+    )
+    def test_every_sample_is_collected(self, law, curve, ctl, t_end, status):
+        seen = []
+        with np.errstate(over="ignore"):
+            res = cf.run(cf.FlowLaw(law, 1.0), cf.generate(curve), ctl, t_end,
+                         sample_dt=0.002,
+                         on_sample=lambda t, kp, i: seen.append(t))
+        assert res.status is getattr(cf.RunStatus, status)
+        assert len(seen) > diagnostics.DiagnosticsCollector(
+            cf.FlowLaw(law, 1.0), cf.generate(curve)).block_rows
+        assert res.series.column("t").tolist() == seen
+        assert not np.isnan(res.series.column("L")).any()
+        assert not np.isnan(res.series.column("r_in")).any()
+
+    def test_timings(self, ellipse21):
+        res = cf.run(cf.FlowLaw("LP", 1.0), ellipse21, None, 0.05)
+        assert res.timings.kernel_s > 0.0
+        assert res.timings.collect_s > 0.0
+        # not deterministic, so not part of what makes two results equal
+        timings = [f for f in dataclasses.fields(cf.RunResult) if f.name == "timings"]
+        assert [f.compare for f in timings] == [False]
