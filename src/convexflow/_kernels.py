@@ -15,11 +15,20 @@ AP and G2 integrate v w.
 The time scheme is Cox and Matthews' exponential time differencing RK4
 (2002, J. Comput. Phys. 176) on the split w_t = c w + N(w). The linear
 part is diagonal in the rfft bins, c_m = sigma (1 - m^2) for m >= 2 and
-0 on modes 0 and 1, with sigma = alpha k_max^(alpha + 1) the diffusion
-coefficient of the stiffest point, refreshed when k_max moves by more
-than 5%; N is the rest of the rate, treated explicitly. Its coefficients
-are phi_1, phi_2 and phi_3 of the real z = h c_m <= 0 (`phi_functions`).
-Stage states are combined in spectral space.
+0 on modes 0 and 1; N is the rest of the rate, treated explicitly. Its
+coefficients are phi_1, phi_2 and phi_3 of the real z = h c_m <= 0
+(`phi_functions`). Stage states are combined in spectral space.
+
+sigma is half the stiffest diffusion coefficient, not all of it. The
+local coefficient is a = alpha k^(alpha + 1); sigma is refreshed when its
+maximum moves by more than SIGMA_DRIFT (5%) and set to (1 + SIGMA_DRIFT)/2
+of it, so every a the band admits until the next refresh is at most
+2 sigma. The explicit remainder then carries (sigma - a)(d^2 + 1), whose
+factor |1 - a/sigma| <= 1 is the large-step stability condition of
+semi-implicit diffusion splittings (Douglas and Dupont 1971; Smereka
+2003, J. Sci. Comput. 19). sigma at the maximum puts the whole remainder
+on the anti-diffusive side where k is small, and takes 1.6 to 1.75
+times the steps for the same accuracy.
 
 The symbol vanishes at m = 1, so mode 1 of the rate is zero for every
 state, and mode 0 is n (lambda - mean k^alpha), which is zero for LP. As
@@ -76,7 +85,10 @@ STATUS_NONFINITE = 4
 
 # local error tolerance of one step per unit of StepControl.safety
 TOL_PER_SAFETY = 4e-9
-# sigma is refreshed once k_max has moved by more than this share
+# sigma is refreshed once the stiffest coefficient alpha k_max^(alpha + 1)
+# has moved by more than this share, to (1 + SIGMA_DRIFT)/2 of it: half
+# the largest coefficient the band admits, the least that keeps the
+# explicit remainder stable
 SIGMA_DRIFT = 0.05
 # step-size factors: the share of the optimal step aimed at (Hairer,
 # Norsett and Wanner's 0.8), the range one decision may move h by, the cut
@@ -248,7 +260,7 @@ class Stepper:
         self.rejected = 0
         self.h_min = math.inf
         self.h_max = 0.0
-        self.k_sigma = math.nan
+        self.a_sigma = self.sigma = math.nan
         self._coef_key = None
         pairs = 2 * (n // 2 + 1)
         # held state (spectrum S, rate spectrum R, samples w, quadrature q)
@@ -283,14 +295,15 @@ class Stepper:
             return 1.0 / self.w
 
     def _refresh_sigma(self) -> bool:
-        """Refresh sigma and c once k_max has drifted; False if not finite."""
-        kmax = 1.0 / _min(self.w)
-        if abs(kmax - self.k_sigma) <= SIGMA_DRIFT * self.k_sigma:
+        """Refresh sigma and c once the stiffest coefficient has drifted;
+        False if it is not finite."""
+        a = self.alpha * (1.0 / _min(self.w)) ** (self.alpha + 1.0)
+        if abs(a - self.a_sigma) <= SIGMA_DRIFT * self.a_sigma:
             return True
-        sigma = self.alpha * kmax ** (self.alpha + 1.0)
-        if not math.isfinite(sigma):
+        if not math.isfinite(a):
             return False
-        self.k_sigma = kmax
+        self.a_sigma = a
+        self.sigma = sigma = 0.5 * (1.0 + SIGMA_DRIFT) * a
         c = -sigma * self.rhs.lin
         c[:2] = 0.0  # mode 0 is explicit; the symbol already zeroes mode 1
         self.c = c

@@ -411,8 +411,8 @@ class TestKernel:
     def test_step_is_rk4_of_curvature_rhs(self, kind):
         # one forced step is Cox-Matthews ETDRK4 of the w-form rate
         # w_t = -k_t / k^2, split as c w + N with c_m = sigma (1 - m^2) off
-        # modes 0 and 1, sigma = alpha k_max^(alpha+1), and its phi
-        # coefficients taken from the matrix-exponential oracle
+        # modes 0 and 1, sigma = (1.05 / 2) alpha k_max^(alpha+1), and its
+        # phi coefficients taken from the matrix-exponential oracle
         law = cf.FlowLaw(kind, 2.0)
         dt = 1e-3
         for kp in (cf.generate(cf.Ellipse(2.0, 1.0, grid_n=64)),
@@ -425,7 +425,8 @@ class TestKernel:
                 return np.fft.rfft(-cf.curvature_rhs(law, prof) * w * w) - c * S
 
             m = np.arange(n // 2 + 1)
-            c = np.where(m >= 2, 2.0 * kp.k.max() ** 3 * (1.0 - m * m), 0.0)
+            sigma = 0.5 * 1.05 * 2.0 * kp.k.max() ** 3
+            c = np.where(m >= 2, sigma * (1.0 - m * m), 0.0)
             z = dt * c
             p1, p2, p3 = oracles.phi_functions(z)
             half1, _, _ = oracles.phi_functions(0.5 * z)
@@ -445,6 +446,43 @@ class TestKernel:
             increment = np.fft.irfft(new, n) - kp.w
             got = cf.step(law, kp, dt).w - kp.w
             assert np.abs(got - increment).max() <= 1e-12 * np.abs(increment).max()
+
+    @pytest.mark.parametrize(
+        "law, n, t_end, sample_dt, steps_at_most, rejected_at_most", [
+            # the `sampled` benchmark run: 758 steps with sigma at the maximum
+            ("LP", 128, 1.0, 0.005, 520, 0),
+            # towards extinction at t = 1 k_max grows; a band on k_max in
+            # place of the coefficient lets it climb past 2 sigma and
+            # rejects 33
+            ("Contraction", 256, 0.9, None, 800, 2),
+        ])
+    def test_sigma_is_half_the_stiffest_coefficient(
+        self, monkeypatch, law, n, t_end, sample_dt, steps_at_most, rejected_at_most
+    ):
+        # sigma is refreshed to (1 + SIGMA_DRIFT)/2 of the stiffest diffusion
+        # coefficient alpha k_max^(alpha+1) once that coefficient leaves a
+        # SIGMA_DRIFT band, so every step starts with it at most 2 sigma:
+        # the large-step stability bound |1 - a/sigma| <= 1 of the explicit
+        # remainder
+        ratios, sigmas = [], set()
+        refresh = _kernels.Stepper._refresh_sigma
+
+        def spy(stepper):
+            ok = refresh(stepper)
+            coefficient = stepper.alpha * (1.0 / stepper.w.min()) ** (stepper.alpha + 1.0)
+            ratios.append(coefficient / stepper.sigma)
+            sigmas.add(stepper.sigma)
+            return ok
+
+        monkeypatch.setattr(_kernels.Stepper, "_refresh_sigma", spy)
+        kp = cf.generate(cf.Ellipse(2.0, 1.0, grid_n=n))
+        res = cf.run(cf.FlowLaw(law, 1.0), kp, None, t_end, sample_dt=sample_dt,
+                     audits=())
+        assert res.status is cf.RunStatus.TIME_LIMIT
+        assert res.steps <= steps_at_most
+        assert res.rejected <= rejected_at_most
+        assert len(ratios) == res.steps + res.rejected and len(sigmas) > 1
+        assert max(ratios) <= 2.0 * (1.0 + 1e-12)
 
     def test_phi_functions_match_expm(self):
         # the kernel's phi_1..3 against the 4x4 matrix exponential, from
