@@ -2,11 +2,11 @@
 
 Everything here is a pure function of a curvature profile plus, at most,
 scalars the integrator accumulates (time, the running time integral of
-the curvature-power quadrature). Each functional takes either one
-profile or a block of them as `CurvatureRows`, and computes on (B, n)
-rows with transforms and sums along the last axis; one profile is a
-block of one, and a row's value does not depend on the block it sits
-in. A collector threads the per-sample results into a time-ordered,
+the curvature-power quadrature). Each functional computes with
+transforms and sums along the last axis of `CurvatureProfile.k`, so it
+takes one profile, giving numpy scalars, or a (B, n) block, giving one
+value per row; a row's value does not depend on the block it sits in.
+A collector threads the per-sample results into a time-ordered,
 columnar series; the audit helpers then re-check the recorded series
 as a whole: conservation, monotone functionals, the support bound on
 Q, and finite-difference consistency of the rate formulas.
@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import geometry
-from .geometry import CurvatureProfile, CurvatureRows
+from .geometry import CurvatureProfile
 from .laws import FlowKind, FlowLaw, lambda_value, nonlocal_lambda, power
 from .spectral import (
     TWO_PI,
@@ -280,23 +280,13 @@ def to_csv(series: DiagnosticsSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows(kp: CurvatureProfile | CurvatureRows) -> CurvatureRows:
-    return kp if isinstance(kp, CurvatureRows) else CurvatureRows([kp])
-
-
-def _as_given(kp: CurvatureProfile | CurvatureRows, rows: np.ndarray):
-    """Per-row results as the caller passed the input: a block gets the
-    rows, one profile the value of its row."""
-    return rows if isinstance(kp, CurvatureRows) else rows[0].item()
-
-
-def oscillation(kp: CurvatureProfile | CurvatureRows):
+def oscillation(kp: CurvatureProfile):
     """(k_max - k_min)/k_mean, the convergence metric."""
-    k = _rows(kp).k
-    return _as_given(kp, (k.max(axis=-1) - k.min(axis=-1)) / k.mean(axis=-1))
+    k = kp.k
+    return (k.max(axis=-1) - k.min(axis=-1)) / k.mean(axis=-1)
 
 
-def rate_formulas(law: FlowLaw, kp: CurvatureProfile | CurvatureRows):
+def rate_formulas(law: FlowLaw, kp: CurvatureProfile):
     """Instantaneous (dA_dt, dL_dt) = (lambda L - qw, 2 pi lambda - q),
     q and qw the integrals of k^alpha and k^alpha/k.
 
@@ -304,30 +294,29 @@ def rate_formulas(law: FlowLaw, kp: CurvatureProfile | CurvatureRows):
     the conserved quantities, and reporting the algebraic zero keeps the
     conservation audit independent of this function.
     """
-    rows = _rows(kp)
-    v = power(rows.k, law.alpha)
+    v = power(kp.k, law.alpha)
     q = integrate_values(v)
-    qw = integrate_values(v * rows.w)
-    L = geometry.length(rows)
-    A = geometry.parseval_area(rows.W)
+    qw = integrate_values(v * kp.w)
+    L = geometry.length(kp)
+    A = geometry.parseval_area(kp.W)
     lam = nonlocal_lambda(law.kind, q, qw, L, A)
     dA_dt, dL_dt = lam * L - qw, TWO_PI * lam - q
     if law.kind is FlowKind.LP:
-        dL_dt = np.zeros_like(q)
+        dL_dt = np.zeros_like(q)[()]
     elif law.kind is FlowKind.AP:
-        dA_dt = np.zeros_like(q)
-    return _as_given(kp, dA_dt), _as_given(kp, dL_dt)
+        dA_dt = np.zeros_like(q)[()]
+    return dA_dt, dL_dt
 
 
-def _dense_power(rows: CurvatureRows, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def _dense_power(kp: CurvatureProfile, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """(rfft of k^alpha, its 32x resample), per row."""
-    V = np.fft.rfft(power(rows.k, alpha))
-    n = rows.grid.n
+    V = np.fft.rfft(power(kp.k, alpha))
+    n = kp.grid.n
     return V, resample_spectrum(V, n, _DENSE_FACTOR * n)
 
 
 def tso_quantity(
-    kp: CurvatureProfile | CurvatureRows,
+    kp: CurvatureProfile,
     ctx: TsoContext,
     u: np.ndarray | None = None,
     v_fine: np.ndarray | None = None,
@@ -343,27 +332,25 @@ def tso_quantity(
     them as `u` (required for a block), and the rows of that resample of
     k^alpha as `v_fine`.
     """
-    rows = _rows(kp)
     if u is None:
         u, _ = geometry.support_about_centroid(kp)
-    u = np.reshape(u, (len(rows), -1))
-    ratio = resample_values(u, _DENSE_FACTOR * rows.grid.n)
+    ratio = resample_values(u, _DENSE_FACTOR * kp.grid.n)
     u_min = refined_extremum_values(ratio, False)
     if v_fine is None:
-        _, v_fine = _dense_power(rows, ctx.alpha)
+        _, v_fine = _dense_power(kp, ctx.alpha)
     ratio -= ctx.beta
     # rows where u crosses beta divide by zero or flip sign; they read NaN
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(v_fine, ratio, out=ratio)
         q_max = refined_extremum_values(ratio, True)
     crossed = u_min <= ctx.beta
-    q_max = np.where(crossed, math.nan, q_max)
+    q_max = np.where(crossed, math.nan, q_max)[()]
     ok = (u_min >= 2.0 * ctx.beta) & ~crossed
-    return _as_given(kp, q_max), _as_given(kp, ok)
+    return q_max, ok
 
 
 def gradient_functional(
-    kp: CurvatureProfile | CurvatureRows,
+    kp: CurvatureProfile,
     alpha: float,
     v_fine: np.ndarray | None = None,
     V: np.ndarray | None = None,
@@ -376,19 +363,18 @@ def gradient_functional(
     k^alpha pass them as `V` together with their resample as `v_fine`;
     the derivative is resampled from `V`.
     """
-    rows = _rows(kp)
-    n = rows.grid.n
+    n = kp.grid.n
     if V is None:
-        V, v_fine = _dense_power(rows, alpha)
+        V, v_fine = _dense_power(kp, alpha)
     square = resample_spectrum(deriv_spectrum(V, 1), n, _DENSE_FACTOR * n)
     square *= square
     # row by row, so that no third dense array is alive at once
-    for row, v in zip(square, v_fine):
+    for row, v in zip(np.atleast_2d(square), np.atleast_2d(v_fine)):
         row += v * v
-    return _as_given(kp, refined_extremum_values(square, True))
+    return refined_extremum_values(square, True)
 
 
-def lower_bound_functional(s_accum, kp: CurvatureProfile | CurvatureRows):
+def lower_bound_functional(s_accum, kp: CurvatureProfile):
     """max of 1/k - L/(2 pi) - s_accum/(2 pi).
 
     s_accum is the integrator's running time integral of the curvature
@@ -396,14 +382,13 @@ def lower_bound_functional(s_accum, kp: CurvatureProfile | CurvatureRows):
     none); None (no accumulator available) yields NaN and the series
     flags the diagnostic as disabled.
     """
-    rows = _rows(kp)
     if s_accum is None:
-        return _as_given(kp, np.full(len(rows), math.nan))
-    n = rows.grid.n
+        return np.full(kp.k.shape[:-1], math.nan)[()]
+    n = kp.grid.n
     w_max = refined_extremum_values(
-        resample_spectrum(rows.W, n, _DENSE_FACTOR * n), True
+        resample_spectrum(kp.W, n, _DENSE_FACTOR * n), True
     )
-    return _as_given(kp, w_max - (geometry.length(rows) + s_accum) / TWO_PI)
+    return w_max - (geometry.length(kp) + s_accum) / TWO_PI
 
 
 def entropy_direction(law: FlowLaw) -> int | None:
@@ -417,7 +402,7 @@ def entropy_direction(law: FlowLaw) -> int | None:
     return None
 
 
-def entropy(law: FlowLaw, kp: CurvatureProfile | CurvatureRows):
+def entropy(law: FlowLaw, kp: CurvatureProfile):
     """The law-and-alpha-appropriate entropy integral.
 
     LP tracks the curvature-power integral of order alpha-1 (constant 2
@@ -426,16 +411,16 @@ def entropy(law: FlowLaw, kp: CurvatureProfile | CurvatureRows):
     k L takes over. The remaining laws record the LP integrand with no
     monotonicity claim attached; `entropy_direction` gives the claim.
     """
-    rows = _rows(kp)
-    w = rows.w
-    base = integrate_values(power(rows.k, law.alpha) * w)
+    w = kp.w
+    base = integrate_values(power(kp.k, law.alpha) * w)
     if law.kind is FlowKind.AP:
         L = integrate_values(w)
         if law.alpha == 1.0:
-            base = integrate_values(np.log(rows.k * L[:, None]))
+            base = integrate_values(np.log(kp.k * np.expand_dims(L, -1)))
         else:
-            base = L ** (law.alpha - 1.0) * base
-    return _as_given(kp, base)
+            # the ufunc, as for a block: a scalar ** may differ in the last bit
+            base = np.power(L, law.alpha - 1.0) * base
+    return base
 
 
 def _named_phi_margins(
@@ -461,7 +446,7 @@ def _named_phi_margins(
 
 
 def inequality_audit(
-    kp: CurvatureProfile | CurvatureRows,
+    kp: CurvatureProfile,
     alpha: float = 1.0,
     betas: Sequence[float] = DEFAULT_BETAS,
 ) -> dict[str, Margin]:
@@ -476,11 +461,10 @@ def inequality_audit(
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise AuditError(f"alpha must be finite and positive, got {alpha}")
-    rows = _rows(kp)
-    k = rows.k
-    w = rows.w
-    L = geometry.length(rows)
-    A = geometry.parseval_area(rows.W)
+    k = kp.k
+    w = kp.w
+    L = geometry.length(kp)
+    A = geometry.parseval_area(kp.W)
 
     v = power(k, alpha)
     iv = integrate_values(v)
@@ -498,17 +482,17 @@ def inequality_audit(
     for b in betas:
         if not (math.isfinite(b) and b >= 0.0):
             raise AuditError(f"beta exponents must be finite and >= 0, got {b}")
-    # every exponent at once: (rows, betas, n)
-    kb = power(k[:, None], np.array(betas)[:, None])
+    # every exponent at once, on a leading axis: (betas, n) or (betas, rows, n)
+    kb = power(k, np.reshape(betas, (-1,) + (1,) * k.ndim))
     int_kb = integrate_values(kb)
-    large = (L / TWO_PI)[:, None] * int_kb
-    small = integrate_values(kb * w[:, None])
+    large = (L / TWO_PI) * int_kb
+    small = integrate_values(kb * w)
     ineq11 = large - small, np.maximum(large, small)
-    large = (2.0 * A / L)[:, None] * integrate_values(kb * k[:, None])
+    large = (2.0 * A / L) * integrate_values(kb * k)
     ineq22 = large - int_kb, np.maximum(large, int_kb)
     for j, b in enumerate(betas):
-        margins[f"ineq11_b{b:g}"] = Margin(ineq11[0][:, j], ineq11[1][:, j])
-        margins[f"ineq22_b{b:g}"] = Margin(ineq22[0][:, j], ineq22[1][:, j])
+        margins[f"ineq11_b{b:g}"] = Margin(ineq11[0][j], ineq11[1][j])
+        margins[f"ineq22_b{b:g}"] = Margin(ineq22[0][j], ineq22[1][j])
 
     # classical isoperimetric-type bound on the total turning
     gage_large = (2.0 * A / L) * integrate_values(k)
@@ -521,20 +505,15 @@ def inequality_audit(
         margins["gage2_upper"] = Margin(lam_lp - lam_g2, lam_scale)
 
     unit = lam_scale * lam_scale
-    _named_phi_margins("lp", v - lam_lp[:, None], w, A, unit, margins)
-    _named_phi_margins("ap", v - lam_ap[:, None], w, A, unit, margins)
+    _named_phi_margins("lp", v - np.expand_dims(lam_lp, -1), w, A, unit, margins)
+    _named_phi_margins("ap", v - np.expand_dims(lam_ap, -1), w, A, unit, margins)
 
     andrews_large = L * iv
     andrews_small = TWO_PI * ivw
     margins["andrews"] = Margin(
         andrews_large - andrews_small, np.maximum(andrews_large, andrews_small)
     )
-    if isinstance(kp, CurvatureRows):
-        return margins
-    return {
-        name: Margin(m.value[0].item(), m.scale[0].item())
-        for name, m in margins.items()
-    }
+    return margins
 
 
 def failed_margins(
@@ -548,10 +527,11 @@ class DiagnosticsCollector:
 
     `audits` selects which diagnostics are computed; disabled ones record
     NaN columns. Samples are computed in blocks: `collect(..., defer=True)`
-    queues a sample, and the queue is computed as one `CurvatureRows`
-    block once it holds `max(1, _BLOCK_POINTS // (32 n))` samples, or at
-    the next call without `defer`, which also returns that sample's
-    record and releases the series' spare capacity. The block size keeps
+    queues a sample, and the queue is computed as one `CurvatureProfile`
+    block, its k in (B, n) rows, once it holds
+    `max(1, _BLOCK_POINTS // (32 n))` samples, or at the next call
+    without `defer`, which also returns that sample's record and
+    releases the series' spare capacity. The block size keeps
     each dense (rows, 32 n) temporary near 256 KB (`_BLOCK_POINTS`).
 
     Per block, the support pipeline (reconstruction and centroid) runs
@@ -615,12 +595,12 @@ class DiagnosticsCollector:
         law = self.law
         tso = self.series.tso
         profiles = [kp for _, kp, _ in queue]
-        rows = CurvatureRows(profiles)
-        b = len(rows)
+        block = CurvatureProfile(profiles[0].grid, np.stack([kp.k for kp in profiles]))
+        b = len(profiles)
         nan = np.full(b, math.nan)
-        L = geometry.length(rows)
-        A = geometry.parseval_area(rows.W)
-        u, _ = geometry._support_pipeline(rows)
+        L = geometry.length(block)
+        A = geometry.parseval_area(block.W)
+        u, _ = geometry._support_pipeline(block)
 
         r_in = r_out = nan
         if "radii" in self.audits:
@@ -633,33 +613,33 @@ class DiagnosticsCollector:
 
         dA_dt = dL_dt = nan
         if "rates" in self.audits:
-            dA_dt, dL_dt = rate_formulas(law, rows)
+            dA_dt, dL_dt = rate_formulas(law, block)
 
         V = v_fine = None
         if tso is not None or "psi" in self.audits:
-            V, v_fine = _dense_power(rows, law.alpha)
+            V, v_fine = _dense_power(block, law.alpha)
 
         q_max, q_ok = nan, np.zeros(b)
         if tso is not None:
-            q_max, q_ok = tso_quantity(rows, tso, u=u, v_fine=v_fine)
+            q_max, q_ok = tso_quantity(block, tso, u=u, v_fine=v_fine)
 
         psi = nan
         if "psi" in self.audits:
-            psi = gradient_functional(rows, law.alpha, v_fine=v_fine, V=V)
+            psi = gradient_functional(block, law.alpha, v_fine=v_fine, V=V)
         del V, v_fine
 
         phi = nan
         if self.series.phi_enabled:
             s_accum = np.array([math.nan if s is None else s for _, _, s in queue])
-            phi = lower_bound_functional(s_accum, rows)
+            phi = lower_bound_functional(s_accum, block)
 
-        ent = entropy(law, rows) if "entropy" in self.audits else nan
+        ent = entropy(law, block) if "entropy" in self.audits else nan
 
         margins: Mapping[str, Margin] = {}
         if "margins" in self.audits:
-            margins = inequality_audit(rows, alpha=law.alpha)
+            margins = inequality_audit(block, alpha=law.alpha)
 
-        k = rows.k
+        k = block.k
         columns = dict(
             t=np.array([t for t, _, _ in queue]),
             L=L,
@@ -667,8 +647,8 @@ class DiagnosticsCollector:
             I=L * L / (2.0 * TWO_PI * A),
             k_min=k.min(axis=-1),
             k_max=k.max(axis=-1),
-            lam=lambda_value(law, rows),
-            closure_defect=geometry.closure_defect(rows),
+            lam=lambda_value(law, block),
+            closure_defect=geometry.closure_defect(block),
             r_in=r_in,
             r_out=r_out,
             dA_dt_formula=dA_dt,
@@ -678,7 +658,7 @@ class DiagnosticsCollector:
             Psi_max=psi,
             Phi_max=phi,
             entropy=ent,
-            oscillation=oscillation(rows),
+            oscillation=oscillation(block),
         )
         table = np.empty((len(_RECORD_FIELDS), b))
         for i, name in enumerate(_RECORD_FIELDS):

@@ -6,7 +6,10 @@ w = 1/k by spectral calculus: arc length element ds = w dtheta, tangent
 T(theta) = (-sin theta, cos theta), position by antidifferentiation, support
 function u = <X - c, N> about the area centroid c. Closure holds iff the
 first Fourier moments of w vanish; the residual norm is reported as the
-closure defect rather than silently projected away.
+closure defect rather than silently projected away. A `CurvatureProfile`
+holds one profile or a (B, n) block of them, and the functionals that
+need no closed curve give a numpy scalar for the one or a row of values
+for the other.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -48,24 +50,33 @@ CLOSURE_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class CurvatureProfile:
-    """Positive curvature samples of a convex curve over the normal angle."""
+    """Positive curvature samples of a convex curve over the normal angle.
+
+    k holds one profile as (n,) samples, or a block of B profiles of one
+    grid as (B, n) rows. The functionals of k compute along the last
+    axis: a block gives one value per row, bit for bit what that row
+    gives alone, and one profile gives a numpy scalar.
+    """
 
     grid: AngularGrid
     k: np.ndarray
 
     def __post_init__(self) -> None:
         k = np.asarray(self.k, dtype=np.float64)
-        if k.shape != (self.grid.n,):
+        n = self.grid.n
+        if k.ndim not in (1, 2) or k.shape[-1] != n:
             raise ConvexityError(
-                f"expected {self.grid.n} curvature samples, got {k.shape}"
+                f"expected {n} curvature samples per profile, got shape {k.shape}"
             )
         if not np.all(np.isfinite(k)):
-            j = int(np.flatnonzero(~np.isfinite(k))[0])
-            raise ConvexityError(f"non-finite curvature at index {j}")
-        if k.min() <= 0.0:
-            j = int(k.argmin())
+            j = int(np.flatnonzero(~np.isfinite(k))[0]) % n
             raise ConvexityError(
-                f"curvature must be positive; k={k[j]:.6g} at "
+                f"non-finite curvature at theta={self.grid.theta[j]:.6f} (index {j})"
+            )
+        if k.min() <= 0.0:
+            j = int(k.argmin()) % n
+            raise ConvexityError(
+                f"curvature must be positive; k={k.min():.6g} at "
                 f"theta={self.grid.theta[j]:.6f} (index {j})"
             )
         k = k.copy()
@@ -87,44 +98,23 @@ class CurvatureProfile:
         return W
 
 
-class CurvatureRows:
-    """Profiles of one grid as (B, n) rows of k, with w = 1/k and W =
-    rfft(w) per row.
-
-    The diagnostics functionals compute on rows, a single profile being a
-    block of one; every row is bit for bit what its profile alone gives.
-    """
-
-    def __init__(self, profiles: Sequence[CurvatureProfile]):
-        self.grid = profiles[0].grid
-        self.k = np.stack([kp.k for kp in profiles])
-
-    def __len__(self) -> int:
-        return self.k.shape[0]
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        return 1.0 / self.k
-
-    @cached_property
-    def W(self) -> np.ndarray:
-        return np.fft.rfft(self.w)
-
-
-def length(kp: CurvatureProfile | CurvatureRows):
-    """Arc length, integral of 1/k over the normal angle (per row)."""
+def length(kp: CurvatureProfile):
+    """Arc length, integral of 1/k over the normal angle."""
     return integrate_values(kp.w)
 
 
-def closure_defect(kp: CurvatureProfile | CurvatureRows):
+# math.hypot per row: np.hypot is not guaranteed to give the same bits
+_hypot = np.vectorize(math.hypot, otypes=[float])
+
+
+def closure_defect(kp: CurvatureProfile):
     """Norm of the first Fourier moments of 1/k; zero iff the curve closes."""
-    c1, s1 = first_harmonics_values(kp.w)
-    if isinstance(kp, CurvatureProfile):
-        return math.hypot(c1, s1)
-    return np.array(list(map(math.hypot, c1, s1)))
+    return _hypot(*first_harmonics_values(kp.w))[()]
 
 
 def _require_closed(kp: CurvatureProfile, where: str) -> None:
+    if kp.k.ndim != 1:
+        raise ValueError(f"{where} takes one profile, got a block of {len(kp.k)}")
     defect = closure_defect(kp)
     scale = length(kp)
     if defect > CLOSURE_RTOL * scale:
@@ -135,7 +125,7 @@ def _require_closed(kp: CurvatureProfile, where: str) -> None:
 
 
 def _nodes(
-    kp: CurvatureProfile | CurvatureRows,
+    kp: CurvatureProfile,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(x, y, mx, my): the points X(theta_j) - X(0) as the tangent
     integrates to them, and the mean of each tangent component, which
@@ -166,11 +156,9 @@ def reconstruct_points(
     return pts
 
 
-def _support_pipeline(
-    kp: CurvatureProfile | CurvatureRows,
-) -> tuple[np.ndarray, tuple]:
-    """Reconstruct, find the area centroid, return (u, center); for rows,
-    u holds one row per profile and center one (cx, cy) array pair."""
+def _support_pipeline(kp: CurvatureProfile) -> tuple[np.ndarray, tuple]:
+    """Reconstruct, find the area centroid, return (u, center); for a
+    block, u holds one row per profile and center one (cx, cy) array pair."""
     grid = kp.grid
     w = kp.w
     x, y, _, _ = _nodes(kp)
@@ -203,7 +191,7 @@ def _area_weights(n: int) -> np.ndarray:
 
 
 def parseval_area(W: np.ndarray):
-    """Enclosed area from W = rfft(1/k), with no closure check (per row).
+    """Enclosed area from W = rfft(1/k), with no closure check.
 
     u = (d^2 + 1)^-1 (1/k) off mode 1 is the support function about some
     center, and A = (1/2) integral of u/k, which Parseval turns into
@@ -212,7 +200,7 @@ def parseval_area(W: np.ndarray):
     pairs = W.view(np.float64)
     n = pairs.shape[-1] - 2
     total = np.vecdot(pairs * pairs, _area_weights(n))
-    return 0.5 * (TWO_PI / n) * (float(total) if W.ndim == 1 else total)
+    return 0.5 * (TWO_PI / n) * total
 
 
 def area(kp: CurvatureProfile) -> float:

@@ -119,17 +119,6 @@ def fd_deriv_callable(f, theta, order: int, h: float) -> np.ndarray:
     raise ValueError("order must be 1 or 2")
 
 
-def fd_deriv_samples(values: np.ndarray, order: int, dtheta: float) -> np.ndarray:
-    """Same stencils applied periodically to grid samples."""
-    fm2, fm1 = np.roll(values, 2), np.roll(values, 1)
-    fp1, fp2 = np.roll(values, -1), np.roll(values, -2)
-    if order == 1:
-        return (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * dtheta)
-    if order == 2:
-        return (-fp2 + 16 * fp1 - 30 * values + 16 * fm1 - fm2) / (12 * dtheta**2)
-    raise ValueError("order must be 1 or 2")
-
-
 def perturbed_circle_rhs_at_zero(eps: float = 0.1) -> float:
     """Hand expansion of the LP right-hand side for k = 1 + eps*cos(2 theta),
     alpha = 1, evaluated at theta = 0.

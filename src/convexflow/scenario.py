@@ -109,17 +109,12 @@ _TOP_KEYS = {
     "snapshot_every", "output_dir", "audits",
 }
 
-# constructor field names per curve kind, grid_n always optional
-_CURVE_FIELDS = {
-    "Circle": ("r",),
-    "Ellipse": ("a", "b"),
-    "PerturbedCircle": ("r0", "modes"),
-}
-_CURVE_TYPES = {
-    "Circle": Circle,
-    "Ellipse": Ellipse,
-    "PerturbedCircle": PerturbedCircle,
-}
+# curve kind -> its spec class; every field but grid_n is a required key
+_CURVE_KINDS = {cls.__name__: cls for cls in (Circle, Ellipse, PerturbedCircle)}
+
+
+def _curve_keys(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name != "grid_n")
 
 
 def _reject_unknown(doc: Mapping, known: set, where: str) -> None:
@@ -154,12 +149,12 @@ def parse_curve(doc) -> CurveSpec:
     kind = doc["kind"]
     if not isinstance(kind, str):
         raise ScenarioError(f"curve.kind must be a string, got {kind!r}")
-    if kind not in _CURVE_FIELDS:
+    if kind not in _CURVE_KINDS:
         raise ScenarioError(
             f"unknown curve kind {kind!r}; expected one of "
-            f"{', '.join(sorted(_CURVE_FIELDS))}"
+            f"{', '.join(sorted(_CURVE_KINDS))}"
         )
-    names = _CURVE_FIELDS[kind]
+    names = _curve_keys(_CURVE_KINDS[kind])
     _reject_unknown(doc, {"kind", "grid_n", *names}, f"curve {kind}")
     missing = sorted(set(names) - set(doc))
     if missing:
@@ -172,7 +167,7 @@ def parse_curve(doc) -> CurveSpec:
         )
     if "grid_n" in doc:
         kwargs["grid_n"] = _number(doc["grid_n"], "curve.grid_n", int)
-    return _CURVE_TYPES[kind](**kwargs)
+    return _CURVE_KINDS[kind](**kwargs)
 
 
 def _parse_law(doc) -> FlowLaw:
@@ -278,7 +273,7 @@ def scenario_to_document(scenario: Scenario) -> dict:
     """Scenario -> plain dict that parse_scenario maps back to an equal value."""
     curve = scenario.curve
     curve_doc: dict = {"kind": type(curve).__name__}
-    for name in _CURVE_FIELDS[type(curve).__name__]:
+    for name in _curve_keys(type(curve)):
         value = getattr(curve, name)
         if name == "modes":
             value = [[m, x, y] for m, x, y in value]

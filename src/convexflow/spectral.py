@@ -8,7 +8,8 @@ kernel applies the same symbols to its own transforms (see `_kernels`).
 
 The `*_values` helpers act along the last axis, so a (B, n) array is B
 periods at once. They transform, reduce and index row by row, never by
-matrix products, so each row comes out bit for bit as it would alone.
+matrix products, so each row comes out bit for bit as it would alone; a
+reduction gives one value per row, and a numpy scalar for one period.
 """
 
 from __future__ import annotations
@@ -89,15 +90,10 @@ def deriv_spectrum(coef: np.ndarray, order: int) -> np.ndarray:
     return coef * -(m * m)
 
 
-def _per_period(x: np.ndarray, values: np.ndarray):
-    """A reduction over the last axis: a float for one period, else rows."""
-    return float(x) if values.ndim == 1 else x
-
-
 def integrate_values(values: np.ndarray):
     """Trapezoid quadrature over the period; spectrally accurate."""
     n = values.shape[-1]
-    return (TWO_PI / n) * _per_period(values.sum(axis=-1), values)
+    return (TWO_PI / n) * values.sum(axis=-1)
 
 
 def first_harmonics_values(values: np.ndarray):
@@ -105,10 +101,7 @@ def first_harmonics_values(values: np.ndarray):
     n = values.shape[-1]
     _, cos, sin = _grid_arrays(n)
     d = TWO_PI / n
-    return (
-        d * _per_period(np.vecdot(values, cos), values),
-        d * _per_period(np.vecdot(values, sin), values),
-    )
+    return d * np.vecdot(values, cos), d * np.vecdot(values, sin)
 
 
 def resample_values(values: np.ndarray, n_fine: int) -> np.ndarray:
@@ -147,7 +140,7 @@ def refined_extremum_values(values: np.ndarray, want_max: bool):
     flat = np.abs(curv) < 1e-14 * np.maximum(1.0, np.abs(f0))
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = f0 - (fp - fm) ** 2 / (8.0 * curv)
-    return _per_period(np.where(flat, f0, vertex), values)
+    return np.where(flat, f0, vertex)[()]
 
 
 def antiderivative_values(values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -159,7 +152,7 @@ def antiderivative_values(values: np.ndarray) -> tuple[np.ndarray, float]:
     """
     n = values.shape[-1]
     coef = np.fft.rfft(values)
-    mean = _per_period(coef[..., 0].real / n, values)
+    mean = coef[..., 0].real / n
     m = np.arange(n // 2 + 1, dtype=np.float64)
     m[0] = 1.0
     coef = coef / (1j * m)

@@ -190,18 +190,6 @@ def run(
     if on_sample is not None:
         on_sample(0.0, kp0, 0)
 
-    if converged or float(kp0.k.max()) >= ctl.blowup_k:
-        start = time.perf_counter()
-        collector.collect(0.0, kp0, 0.0)
-        timings = RunTimings(0.0, collect_s + time.perf_counter() - start)
-        if converged:
-            status, guard = RunStatus.CONVERGED, None
-        else:
-            status, guard = RunStatus.BLOW_UP, "blowup"
-        return RunResult(
-            status, kp0, collector.series, 0.0, 0, guard, timings=timings
-        )
-
     stepper = _kernels.Stepper(
         kp0.k, law.alpha, law.kind, ctl.safety, ctl.dt_max, ctl.blowup_k
     )
@@ -211,7 +199,8 @@ def run(
     steps_used = 0
     sample_idx = 0
     boundary = 0
-    status: RunStatus | None = None
+    # a start at or above blowup_k trips the stepper's entry guard
+    status: RunStatus | None = RunStatus.CONVERGED if converged else None
     guard: str | None = None
 
     while status is None and t_cur < t_end:

@@ -599,33 +599,52 @@ class TestBlocks:
         assert rec.oscillation == 0.0
 
     def test_functionals_take_a_block_or_one_profile(self, ellipse21):
+        # a (3, n) block gives each row bit for bit what its profile gives
+        # alone, and one profile gives scalars, not 0-d arrays
         law = FlowLaw(FlowKind.AP, 1.5)
         profiles = [ellipse21, random_convex(1), random_convex(2)]
-        rows = geometry.CurvatureRows(profiles)
+        block = CurvatureProfile(ellipse21.grid, np.stack([kp.k for kp in profiles]))
         ctx = TsoContext.from_initial(ellipse21, law.alpha)
-        u, _ = geometry._support_pipeline(rows)
+        u, _ = geometry._support_pipeline(block)
         s_accum = np.array([0.0, 0.5, 1.0])
-        block = {
-            "oscillation": oscillation(rows),
-            "rates": rate_formulas(law, rows),
-            "tso": tso_quantity(rows, ctx, u=u),
-            "psi": gradient_functional(rows, law.alpha),
-            "phi": lower_bound_functional(s_accum, rows),
-            "entropy": entropy(law, rows),
-            "lambda": lambda_value(law, rows),
-        }
-        margins = inequality_audit(rows, alpha=law.alpha)
+
+        def values(kp, s, u=None):
+            return {
+                "oscillation": oscillation(kp),
+                "dA_dt": rate_formulas(law, kp)[0],
+                "dL_dt": rate_formulas(law, kp)[1],
+                "Q_max": tso_quantity(kp, ctx, u=u)[0],
+                "psi": gradient_functional(kp, law.alpha),
+                "phi": lower_bound_functional(s, kp),
+                "entropy": entropy(law, kp),
+                "lambda": lambda_value(law, kp),
+                "length": geometry.length(kp),
+                "area": geometry.parseval_area(kp.W),
+                "closure_defect": geometry.closure_defect(kp),
+            }
+
+        rows = values(block, s_accum, u)
+        q_ok = tso_quantity(block, ctx, u=u)[1]
+        margins = inequality_audit(block, alpha=law.alpha)
         for i, kp in enumerate(profiles):
-            assert block["oscillation"][i] == oscillation(kp)
-            assert (block["rates"][0][i], block["rates"][1][i]) == rate_formulas(law, kp)
-            assert (block["tso"][0][i], block["tso"][1][i]) == tso_quantity(kp, ctx)
-            assert block["psi"][i] == gradient_functional(kp, law.alpha)
-            assert block["phi"][i] == lower_bound_functional(s_accum[i], kp)
-            assert block["entropy"][i] == entropy(law, kp)
-            assert block["lambda"][i] == lambda_value(law, kp)
-            one = inequality_audit(kp, alpha=law.alpha)
-            assert list(one) == list(margins)
-            assert one == {
+            one = values(kp, s_accum[i])
+            one["area"] = area(kp)
+            one["phi_disabled"] = lower_bound_functional(None, kp)
+            one["dL_dt_lp"] = rate_formulas(FlowLaw(FlowKind.LP, 1.5), kp)[1]
+            for name, x in one.items():
+                assert isinstance(x, float) and not isinstance(x, np.ndarray), name
+            assert {name: rows[name][i] for name in rows} == {
+                name: x for name, x in one.items() if name in rows
+            }
+            assert math.isnan(one["phi_disabled"])
+            ok = tso_quantity(kp, ctx)[1]
+            assert not isinstance(ok, np.ndarray) and ok == q_ok[i]
+            audit = inequality_audit(kp, alpha=law.alpha)
+            assert list(audit) == list(margins)
+            for name, m in audit.items():
+                for x in (m.value, m.scale):
+                    assert isinstance(x, float) and not isinstance(x, np.ndarray), name
+            assert audit == {
                 name: Margin(m.value[i], m.scale[i]) for name, m in margins.items()
             }
 

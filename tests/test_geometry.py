@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +69,36 @@ class TestCurvatureProfile:
     def test_samples_readonly(self, unit_circle):
         with pytest.raises(ValueError):
             unit_circle.k[0] = 2.0
+
+
+class TestCurvatureBlock:
+    # a (B, n) k holds B profiles of one grid, one per row
+    @pytest.mark.parametrize("bad", [-0.5, 0.0, np.inf, np.nan])
+    def test_bad_entry_names_its_index_and_theta_in_the_row(self, grid256, bad):
+        k = np.ones((3, 256))
+        k[1, 10] = bad
+        theta = f"theta={grid256.theta[10]:.6f} (index 10)"
+        with pytest.raises(ConvexityError, match=re.escape(theta)):
+            CurvatureProfile(grid256, k)
+
+    @pytest.mark.parametrize("shape", [(3, 255), (255,), (2, 3, 256), ()])
+    def test_rejects_other_shapes(self, grid256, shape):
+        with pytest.raises(ConvexityError, match="256 curvature samples"):
+            CurvatureProfile(grid256, np.ones(shape))
+
+    def test_closed_curve_operations_take_one_profile(self, ellipse21):
+        block = CurvatureProfile(ellipse21.grid, np.stack([ellipse21.k] * 3))
+        with pytest.raises(ValueError, match="area takes one profile, got a block of 3"):
+            area(block)
+        with pytest.raises(ValueError, match="support_about_centroid takes one"):
+            inradius_outradius(block)
+
+    def test_block_is_read_only(self, ellipse21, unit_circle):
+        block = CurvatureProfile(ellipse21.grid, np.stack([ellipse21.k, unit_circle.k]))
+        for a in (block.k, block.w, block.W):
+            assert a.shape[0] == 2
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
 
 
 class TestLengthAreaClosure:

@@ -145,13 +145,21 @@ class TestRunSampling:
         assert seen[-1][1] == pytest.approx(0.03)
 
 
+def assert_stopped_at_start(res, kp0):
+    # a run that ends before its first step records the start alone
+    assert (res.steps, res.rejected, res.dt_range) == (0, 0, None)
+    assert res.t_final == 0.0
+    assert res.final is kp0
+    assert res.series.column("t").tolist() == [0.0]
+
+
 class TestRunStatuses:
     def test_circle_converges_immediately(self, unit_circle):
-        res = cf.run(cf.FlowLaw("LP", 1.0), unit_circle, None, 1.0, audits=())
-        assert res.status is cf.RunStatus.CONVERGED
-        assert res.t_final == 0.0
-        assert res.steps == 0
-        assert len(res.series) == 1
+        for sampling in ({}, {"sample_every": 10}):
+            res = cf.run(cf.FlowLaw("LP", 1.0), unit_circle, None, 1.0,
+                         audits=(), **sampling)
+            assert (res.status, res.guard) == (cf.RunStatus.CONVERGED, None)
+            assert_stopped_at_start(res, unit_circle)
 
     def test_contraction_circle_not_converged_at_zero(self):
         # constant curvature, but the contraction flow is exempt from the
@@ -534,9 +542,15 @@ class TestGuardNames:
     def test_blowup(self):
         kp = cf.generate(cf.Circle(1.0, grid_n=64))
         law = cf.FlowLaw("Contraction", 1.0)
-        for ctl in (cf.StepControl(blowup_k=1.01), cf.StepControl(blowup_k=1.0)):
-            res = cf.run(law, kp, ctl, 1.0, audits=())
+        res = cf.run(law, kp, cf.StepControl(blowup_k=1.01), 1.0, audits=())
+        assert (res.status, res.guard) == (cf.RunStatus.BLOW_UP, "blowup")
+        assert res.steps > 0
+        # k_max = 1 >= blowup_k at the start: the stepper's entry guard trips
+        for sampling in ({}, {"sample_every": 10}):
+            res = cf.run(law, kp, cf.StepControl(blowup_k=1.0), 1.0, audits=(),
+                         **sampling)
             assert (res.status, res.guard) == (cf.RunStatus.BLOW_UP, "blowup")
+            assert_stopped_at_start(res, kp)
 
     def test_nonfinite_is_not_blowup(self):
         kp = cf.generate(cf.Circle(1e-3, grid_n=64))
