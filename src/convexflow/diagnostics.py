@@ -34,9 +34,10 @@ from .spectral import (
     deriv_spectrum,
     deriv_values,
     integrate_values,
+    parabola_vertex,
     refined_extremum_values,
     resample_spectrum,
-    resample_values,
+    window_values,
 )
 
 AUDIT_NAMES = ("rates", "radii", "tso", "psi", "phi", "entropy", "margins")
@@ -54,13 +55,22 @@ TSO_RTOL = 1e-6
 
 # resample factor for the pointwise-extremum functionals; 32x keeps the
 # parabolic-vertex residual below 1e-8 relative even for the sharp
-# asymmetric peaks that k^3-type speeds develop
+# asymmetric peaks that k^3-type speeds develop. The resample is evaluated
+# only in windows of 2 * 32 + 3 fine points around each peak
+# (`_refined_max`), or in full for a row whose windows cannot be trusted
 _DENSE_FACTOR = 32
-# dense points per collected block: a block holds max(1, this // (32 n))
-# samples, so each (rows, 32 n) float64 temporary of the dense functionals
-# stays at 256 KB whatever n is (8 rows at n=128, 2 at n=512), and they
-# keep at most two alive at once
-_BLOCK_POINTS = 1 << 15
+# most windows per row: a centrally symmetric curve ties Psi's peak four ways
+_WINDOWS = 4
+# cells on either side of a window's centre when one cell does not cover
+# all a peak's cells that can reach its maximum (a flat peak)
+_WIDE_REACH = 4
+# a cell outside the windows whose bound reaches this close to the window
+# maximum, relative, is taken as a rival peak
+_RIVAL_RTOL = 1e-12
+# grid points per collected block: a block holds max(1, this // n)
+# samples, so each (rows, n) float64 array of a block is 32 KB whatever n
+# is (32 rows at n=128, 8 at n=512)
+_BLOCK_POINTS = 1 << 12
 
 
 class AuditError(ValueError):
@@ -308,70 +318,240 @@ def rate_formulas(law: FlowLaw, kp: CurvatureProfile):
     return dA_dt, dL_dt
 
 
-def _dense_power(kp: CurvatureProfile, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """(rfft of k^alpha, its 32x resample), per row."""
-    V = np.fft.rfft(power(kp.k, alpha))
-    n = kp.grid.n
-    return V, resample_spectrum(V, n, _DENSE_FACTOR * n)
+def _mode_sums(coef: np.ndarray, power: int):
+    """Sum of m^power |c_m| over the interpolant with rfft `coef` (of
+    2 (len - 1) samples), one per row: a bound on |f^(power)| of that
+    interpolant f everywhere."""
+    n = 2 * (coef.shape[-1] - 1)
+    weight = np.full(n // 2 + 1, 2.0 / n)
+    weight[0] = weight[-1] = 1.0 / n
+    weight *= np.arange(n // 2 + 1.0) ** power
+    return np.vecdot(np.abs(coef), weight)
+
+
+def _slopes(coef: np.ndarray, n: int) -> np.ndarray:
+    """(first, second) derivative of the interpolant with rfft `coef` at
+    the nodes of the n grid (its own grid or every other node of it)."""
+    size = 2 * (coef.shape[-1] - 1)
+    spectra = np.stack([deriv_spectrum(coef, 1), deriv_spectrum(coef, 2)])
+    return np.ascontiguousarray(np.fft.irfft(spectra, size)[..., :: size // n])
+
+
+def _cell_bound(g, slope, curv, third):
+    """An upper bound of a smooth periodic g over each cell [theta_j,
+    theta_j+1], from its value, slope and curvature at the nodes and a
+    bound `third` on |g'''| (one per row).
+
+    Over the half cell next to a node, g stays below its Taylor
+    polynomial with the positive parts of the slope (towards the cell)
+    and curvature, plus the cubic term at its bound.
+    """
+    half = TWO_PI / g.shape[-1] / 2.0
+    lift = g + (0.5 * half * half) * np.maximum(curv, 0.0)
+    ahead = lift + half * np.maximum(slope, 0.0)
+    behind = lift - half * np.minimum(slope, 0.0)
+    behind = np.concatenate([behind[:, 1:], behind[:, :1]], -1)
+    return np.maximum(ahead, behind) + (half ** 3 / 6.0) * third[:, None]
+
+
+def _centers(F: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """(rows, K) nodes to centre windows on: the nodes where F peaks
+    among the `near` ones, at most `_WINDOWS` per row, highest first. A
+    row with none takes its largest node, a row with fewer repeats its
+    first, and K is the most any row needs."""
+    ring = np.concatenate([F[:, -1:], F, F[:, :1]], -1)
+    peak = near & (F >= ring[:, :-2]) & (F >= ring[:, 2:])
+    k = min(_WINDOWS, int(peak.sum(-1).max()))
+    if k <= 1:
+        return F.argmax(-1)[:, None]
+    rows = np.arange(len(F))
+    score = np.where(peak, F, -np.inf)
+    centers = np.empty((len(F), k), dtype=np.intp)
+    chosen = np.empty((len(F), k), dtype=bool)
+    for i in range(k):
+        centers[:, i] = score.argmax(-1)
+        chosen[:, i] = peak[rows, centers[:, i]]
+        peak[rows, centers[:, i]] = False
+        score[rows, centers[:, i]] = -np.inf
+    return np.where(chosen, centers, centers[:, :1])
+
+
+def _refined_max(F, excess, window, full):
+    """What `refined_extremum_values(<32x resample of F>, True)` gives,
+    evaluating the resample only where its maximum can be.
+
+    F (rows, n) holds the functional at the nodes. excess(rows, T) gives,
+    for the rows selected and one T per row, an upper bound over each
+    cell of a function that is positive exactly where the functional
+    exceeds T, on the scale of F - T (`_cell_bound`). window(rows,
+    centers, reach) gives the functional on `spectral.window_values`
+    windows, and full(rows) on the whole 32x grid.
+
+    Windows sit on the peaks of F next to cells that may exceed its
+    largest node value (`_centers`), and a row takes the largest sample
+    of the cells they cover and the parabola through it and its
+    neighbours. Where a cell outside them may still exceed that sample,
+    the row takes windows reaching `_WIDE_REACH` cells, as for a flat
+    peak; where one still may, as for near-tied peaks beyond `_WINDOWS`
+    or a circle, the full resample.
+    """
+    n = F.shape[-1]
+    todo = slice(None)  # all rows, then those still open
+    top = F.max(-1)
+    cells = excess(todo, top) >= -_RIVAL_RTOL * np.abs(top)[:, None]
+    centers = _centers(F, cells | np.concatenate([cells[:, -1:], cells[:, :-1]], -1))
+    out = np.empty(len(F))
+    for reach in (1, _WIDE_REACH):
+        values = window(todo, centers, reach)
+        # the samples of the covered cells lie between the two end samples
+        r = np.arange(len(values))
+        values = values[r, values[..., 1:-1].max(-1).argmax(-1)]
+        j = values[:, 1:-1].argmax(-1) + 1
+        top = values[r, j]
+        out[todo] = parabola_vertex(values[r, j - 1], top, values[r, j + 1])
+        # NaN compares false, so a row with NaN stays open
+        open_ = ~(excess(todo, top) < -_RIVAL_RTOL * np.abs(top)[:, None])
+        for k in range(-reach, reach):
+            open_[r[:, None], (centers + k) % n] = False
+        keep = open_.any(-1)
+        if not keep.any():
+            return out
+        todo, centers = np.arange(len(F))[todo][keep], centers[keep]
+    out[todo] = refined_extremum_values(full(todo), True)
+    return out
+
+
+def _shift_excess(F: np.ndarray, coef: np.ndarray, slopes=None):
+    """excess(rows, T) for a functional that is the interpolant with rfft
+    `coef` itself, F its values at the nodes (and `slopes` its `_slopes`)."""
+    slope, curv = _slopes(coef, F.shape[-1]) if slopes is None else slopes
+    bound = _cell_bound(F, slope, curv, _mode_sums(coef, 3))
+    return lambda rows, T: bound[rows] - T[:, None]
+
+
+def _dense_rows(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The 32x resample of the selected rows of `coef` (rows, n/2 + 1)."""
+    n = 2 * (coef.shape[-1] - 1)
+    return resample_spectrum(coef[rows], n, _DENSE_FACTOR * n)
+
+
+def _windows(coef: np.ndarray):
+    """window(rows, centers, reach) of the resample of `coef` (rows, n/2 + 1)."""
+    n = 2 * (coef.shape[-1] - 1)
+    return lambda rows, centers, reach: window_values(
+        coef[rows], n, centers, _DENSE_FACTOR, reach
+    )
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
 
 
 def tso_quantity(
     kp: CurvatureProfile,
     ctx: TsoContext,
     u: np.ndarray | None = None,
-    v_fine: np.ndarray | None = None,
+    V: np.ndarray | None = None,
 ):
     """(Q_max, precondition_ok) for Q = k^alpha/(u - beta).
 
     Q_max is NaN when u dips to beta or below (the quotient loses
     meaning); precondition_ok reports the stronger condition min u >= 2
-    beta under which the a-priori bound is proved. Extrema are taken on
-    a 32x (`_DENSE_FACTOR`) trigonometric resample with parabolic
-    refinement so the value does not depend on where the grid happens to
-    land. Callers that already hold the centroid support samples pass
-    them as `u` (required for a block), and the rows of that resample of
-    k^alpha as `v_fine`.
+    beta under which the a-priori bound is proved. Both extrema are those
+    of a 32x (`_DENSE_FACTOR`) trigonometric resample with parabolic
+    refinement, so the value does not depend on where the grid happens to
+    land; `_refined_max` evaluates the resample only near the extremum.
+    Callers that already hold the centroid support samples pass them as
+    `u` (required for a block), and the rows of the rfft of k^alpha as `V`.
     """
     if u is None:
         u, _ = geometry.support_about_centroid(kp)
-    ratio = resample_values(u, _DENSE_FACTOR * kp.grid.n)
-    u_min = refined_extremum_values(ratio, False)
-    if v_fine is None:
-        _, v_fine = _dense_power(kp, ctx.alpha)
-    ratio -= ctx.beta
-    # rows where u crosses beta divide by zero or flip sign; they read NaN
+    shape = kp.k.shape[:-1]
+    n = kp.grid.n
+    beta = ctx.beta
+    v = _rows(power(kp.k, ctx.alpha))
+    V = np.fft.rfft(v) if V is None else _rows(V)
+    u = _rows(u)
+    U = np.fft.rfft(u)
+    slopes = _slopes(np.stack([V, U]), n)
+    dv, du = slopes[:, 0], slopes[:, 1]
+    u_min = -_refined_max(
+        -u,
+        _shift_excess(-u, -U, -du),
+        _windows(-U),
+        lambda rows: -_dense_rows(U, rows),
+    )
+    crossed = u_min <= beta
+    ok = (u_min >= 2.0 * beta) & ~crossed
+
+    # Q > T where v - T (u - beta) > 0 as long as u > beta, which holds on
+    # the whole 32x grid unless the row is crossed (and reads NaN); over
+    # the largest u - beta, that polynomial is on the scale of Q - T
+    scale = u.max(-1) - beta
+
+    def excess(rows, T):
+        T, s = T[:, None], scale[rows, None]
+        g = [(a[rows] - T * b[rows]) / s
+             for a, b in ((v, u - beta), (dv[0], du[0]), (dv[1], du[1]))]
+        return _cell_bound(*g, _mode_sums(V[rows] - T * U[rows], 3) / s[:, 0])
+
+    v_window, u_window = _windows(V), _windows(U)
+
+    def window(rows, centers, reach):
+        out = u_window(rows, centers, reach)
+        out -= beta
+        return np.divide(v_window(rows, centers, reach), out, out=out)
+
+    def full(rows):
+        return _dense_rows(V, rows) / (_dense_rows(U, rows) - beta)
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(v_fine, ratio, out=ratio)
-        q_max = refined_extremum_values(ratio, True)
-    crossed = u_min <= ctx.beta
-    q_max = np.where(crossed, math.nan, q_max)[()]
-    ok = (u_min >= 2.0 * ctx.beta) & ~crossed
-    return q_max, ok
+        q_max = _refined_max(v / (u - beta), excess, window, full)
+    q_max = np.where(crossed, math.nan, q_max)
+    return q_max.reshape(shape)[()], ok.reshape(shape)[()]
 
 
 def gradient_functional(
     kp: CurvatureProfile,
     alpha: float,
-    v_fine: np.ndarray | None = None,
     V: np.ndarray | None = None,
 ):
     """max of k^(2 alpha) + ((k^alpha)')^2, grid-independent.
 
     The maximizer generally falls between nodes, so the square sum is
-    evaluated on a 32x (`_DENSE_FACTOR`) resample and the peak refined
-    parabolically. Callers that already hold the rows of the rfft of
-    k^alpha pass them as `V` together with their resample as `v_fine`;
-    the derivative is resampled from `V`.
+    taken of the 32x (`_DENSE_FACTOR`) resamples of k^alpha and of its
+    derivative and the peak refined parabolically; `_refined_max`
+    evaluates the resamples only near the peak. Callers that already hold
+    the rows of the rfft of k^alpha pass them as `V`.
     """
+    shape = kp.k.shape[:-1]
     n = kp.grid.n
-    if V is None:
-        V, v_fine = _dense_power(kp, alpha)
-    square = resample_spectrum(deriv_spectrum(V, 1), n, _DENSE_FACTOR * n)
+    V = np.fft.rfft(_rows(power(kp.k, alpha))) if V is None else _rows(V)
+    D = deriv_spectrum(V, 1)
+    # the square sum has degree n, so 2n samples give its exact spectrum
+    square = resample_spectrum(D, n, 2 * n)
     square *= square
-    # row by row, so that no third dense array is alive at once
-    for row, v in zip(np.atleast_2d(square), np.atleast_2d(v_fine)):
-        row += v * v
-    return refined_extremum_values(square, True)
+    square += resample_spectrum(V, n, 2 * n) ** 2
+    nodes = square[:, ::2].copy()
+    excess = _shift_excess(nodes, np.fft.rfft(square))
+    del square
+    d_window, v_window = _windows(D), _windows(V)
+
+    def window(rows, centers, reach):
+        out = d_window(rows, centers, reach)
+        out *= out
+        v_fine = v_window(rows, centers, reach)
+        v_fine *= v_fine
+        out += v_fine
+        return out
+
+    def full(rows):
+        out = _dense_rows(D, rows)
+        out *= out
+        out += _dense_rows(V, rows) ** 2
+        return out
+
+    return _refined_max(nodes, excess, window, full).reshape(shape)[()]
 
 
 def lower_bound_functional(s_accum, kp: CurvatureProfile):
@@ -380,14 +560,19 @@ def lower_bound_functional(s_accum, kp: CurvatureProfile):
     s_accum is the integrator's running time integral of the curvature
     power quadrature (for a block, one per row, NaN where there is
     none); None (no accumulator available) yields NaN and the series
-    flags the diagnostic as disabled.
+    flags the diagnostic as disabled. The max of 1/k is that of its 32x
+    (`_DENSE_FACTOR`) resample, refined parabolically (`_refined_max`).
     """
+    shape = kp.k.shape[:-1]
     if s_accum is None:
-        return np.full(kp.k.shape[:-1], math.nan)[()]
-    n = kp.grid.n
-    w_max = refined_extremum_values(
-        resample_spectrum(kp.W, n, _DENSE_FACTOR * n), True
-    )
+        return np.full(shape, math.nan)[()]
+    W, w = _rows(kp.W), _rows(kp.w)
+    w_max = _refined_max(
+        w,
+        _shift_excess(w, W),
+        _windows(W),
+        lambda rows: _dense_rows(W, rows),
+    ).reshape(shape)[()]
     return w_max - (geometry.length(kp) + s_accum) / TWO_PI
 
 
@@ -529,18 +714,20 @@ class DiagnosticsCollector:
     NaN columns. Samples are computed in blocks: `collect(..., defer=True)`
     queues a sample, and the queue is computed as one `CurvatureProfile`
     block, its k in (B, n) rows, once it holds
-    `max(1, _BLOCK_POINTS // (32 n))` samples, or at the next call
-    without `defer`, which also returns that sample's record and
-    releases the series' spare capacity. The block size keeps
-    each dense (rows, 32 n) temporary near 256 KB (`_BLOCK_POINTS`).
+    `max(1, _BLOCK_POINTS // n)` samples, or at the next call without
+    `defer`, which also returns that sample's record and releases the
+    series' spare capacity. The block size keeps each (rows, n) array
+    at 32 KB; the 32x resamples of the pointwise extrema are evaluated
+    in windows (`_refined_max`), so no (rows, 32 n) array is formed
+    but for a row that falls back to the full resample.
 
     Per block, the support pipeline (reconstruction and centroid) runs
     once and is shared by everything that needs it, as is one rfft of
-    k^alpha per row, which gives the 32x resample the Tso quotient and
-    Psi read and the derivative Psi resamples; the area comes from
-    `geometry.parseval_area`, with no closure check, so a run that
-    drifts open is recorded (closure_defect) rather than stopped. The
-    radii are solved row by row: the collector carries the certified
+    k^alpha per row, from which the Tso quotient and Psi sum their
+    windows; the area comes from `geometry.parseval_area`, with no
+    closure check, so a run that drifts open is recorded
+    (closure_defect) rather than stopped. The radii are solved row by
+    row: the collector carries the certified
     inscribed and circumscribed circles of the previous sample, from
     whose contacts the next sample's radii are solved
     (`geometry.inradius_outradius`); it is one run's state, so each run
@@ -563,7 +750,7 @@ class DiagnosticsCollector:
         self.audits = frozenset(audits)
         tso = TsoContext.from_initial(kp0, law.alpha) if "tso" in self.audits else None
         self.series = DiagnosticsSeries(law, tso, phi_enabled="phi" in self.audits)
-        self.block_rows = max(1, _BLOCK_POINTS // (_DENSE_FACTOR * kp0.grid.n))
+        self.block_rows = max(1, _BLOCK_POINTS // kp0.grid.n)
         self._queue: list[tuple[float, CurvatureProfile, float | None]] = []
         self._circles: tuple[geometry.TouchingCircle, ...] | None = None
 
@@ -615,18 +802,17 @@ class DiagnosticsCollector:
         if "rates" in self.audits:
             dA_dt, dL_dt = rate_formulas(law, block)
 
-        V = v_fine = None
+        V = None
         if tso is not None or "psi" in self.audits:
-            V, v_fine = _dense_power(block, law.alpha)
+            V = np.fft.rfft(power(block.k, law.alpha))
 
         q_max, q_ok = nan, np.zeros(b)
         if tso is not None:
-            q_max, q_ok = tso_quantity(block, tso, u=u, v_fine=v_fine)
+            q_max, q_ok = tso_quantity(block, tso, u=u, V=V)
 
         psi = nan
         if "psi" in self.audits:
-            psi = gradient_functional(block, law.alpha, v_fine=v_fine, V=V)
-        del V, v_fine
+            psi = gradient_functional(block, law.alpha, V=V)
 
         phi = nan
         if self.series.phi_enabled:

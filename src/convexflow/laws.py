@@ -82,12 +82,15 @@ def nonlocal_lambda(kind: FlowKind, q: float, qw: float, L: float, A: float) -> 
     return 0.0
 
 
-def lambda_value(law: FlowLaw, kp: CurvatureProfile) -> float:
-    """The law's nonlocal term for the given profile.
+def lambda_value(law: FlowLaw, kp: CurvatureProfile):
+    """The law's nonlocal term for the given profile: a numpy scalar, or
+    one value per row of a (B, n) block.
 
     Like the stepping kernel, it does not require a closed curve, so it
     also evaluates the open intermediate states of a step.
     """
+    if law.kind is FlowKind.CONTRACTION:
+        return np.zeros(kp.k.shape[:-1])[()]
     v = power(kp.k, law.alpha)
     w = kp.w
     return nonlocal_lambda(

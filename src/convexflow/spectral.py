@@ -124,18 +124,80 @@ def resample_spectrum(coef: np.ndarray, n: int, n_fine: int) -> np.ndarray:
     return fine
 
 
-def refined_extremum_values(values: np.ndarray, want_max: bool):
-    """Grid extremum sharpened by a parabola through the three samples.
+def window_values(
+    coef: np.ndarray, n: int, centers: np.ndarray, factor: int, reach: int = 1
+) -> np.ndarray:
+    """`resample_spectrum(coef, n, factor * n)` near chosen nodes only.
 
-    The vertex correction is bounded by the local sample variation, so
-    flat or noisy data cannot send it far from the raw extremum.
+    For each coarse node j in `centers` (..., K) it gives the fine samples
+    j factor - reach factor - 1 ... j factor + reach factor + 1, which
+    span the `reach` cells on either side of j and one fine step beyond:
+    (..., K, 2 reach factor + 3). Each sample is a sum over the n // 2 + 1
+    modes, one dot product per sample and row, so it does not depend on
+    the other rows or centres.
     """
+    cos_o, sin_o, weight = _window_tables(n, factor * reach + 1, factor)
+    # e^{i m theta_j} for each mode and centre, from the grid table
+    _, cos_n, sin_n = _grid_arrays(n)
+    turn = centers[..., None] * np.arange(n // 2 + 1)
+    turn %= n
+    er, ei = cos_n[turn], sin_n[turn]
+    # each (..., K, n/2 + 1) temporary is freed once used: they set the
+    # peak memory of a block's collection
+    del turn
+    c = coef * weight
+    cr, ci = c.real[..., None, :], c.imag[..., None, :]
+    # at offset +-o: sum of Re(c e^{i m theta_j}) cos(m o d) -+ Im(...) sin(m o d)
+    part, term = cr * er, ci * ei
+    part -= term
+    even = np.vecdot(part[..., None, :], cos_o)
+    np.multiply(cr, ei, out=part)
+    np.multiply(ci, er, out=term)
+    part += term
+    odd = np.vecdot(part[..., None, :], sin_o)
+    del er, ei, part, term
+    last = even.shape[-1] - 1
+    out = np.empty(even.shape[:-1] + (2 * last + 1,))
+    np.add(even[..., :0:-1], odd[..., :0:-1], out=out[..., :last])
+    np.subtract(even, odd, out=out[..., last:])
+    return out
+
+
+@lru_cache(maxsize=8)
+def _window_tables(n: int, last: int, factor: int) -> tuple[np.ndarray, ...]:
+    """For `window_values`: cos and sin of m o 2 pi/(factor n) for offsets
+    o = 0..last (rows) and modes m = 0..n/2 (columns), and the weight of
+    each mode in the resample (the mean and the halved Nyquist bin count
+    once, the others twice, over n)."""
+    turn = (np.arange(last + 1)[:, None] * np.arange(n // 2 + 1)) % (factor * n)
+    angle = turn * (TWO_PI / (factor * n))
+    weight = np.full(n // 2 + 1, 2.0 / n)
+    weight[0] = weight[-1] = 1.0 / n
+    tables = np.cos(angle), np.sin(angle), weight
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
+def refined_extremum_values(values: np.ndarray, want_max: bool):
+    """Grid extremum sharpened by a parabola through the three samples
+    (`parabola_vertex`)."""
     n = values.shape[-1]
     j = values.argmax(axis=-1) if want_max else values.argmin(axis=-1)
     j = j[..., None]
     f0 = np.take_along_axis(values, j, -1)[..., 0]
     fm = np.take_along_axis(values, (j - 1) % n, -1)[..., 0]
     fp = np.take_along_axis(values, (j + 1) % n, -1)[..., 0]
+    return parabola_vertex(fm, f0, fp)
+
+
+def parabola_vertex(fm: np.ndarray, f0: np.ndarray, fp: np.ndarray):
+    """The vertex value of the parabola through three equally spaced
+    samples, f0 in the middle.
+
+    The vertex correction is bounded by the local sample variation, so
+    flat or noisy data cannot send it far from the middle sample.
+    """
     curv = fp - 2.0 * f0 + fm
     flat = np.abs(curv) < 1e-14 * np.maximum(1.0, np.abs(f0))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -32,7 +32,7 @@ from convexflow import (
     to_csv,
     tso_quantity,
 )
-from convexflow import geometry, oracles
+from convexflow import diagnostics, geometry, oracles
 from convexflow.diagnostics import (
     AuditError,
     DEFAULT_BETAS,
@@ -50,7 +50,13 @@ from convexflow.diagnostics import (
     tso_violations,
 )
 from convexflow.laws import power
-from convexflow.spectral import integrate_values
+from convexflow.spectral import (
+    deriv_spectrum,
+    integrate_values,
+    refined_extremum_values,
+    resample_spectrum,
+    resample_values,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -543,7 +549,7 @@ class TestBlocks:
     def test_rows_match_single_sample_collect(
         self, kind, alpha, curve, t_end, monkeypatch
     ):
-        # run() collects in blocks of 8 rows at n=128; collecting the same
+        # run() collects in blocks of 32 rows at n=128; collecting the same
         # samples one at a time must give the same series bit for bit, the
         # radii (warm-started along either sequence) to 1e-13
         law = FlowLaw(kind, alpha)
@@ -561,7 +567,7 @@ class TestBlocks:
                   on_sample=lambda t, kp, index: profiles.append(kp))
         monkeypatch.undo()
         assert [kp for _, kp, _ in samples] == profiles
-        assert DiagnosticsCollector(law, kp0).block_rows == 8 < len(res.series) == 41
+        assert DiagnosticsCollector(law, kp0).block_rows == 32 < len(res.series) == 41
 
         single = DiagnosticsCollector(law, kp0)
         for t, kp, s_accum in samples:
@@ -582,7 +588,7 @@ class TestBlocks:
             n: DiagnosticsCollector(law, generate(Circle(r=1.0, grid_n=n))).block_rows
             for n in (64, 128, 512, 1024, 4096)
         }
-        assert rows == {64: 16, 128: 8, 512: 2, 1024: 1, 4096: 1}
+        assert rows == {64: 64, 128: 32, 512: 8, 1024: 4, 4096: 1}
 
     def test_deferred_samples_are_computed_with_the_next_direct_call(
         self, ellipse21, unit_circle
@@ -647,6 +653,214 @@ class TestBlocks:
             assert audit == {
                 name: Margin(m.value[i], m.scale[i]) for name, m in margins.items()
             }
+
+    def test_block_compute_memory(self):
+        # the windowed extrema keep no (rows, 32 n) array, so a full block
+        # stays within a few times its (rows, n) arrays: 8 rows at n=512,
+        # 32 at n=128 (one (8, 32 * 512) float64 temporary alone is 1 MiB)
+        law = FlowLaw(FlowKind.LP, 1.0)
+        for n, t_end in ((512, 0.05), (128, 0.2)):
+            kp0 = generate(Ellipse(a=2.0, b=1.0, grid_n=n))
+            rows = DiagnosticsCollector(law, kp0).block_rows
+            samples = []
+            run(law, kp0, t_end=t_end, sample_dt=t_end / (rows + 1),
+                audits=("rates",),
+                on_sample=lambda t, kp, index: samples.append((t, kp, 0.1 * t)))
+            queue = samples[1: rows + 1]
+            assert len(queue) == rows
+            DiagnosticsCollector(law, kp0)._compute(queue)  # warm the caches
+            coll = DiagnosticsCollector(law, kp0)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                coll._compute(queue)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert len(coll.series) == rows
+            assert peak < 768 * 1024, (n, peak)
+
+
+def full_tso(kp, ctx, u):
+    """(Q_max, precondition_ok) from the whole 32x resamples, as
+    `tso_quantity` computed them before windows."""
+    n = kp.grid.n
+    u_fine = resample_values(u, 32 * n)
+    u_min = refined_extremum_values(u_fine, False)
+    if u_min <= ctx.beta:
+        return math.nan, False
+    u_fine -= ctx.beta
+    v_fine = resample_values(power(kp.k, ctx.alpha), 32 * n)
+    return refined_extremum_values(v_fine / u_fine, True), bool(u_min >= 2.0 * ctx.beta)
+
+
+def full_maxima(kp, alpha):
+    """(Psi_max, max of 1/k) from the whole 32x resamples."""
+    n = kp.grid.n
+    V = np.fft.rfft(power(kp.k, alpha))
+    square = resample_spectrum(deriv_spectrum(V, 1), n, 32 * n) ** 2
+    square += resample_spectrum(V, n, 32 * n) ** 2
+    w_fine = resample_spectrum(kp.W, n, 32 * n)
+    return refined_extremum_values(square, True), refined_extremum_values(w_fine, True)
+
+
+def flowed(kind, alpha, n, t):
+    """The 2:1 ellipse's profile after time t of the flow."""
+    profiles = []
+    run(FlowLaw(kind, alpha), generate(Ellipse(a=2.0, b=1.0, grid_n=n)),
+        t_end=t, sample_dt=t, audits=(),
+        on_sample=lambda t, kp, index: profiles.append(kp))
+    return profiles[-1]
+
+
+def two_peak_profile():
+    """1/k of 64 nodes with a peak on node 10 and a higher, sharper one
+    mid-cell at 40.5, whose nodes both sample below the first."""
+    theta = AngularGrid(64).theta
+    h = TWO_PI / 64
+
+    def bump(center):
+        return ((1.0 + np.cos(theta - center)) / 2.0) ** 16
+
+    w = 2.0 + bump(10 * h) + 1.005 * bump(40.5 * h)
+    return CurvatureProfile(AngularGrid(64), 1.0 / w)
+
+
+def five_peak_profile():
+    """1/k of 64 nodes with five near-tied peaks; the highest sits
+    mid-cell at 0.5 and samples lowest on the nodes."""
+    theta = AngularGrid(64).theta
+    h = TWO_PI / 64
+    w = 2.0 + 0.5 * np.cos(5.0 * (theta - h / 2)) + 0.001 * np.cos(theta - h / 2)
+    return CurvatureProfile(AngularGrid(64), 1.0 / w)
+
+
+@pytest.fixture
+def resample_counts(monkeypatch):
+    """Rows taken by the full 32x resample, and windows wider than one
+    cell, per call, while the test runs."""
+    counts = {"full": 0, "wide": 0}
+    dense_rows, windows = diagnostics._dense_rows, diagnostics.window_values
+
+    def dense(coef, rows):
+        counts["full"] += len(rows)
+        return dense_rows(coef, rows)
+
+    def window(coef, n, centers, factor, reach=1):
+        counts["wide"] += reach > 1
+        return windows(coef, n, centers, factor, reach)
+
+    monkeypatch.setattr(diagnostics, "_dense_rows", dense)
+    monkeypatch.setattr(diagnostics, "window_values", window)
+    return counts
+
+
+class TestWindowedExtrema:
+    CASES = {
+        "ellipse n=128": lambda: (generate(Ellipse(a=2.0, b=1.0, grid_n=128)), 1.0),
+        "ellipse n=512": lambda: (generate(Ellipse(a=2.0, b=1.0, grid_n=512)), 1.0),
+        **{
+            f"random_convex({seed})": (lambda seed=seed: (random_convex(seed), 2.0))
+            for seed in range(8)
+        },
+        # sharp asymmetric peaks of k^3
+        "LP alpha=3, t=0.015": lambda: (flowed(FlowKind.LP, 3.0, 256, 0.015), 3.0),
+    }
+
+    def check(self, kp, alpha, ctx=None):
+        # ctx None: a curve without a support function, so no Tso quotient
+        if ctx is not None:
+            u, _ = support_about_centroid(kp)
+            q_ref, ok_ref = full_tso(kp, ctx, u)
+            q_max, ok = tso_quantity(kp, ctx, u=u)
+            assert ok == ok_ref
+            if math.isnan(q_ref):
+                assert math.isnan(q_max)
+            else:
+                assert q_max == pytest.approx(q_ref, rel=1e-13, abs=0.0)
+        psi_ref, w_ref = full_maxima(kp, alpha)
+        psi = gradient_functional(kp, alpha)
+        assert psi == pytest.approx(psi_ref, rel=1e-13, abs=0.0)
+        phi = lower_bound_functional(0.25, kp)
+        phi_ref = w_ref - (geometry.length(kp) + 0.25) / TWO_PI
+        assert abs(phi - phi_ref) <= 1e-13 * w_ref
+
+    def check_curve(self, kp, alpha):
+        self.check(kp, alpha, TsoContext.from_initial(kp, alpha))
+
+    def test_cell_bound_holds_over_every_cell(self):
+        # the bound that rules cells out is at or above every sample of a
+        # 256x resample of the cell, for spectra that decay slowly or fast
+        rng = np.random.default_rng(5)
+        n = 32
+        m = np.arange(n // 2 + 1)
+        for _ in range(50):
+            coef = rng.normal(size=(4, n // 2 + 1)) + 1j * rng.normal(size=(4, n // 2 + 1))
+            coef *= n * np.exp(-m / rng.uniform(1.0, 60.0))
+            coef[:, [0, -1]] = coef[:, [0, -1]].real
+            g = np.fft.irfft(coef, n)
+            slope, curv = diagnostics._slopes(coef, n)
+            bound = diagnostics._cell_bound(g, slope, curv, diagnostics._mode_sums(coef, 3))
+            cells = resample_spectrum(coef, n, 256 * n).reshape(4, n, 256).max(-1)
+            assert (cells <= bound + 1e-13 * np.abs(g).max()).all()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_match_the_full_resample_from_one_cell(self, case, resample_counts):
+        # tied peaks (the ellipse's at 0 and pi, Psi's four) get a window
+        # each; no row needs more than one cell around its peaks
+        self.check_curve(*self.CASES[case]())
+        assert resample_counts == {"full": 0, "wide": 0}
+
+    def test_flat_peak_takes_wide_windows(self, resample_counts):
+        # late in the LP flow of the ellipse, Psi's peak at the tip is so
+        # flat that cells two away can still reach it
+        self.check_curve(flowed(FlowKind.LP, 1.0, 512, 0.25), 1.0)
+        assert resample_counts == {"full": 0, "wide": 2}
+
+    def test_circle_takes_the_full_resample(self, resample_counts):
+        # every cell of a circle is a near tie: u's min, Q (two spectra),
+        # Psi (two) and 1/k each resample their row in full
+        self.check_curve(generate(Circle(r=1.0, grid_n=128)), 1.0)
+        assert resample_counts["full"] == 6
+
+    def test_crossed_row_reads_nan(self):
+        # u of the ellipse spans [1, 2]: beta = 1.5 crosses it, and the
+        # quotient reads NaN; on a circle of radius 2 it stays finite
+        ctx = TsoContext(alpha=1.0, beta=1.5, sigma=1.0, T1=1.0, Q0=1.0)
+        ellipse = generate(Ellipse(a=2.0, b=1.0, grid_n=128))
+        circle = generate(Circle(r=2.0, grid_n=128))
+        self.check(ellipse, 1.0, ctx)
+        self.check(circle, 1.0, ctx)
+        block = CurvatureProfile(ellipse.grid, np.stack([ellipse.k, circle.k]))
+        u, _ = geometry._support_pipeline(block)
+        q_max, ok = tso_quantity(block, ctx, u=u)
+        assert math.isnan(q_max[0]) and not ok.any()
+        assert q_max[1] == tso_quantity(circle, ctx)[0] == pytest.approx(1.0)
+
+    def test_peak_in_another_cell(self, resample_counts):
+        # the largest node of 1/k is not next to the cell holding the
+        # largest sample of its 32x resample; both peaks get a window
+        kp = two_peak_profile()
+        fine = resample_spectrum(kp.W, 64, 32 * 64)
+        assert kp.w.argmax() == 10 and fine.argmax() // 32 == 40
+        self.check(kp, 1.0)
+        assert resample_counts == {"full": 0, "wide": 0}
+
+    def test_peaks_beyond_the_windows_take_the_full_resample(self, resample_counts):
+        # four peaks sample higher than the one that holds the maximum, so
+        # the `_WINDOWS` windows miss it, and a cell outside them reaches
+        # their largest sample
+        kp = five_peak_profile()
+        fine = resample_spectrum(kp.W, 64, 32 * 64)
+        ring = np.concatenate([kp.w[-1:], kp.w, kp.w[:1]])
+        peaks = np.flatnonzero((kp.w >= ring[:-2]) & (kp.w >= ring[2:]))
+        assert sorted(peaks, key=lambda j: -kp.w[j])[:4] == [26, 39, 13, 52]
+        assert fine.argmax() // 32 == 0
+        phi = lower_bound_functional(0.0, kp)
+        want = refined_extremum_values(fine, True) - geometry.length(kp) / TWO_PI
+        assert abs(phi - want) <= 1e-13 * fine.max()
+        assert resample_counts == {"full": 1, "wide": 1}
 
 
 class TestColumnarSeries:

@@ -60,6 +60,21 @@ class TestLambda:
         kp = generate(Circle(r=2.0))
         assert lambda_value(FlowLaw(FlowKind.CONTRACTION, 1.0), kp) == 0.0
 
+    def test_contraction_lambda_per_row(self, ellipse21):
+        # a (2, n) block gets one zero per row, one profile a numpy scalar,
+        # as for the other laws
+        law = FlowLaw(FlowKind.CONTRACTION, 1.0)
+        block = CurvatureProfile(
+            ellipse21.grid, np.stack([ellipse21.k, random_convex(1).k])
+        )
+        lam = lambda_value(law, block)
+        assert isinstance(lam, np.ndarray) and lam.shape == (2,)
+        assert np.array_equal(lam, [0.0, 0.0])
+        one = lambda_value(law, ellipse21)
+        assert isinstance(one, np.float64) and one == 0.0
+        lp = lambda_value(FlowLaw(FlowKind.LP, 1.0), block)
+        assert lp.shape == (2,)
+
     def test_holder_ordering_on_ellipse(self, ellipse21):
         lp = lambda_value(FlowLaw(FlowKind.LP, 1.0), ellipse21)
         ap = lambda_value(FlowLaw(FlowKind.AP, 1.0), ellipse21)

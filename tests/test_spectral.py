@@ -15,7 +15,9 @@ from convexflow.spectral import (
     first_harmonics_values,
     integrate_values,
     refined_extremum_values,
+    resample_spectrum,
     resample_values,
+    window_values,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -180,3 +182,31 @@ class TestRefinedExtremum:
             vals = 2.0 + c[0] * np.cos(g.theta) + c[1] * np.sin(2 * g.theta) + c[2] * np.cos(5 * g.theta)
             assert refined_extremum_values(vals, True) >= vals.max()
             assert refined_extremum_values(vals, False) <= vals.min()
+
+
+class TestWindowValues:
+    @pytest.mark.parametrize("n, reach", [(16, 1), (64, 1), (64, 4), (512, 1)])
+    def test_matches_the_full_resample(self, n, reach):
+        # the samples around each centre are those of the full resample,
+        # the Nyquist bin and the wrap past node 0 included
+        rng = np.random.default_rng(n + reach)
+        coef = np.fft.rfft(rng.normal(size=(3, n)))
+        centers = np.array([[0, n // 2], [n - 1, 5], [3, 3]])
+        got = window_values(coef, n, centers, 32, reach)
+        full = resample_spectrum(coef, n, 32 * n)
+        span = 32 * reach + 1
+        assert got.shape == (3, 2, 2 * span + 1)
+        for row in range(3):
+            for k, j in enumerate(centers[row]):
+                want = full[row, (32 * j + np.arange(-span, span + 1)) % (32 * n)]
+                scale = np.abs(full[row]).max()
+                assert np.abs(got[row, k] - want).max() < 1e-14 * scale
+
+    def test_rows_do_not_depend_on_the_block(self):
+        rng = np.random.default_rng(3)
+        coef = np.fft.rfft(rng.normal(size=(4, 128)))
+        centers = rng.integers(0, 128, size=(4, 3))
+        block = window_values(coef, 128, centers, 32)
+        for row in range(4):
+            one = window_values(coef[row], 128, centers[row], 32)
+            assert np.array_equal(one, block[row])

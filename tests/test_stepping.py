@@ -576,7 +576,8 @@ class TestTemporalRobustness:
 class TestBlockCollection:
     # run() queues each sample for block collection and computes what is
     # queued at the last one; whatever ends the run, every sample it
-    # handed to on_sample must come out as a computed row
+    # handed to on_sample must come out as a computed row. Blocks hold 64
+    # rows at n=64, so each run samples often enough to span more than one
     @pytest.mark.parametrize(
         "law, curve, ctl, t_end, status",
         [
@@ -594,7 +595,7 @@ class TestBlockCollection:
         seen = []
         with np.errstate(over="ignore"):
             res = cf.run(cf.FlowLaw(law, 1.0), cf.generate(curve), ctl, t_end,
-                         sample_dt=0.002,
+                         sample_dt=0.001,
                          on_sample=lambda t, kp, i: seen.append(t))
         assert res.status is getattr(cf.RunStatus, status)
         assert len(seen) > diagnostics.DiagnosticsCollector(
