@@ -29,6 +29,7 @@ import numpy as np
 from . import geometry
 from .geometry import CurvatureProfile
 from .laws import FlowKind, FlowLaw, lambda_value, nonlocal_lambda, power
+from .oracles import bonnesen_window
 from .spectral import (
     TWO_PI,
     deriv_spectrum,
@@ -52,6 +53,14 @@ MONOTONE_RTOL = 1e-9
 MONOTONE_ATOL = 5e-13
 PSI_RTOL = 1e-6
 TSO_RTOL = 1e-6
+# slack of the radii audit, relative to L / 2 pi, the radius of the
+# circle of the same length
+RADII_RTOL = 1e-8
+# round-off of the recorded deficit L^2 - 4 pi A, relative to L^2: it
+# reads up to 3.5 ulp off the cancellation-free mode sum on runs to
+# convergence at 1e-7, and Bonnesen's square root would magnify that
+# near a circle, so the audit raises the deficit by this much first
+DEFICIT_RTOL = 32 * np.finfo(float).eps
 
 # resample factor for the pointwise-extremum functionals; 32x keeps the
 # parabolic-vertex residual below 1e-8 relative even for the sharp
@@ -726,12 +735,11 @@ class DiagnosticsCollector:
     k^alpha per row, from which the Tso quotient and Psi sum their
     windows; the area comes from `geometry.parseval_area`, with no
     closure check, so a run that drifts open is recorded
-    (closure_defect) rather than stopped. The radii are solved row by
-    row: the collector carries the certified
-    inscribed and circumscribed circles of the previous sample, from
-    whose contacts the next sample's radii are solved
-    (`geometry.inradius_outradius`); it is one run's state, so each run
-    needs its own collector.
+    (closure_defect) rather than stopped. The radii of a block are solved
+    in one `geometry.inradius_outradius` call, every row from the
+    contacts of the certified inscribed and circumscribed circles of the
+    previous block's last sample, which the collector carries; it is one
+    run's state, so each run needs its own collector.
     """
 
     def __init__(
@@ -778,6 +786,14 @@ class DiagnosticsCollector:
         self.series._trim()
         return self.series[-1]
 
+    def _radii(self, block: CurvatureProfile, u: np.ndarray) -> np.ndarray:
+        """(r_in, r_out) rows of a block, whose last circles start the next
+        block; the other rows' circles are freed on return, before the
+        rest of the block is computed."""
+        pairs = geometry.inradius_outradius(block, u=u, start=self._circles)
+        self._circles = pairs[-1]
+        return np.array([[circle.radius for circle in pair] for pair in pairs]).T
+
     def _compute(self, queue: list[tuple[float, CurvatureProfile, float | None]]):
         law = self.law
         tso = self.series.tso
@@ -791,12 +807,7 @@ class DiagnosticsCollector:
 
         r_in = r_out = nan
         if "radii" in self.audits:
-            r_in, r_out = np.empty(b), np.empty(b)
-            for i, kp in enumerate(profiles):
-                self._circles = geometry.inradius_outradius(
-                    kp, u=u[i], start=self._circles
-                )
-                r_in[i], r_out[i] = (circle.radius for circle in self._circles)
+            r_in, r_out = self._radii(block, u)
 
         dA_dt = dL_dt = nan
         if "rates" in self.audits:
@@ -1028,6 +1039,42 @@ def rate_violations(
     return out
 
 
+def radii_violations(series: DiagnosticsSeries) -> list[str]:
+    """The recorded radii against Bonnesen's bounds, sample by sample.
+
+    Both radii must lie in `oracles.bonnesen_window(L, A)`, and
+    pi^2 (r_out - r_in)^2 <= L^2 - 4 pi A must hold, each within
+    RADII_RTOL * L / 2 pi once the deficit L^2 - 4 pi A is raised by
+    DEFICIT_RTOL * L^2, its round-off; so the square roots are of at
+    least that round-off and do not magnify it. Samples without radii
+    (NaN) are not checked.
+    """
+    t, L, A, r_in, r_out = (
+        series.column(name) for name in ("t", "L", "A", "r_in", "r_out")
+    )
+    # lowering A by d / 4 pi raises the deficit by d
+    lo, hi = bonnesen_window(L, A - DEFICIT_RTOL * L * L / (4.0 * math.pi))
+    spread = hi - lo  # sqrt(L^2 - 4 pi A + d) / pi
+    slack = RADII_RTOL * L / TWO_PI
+    out: list[str] = []
+    for j in np.flatnonzero(r_in < lo - slack):
+        out.append(
+            f"r_in {r_in[j]:.12e} below the Bonnesen window's {lo[j]:.12e} "
+            f"at t={t[j]:.6g}"
+        )
+    for j in np.flatnonzero(r_out > hi + slack):
+        out.append(
+            f"r_out {r_out[j]:.12e} above the Bonnesen window's {hi[j]:.12e} "
+            f"at t={t[j]:.6g}"
+        )
+    for j in np.flatnonzero(r_out - r_in > spread + slack):
+        out.append(
+            f"r_out - r_in = {r_out[j] - r_in[j]:.12e} exceeds Bonnesen's "
+            f"sqrt(L^2 - 4 pi A)/pi = {spread[j]:.12e} at t={t[j]:.6g}"
+        )
+    return out
+
+
 def audit_series(series: DiagnosticsSeries) -> list[str]:
     """All applicable post-run checks; empty list means a clean run."""
     out: list[str] = []
@@ -1037,6 +1084,7 @@ def audit_series(series: DiagnosticsSeries) -> list[str]:
     out += psi_violations(series)
     out += tso_violations(series)
     out += margin_violations(series)
+    out += radii_violations(series)
     out += rate_violations(series)
     return out
 

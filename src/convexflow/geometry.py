@@ -223,8 +223,11 @@ def support_about_centroid(
 
 # The inradius is the linear program max r subject to u(theta) - c.N(theta)
 # >= r for every theta, over the center offset c from the centroid; the
-# outradius is the same program for -u. Each is seeded by an exchange on
-# the _OVERSAMPLE-fold resample, or by the contacts of a nearby curve, and
+# outradius is the same program for -u. Both are solved as the program for
+# v = sign * u, on u itself rather than a negated copy, and a
+# TouchingCircle always holds the circle of u: radius and center are
+# sign times those of v's. Each is seeded by an exchange on the
+# _OVERSAMPLE-fold resample, or by the contacts of a nearby curve, and
 # polished by Newton on the KKT system of the trigonometric interpolant.
 _OVERSAMPLE = 4
 _MAX_PIVOTS = 100
@@ -233,6 +236,8 @@ _MAX_ROUNDS = 10
 # radius tolerance relative to max |u|, and that of the weight equations
 _RADIUS_RTOL = 1e-13
 _WEIGHT_TOL = 1e-13
+# the inscribed circle, then the circumscribed one
+_SIGNS = (1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -251,13 +256,46 @@ class TouchingCircle:
     weights: np.ndarray
 
 
-def _negated(circle: TouchingCircle) -> TouchingCircle:
-    """The circumscribed circle of u as the max-min circle of -u, and back."""
-    return TouchingCircle(-circle.radius, -circle.center, circle.theta, circle.weights)
+@lru_cache(maxsize=8)
+def _fine_columns(n_fine: int) -> np.ndarray:
+    """[1, cos, sin] on the resample grid as (3, n_fine) rows (read-only)."""
+    fine = AngularGrid(n_fine)
+    cols = np.stack([np.ones(n_fine), fine.cos, fine.sin])
+    cols.setflags(write=False)
+    return cols
+
+
+def _slack(
+    u_fine: np.ndarray, sign: float, r: np.ndarray, c: np.ndarray
+) -> np.ndarray:
+    """v - r - c.N on the resample for v = sign * u, one row per circle."""
+    slack = np.column_stack([r, c]) @ _fine_columns(u_fine.shape[-1])
+    if sign > 0.0:
+        np.subtract(u_fine, slack, out=slack)
+    else:
+        np.add(u_fine, slack, out=slack)
+        np.negative(slack, out=slack)
+    return slack
+
+
+def _flat(u2_fine: np.ndarray, center: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Rows on which u - center.N is flat up to tol between resample
+    points, from u'' on the resample, one row each.
+
+    Between samples f = v - c.N dips at most max|f''| h^2/8 below them,
+    and the optimum lies within that dip of the discrete one. Where it is
+    below tol (near-circles, whose f is flat up to round-off) the
+    discrete answer is exact and there is no well-posed contact to
+    polish. |f''| = |u'' + center.N| for either sign, with center = sign c.
+    """
+    n_fine = u2_fine.shape[-1]
+    dip = u2_fine + center @ _fine_columns(n_fine)[1:]
+    np.abs(dip, out=dip)
+    return dip.max(axis=-1) * (TWO_PI / n_fine) ** 2 / 8.0 <= tol
 
 
 def _exchange(
-    v: np.ndarray, cols: np.ndarray, tol: float
+    v: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Discrete max-min over the samples by a three-point exchange.
 
@@ -267,6 +305,7 @@ def _exchange(
     the ratio test removes. Returns (basis, lam, (r, cx, cy)).
     """
     m = v.size
+    cols = _fine_columns(m)
     basis = np.array([0, m // 3, 2 * m // 3])
     for _ in range(_MAX_PIVOTS):
         inv = np.linalg.inv(cols[:, basis])
@@ -311,154 +350,209 @@ def _contacts(
 
 def _kkt_polish(
     coef: np.ndarray,
+    sign: float,
     c: np.ndarray,
-    r: float,
+    r: np.ndarray,
     theta: np.ndarray,
     lam: np.ndarray,
-    tol: float,
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """Newton on the KKT system of max-min of the interpolant f_c = v - c.N.
+    tol: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Newton on the KKT system of max-min of the interpolant f_c = v - c.N,
+    for rows of one contact count at once.
 
-    Unknowns c, r, theta_i, lam_i; equations f_c(theta_i) = r,
-    f_c'(theta_i) = 0, sum lam_i N(theta_i) = 0, sum lam_i = 1. Square
-    for any number of contacts, and solved as such; only a singular
-    Jacobian falls back to least squares. coef holds the interpolant and
-    its first two derivatives as (modes, 3) coefficients of
-    exp(i m theta). A contact counts as settled once the quadratic model
-    leaves less than tol of descent, f'^2 <= 2 tol |f''|, which also
-    holds where the interpolant is flat and its stationary point is
-    ill-determined. The per-contact arithmetic is on Python floats: with
-    two or three contacts, numpy calls would cost more than the work.
+    coef holds each row's interpolant of u as (rows, modes) coefficients
+    of exp(i m theta), and v = sign * u. Per row the unknowns are c
+    (rows, 2), r (rows,), and theta_i and lam_i (rows, k); the equations
+    f_c(theta_i) = r, f_c'(theta_i) = 0, sum lam_i N(theta_i) = 0 and
+    sum lam_i = 1 are square for any number of contacts. A contact counts
+    as settled once the quadratic model leaves less than tol of descent,
+    f'^2 <= 2 tol |f''|, which also holds where the interpolant is flat
+    and its stationary point is ill-determined. A row that passes is
+    frozen, so its iterates do not depend on the other rows.
+
+    The rows' systems are stacked into one `np.linalg.solve`, which
+    raises for the whole stack if one is singular: then the unfinished
+    rows of a block are left undone, and a single row takes least
+    squares. Returns the new (c, r, theta, lam) and `done`, the rows that
+    passed the test.
     """
-    k = theta.size
-    modes = 1j * np.arange(coef.shape[0])
-    cx, cy, r = float(c[0]), float(c[1]), float(r)
-    theta, lam = theta.tolist(), lam.tolist()
-    zeros = [0.0] * k
+    rows, k = theta.shape
+    c, r, theta, lam = c.copy(), r.copy(), theta.copy(), lam.copy()
+    done = np.zeros(rows, dtype=bool)
+    todo = np.arange(rows)
+    m = np.arange(coef.shape[-1])
+    # coefficients of the interpolant to those of its first two derivatives
+    symbols = np.stack([np.ones(m.size), 1j * m, -(m * m)], axis=1)
+    i = np.arange(k)
+    size = 3 + 2 * k
     for _ in range(_MAX_NEWTON):
-        interp = (np.exp(np.outer(theta, modes)) @ coef).real.tolist()
-        cos = [math.cos(x) for x in theta]
-        sin = [math.sin(x) for x in theta]
-        gap, f1, f2 = [], [], []
-        for (p, p1, p2), ci, si in zip(interp, cos, sin):
-            gap.append(p - cx * ci - cy * si - r)
-            f1.append(p1 + cx * si - cy * ci)
-            f2.append(p2 + cx * ci + cy * si)
-        balance = [
-            sum(l * ci for l, ci in zip(lam, cos)),
-            sum(l * si for l, si in zip(lam, sin)),
-            sum(lam) - 1.0,
-        ]
-        if (
-            max(map(abs, gap)) <= tol
-            and all(d * d <= 2.0 * tol * abs(dd) for d, dd in zip(f1, f2))
-            and max(map(abs, balance)) <= _WEIGHT_TOL
-        ):
-            return np.array([cx, cy]), r, np.array(theta), np.array(lam)
+        th, lm, tl = theta[todo], lam[todo], tol[todo]
+        cx, cy, rr = c[todo, :1], c[todo, 1:], r[todo, None]
+        z = np.exp(1j * th[..., None] * m)
+        z *= coef[todo, None, :]
+        interp = (z @ symbols).real
+        interp *= sign
+        cos, sin = np.cos(th), np.sin(th)
+        gap = interp[..., 0] - cx * cos - cy * sin - rr
+        f1 = interp[..., 1] + cx * sin - cy * cos
+        f2 = interp[..., 2] + cx * cos + cy * sin
+        balance = np.stack(
+            [(lm * cos).sum(-1), (lm * sin).sum(-1), lm.sum(-1) - 1.0], -1
+        )
+        settled = (
+            (np.abs(gap).max(-1) <= tl)
+            & (f1 * f1 <= 2.0 * tl[:, None] * np.abs(f2)).all(-1)
+            & (np.abs(balance).max(-1) <= _WEIGHT_TOL)
+        )
+        done[todo[settled]] = True
+        left = ~settled
+        todo = todo[left]
+        if not todo.size:
+            break
+        lm, cos, sin = lm[left], cos[left], sin[left]
         # columns: cx, cy, r, theta_0.., lam_0..
-        J = []
-        for i in range(k):
-            row = [-cos[i], -sin[i], -1.0] + zeros + zeros
-            row[3 + i] = f1[i]
-            J.append(row)
-        for i in range(k):
-            row = [sin[i], -cos[i], 0.0] + zeros + zeros
-            row[3 + i] = f2[i]
-            J.append(row)
-        J.append([0.0, 0.0, 0.0] + [-l * si for l, si in zip(lam, sin)] + cos)
-        J.append([0.0, 0.0, 0.0] + [l * ci for l, ci in zip(lam, cos)] + sin)
-        J.append([0.0, 0.0, 0.0] + zeros + [1.0] * k)
-        F = np.array(gap + f1 + balance)
+        J = np.zeros((todo.size, size, size))
+        J[:, :k, 0] = -cos
+        J[:, :k, 1] = -sin
+        J[:, :k, 2] = -1.0
+        J[:, i, 3 + i] = f1[left]
+        J[:, k:-3, 0] = sin
+        J[:, k:-3, 1] = -cos
+        J[:, k + i, 3 + i] = f2[left]
+        J[:, -3, 3 : 3 + k] = -lm * sin
+        J[:, -3, 3 + k :] = cos
+        J[:, -2, 3 : 3 + k] = lm * cos
+        J[:, -2, 3 + k :] = sin
+        J[:, -1, 3 + k :] = 1.0
+        F = np.concatenate([gap[left], f1[left], balance[left]], -1)
         try:
-            step = np.linalg.solve(J, -F)
+            step = np.linalg.solve(J, -F[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -F, rcond=None)[0]
-        step = step.tolist()
-        cx, cy, r = cx + step[0], cy + step[1], r + step[2]
-        theta = [x + d for x, d in zip(theta, step[3 : 3 + k])]
-        lam = [x + d for x, d in zip(lam, step[3 + k :])]
-    raise RuntimeError(f"KKT polish did not converge in {_MAX_NEWTON} steps")
+            if rows > 1:
+                break
+            step = np.linalg.lstsq(J[0], -F[0], rcond=None)[0][None]
+        c[todo] += step[:, :2]
+        r[todo] += step[:, 2]
+        theta[todo] += step[:, 3 : 3 + k]
+        lam[todo] += step[:, 3 + k :]
+    return c, r, theta, lam, done
 
 
 def _active_set(
     coef: np.ndarray,
-    v_fine: np.ndarray,
-    cols: np.ndarray,
+    sign: float,
+    u_fine: np.ndarray,
     tol: float,
     c: np.ndarray,
     r: float,
     theta: np.ndarray,
     lam: np.ndarray,
 ) -> TouchingCircle:
-    """Polish the contacts; drop a contact whose weight turns negative, or
-    add the resample point furthest across the circle, and polish again,
-    until the answer is certified."""
+    """Polish the contacts of one row; drop a contact whose weight turns
+    negative, or add the resample point furthest across the circle, and
+    polish again, until the answer is certified. coef and u_fine are
+    the row's as (1, modes) and (1, n_fine), c and r are v's."""
+    c, r, theta, lam = c[None], np.array([r]), theta[None], lam[None]
+    tols = np.array([tol])
     for _ in range(_MAX_ROUNDS):
-        c, r, theta, lam = _kkt_polish(coef, c, r, theta, lam, tol)
-        slack = v_fine - np.array([r, c[0], c[1]]) @ cols
+        c, r, theta, lam, done = _kkt_polish(coef, sign, c, r, theta, lam, tols)
+        if not done[0]:
+            raise RuntimeError(f"KKT polish did not converge in {_MAX_NEWTON} steps")
+        slack = _slack(u_fine, sign, r, c)[0]
         j = int(slack.argmin())
         if lam.min() < 0.0:
             keep = np.arange(lam.size) != lam.argmin()
-            theta, lam = theta[keep], lam[keep]
+            theta, lam = theta[:, keep], lam[:, keep]
         elif slack[j] < -tol:
-            theta = np.append(theta, AngularGrid(v_fine.size).theta[j])
-            lam = np.append(lam, 0.0)
+            theta = np.append(theta, AngularGrid(slack.size).theta[j])[None]
+            lam = np.append(lam, 0.0)[None]
         else:
-            return TouchingCircle(r, c, theta, lam)
+            return TouchingCircle(sign * float(r[0]), sign * c[0], theta[0], lam[0])
     raise RuntimeError(
         f"no certificate after {_MAX_ROUNDS} active-set rounds (weights "
-        f"{np.array2string(lam, precision=3)}, a resample point "
+        f"{np.array2string(lam[0], precision=3)}, a resample point "
         f"{-slack[j]:.3e} across the circle)"
     )
 
 
 def _max_min(
     coef: np.ndarray,
-    v_fine: np.ndarray,
-    v2_fine: np.ndarray,
+    sign: float,
+    u_fine: np.ndarray,
+    u2_fine: np.ndarray,
+    tol: float,
     start: TouchingCircle | None,
 ) -> TouchingCircle:
-    """max over c of min over theta of the interpolant of v minus c.N.
+    """The circle of max over c of min over theta of the interpolant of
+    v minus c.N, for v = sign * u on one row.
 
-    coef is the interpolant of v with its first two derivatives (see
-    `_kkt_polish`); v_fine and v2_fine are v and v'' on the resample. A
-    start is the answer for a nearby v: its contacts replace the exchange,
+    coef is the row's interpolant of u (see `_kkt_polish`); u_fine and
+    u2_fine are its u and u'' on the resample, each as one row. A start
+    is the same circle of a nearby u: its contacts replace the exchange,
     and if they lead to no certificate the exchange runs after all.
     """
-    fine = AngularGrid(v_fine.size)
-    cols = np.stack([np.ones(fine.n), fine.cos, fine.sin])
-    tol = _RADIUS_RTOL * float(np.abs(v_fine).max())
-
-    # Between samples f_c dips at most max|f_c''| h^2/8 below them, and the
-    # optimum lies within that dip of the discrete one. Where it is below
-    # tol (near-circles, whose f_c is flat up to round-off) the discrete
-    # answer is exact and there is no well-posed contact to polish.
-    def flat(c: np.ndarray) -> bool:
-        dip = np.abs(v2_fine + c @ cols[1:]).max() * fine.dtheta**2 / 8.0
-        return bool(dip <= tol)
-
-    if start is not None and not flat(start.center):
+    tols = np.array([tol])
+    if start is not None and not _flat(u2_fine, start.center, tols)[0]:
         try:
             return _active_set(
-                coef, v_fine, cols, tol,
-                start.center, start.radius, start.theta, start.weights,
+                coef, sign, u_fine, tol,
+                sign * start.center, sign * start.radius, start.theta, start.weights,
             )
         except (RuntimeError, np.linalg.LinAlgError):
             pass  # the start led to no certificate: solve without it
-    basis, lam, y = _exchange(v_fine, cols, tol)
-    c, r = y[1:], float(y[0])
-    if flat(c):
+    basis, lam, y = _exchange(sign * u_fine[0], tol)
+    center, radius = sign * y[1:], sign * float(y[0])
+    if _flat(u2_fine, center, tols)[0]:
         held = lam > 0.0
-        return TouchingCircle(r, c, fine.theta[basis[held]], lam[held])
-    theta, lam = _contacts(basis, lam, fine.n)
-    return _active_set(coef, v_fine, cols, tol, c, r, theta, lam)
+        theta = AngularGrid(u_fine.shape[-1]).theta
+        return TouchingCircle(radius, center, theta[basis[held]], lam[held])
+    theta, lam = _contacts(basis, lam, u_fine.shape[-1])
+    return _active_set(coef, sign, u_fine, tol, y[1:], float(y[0]), theta, lam)
+
+
+def _polish_from(
+    coef: np.ndarray, sign: float, tol: np.ndarray, start: TouchingCircle
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of coef polished at once from one circle of u: v's (c, r,
+    theta, lam, done), one row each (see `_kkt_polish`)."""
+    b = coef.shape[0]
+    return _kkt_polish(
+        coef,
+        sign,
+        np.tile(sign * start.center, (b, 1)),
+        np.full(b, sign * float(start.radius)),
+        np.tile(start.theta, (b, 1)),
+        np.tile(start.weights, (b, 1)),
+        tol,
+    )
+
+
+def _certified(
+    u_fine: np.ndarray,
+    sign: float,
+    tol: np.ndarray,
+    polished: tuple[np.ndarray, ...],
+) -> list[TouchingCircle | None]:
+    """The polished rows whose weights are >= 0 and whose circle no
+    resample point crosses, as circles of u; None for the others."""
+    c, r, theta, lam, done = polished
+    ok = done & (lam.min(axis=-1) >= 0.0)
+    ok &= _slack(u_fine, sign, r, c).min(axis=-1) >= -tol
+    radius, center = (sign * r).tolist(), sign * c
+    return [
+        TouchingCircle(radius[i], center[i], theta[i], lam[i]) if ok[i] else None
+        for i in range(len(ok))
+    ]
 
 
 def inradius_outradius(
     kp: CurvatureProfile,
     u: np.ndarray | None = None,
     start: tuple[TouchingCircle, TouchingCircle] | None = None,
-) -> tuple[TouchingCircle, TouchingCircle]:
+) -> (
+    tuple[TouchingCircle, TouchingCircle]
+    | list[tuple[TouchingCircle, TouchingCircle]]
+):
     """Largest inscribed and smallest circumscribed circle, certified.
 
     Both are exact for the trigonometric interpolant of the support
@@ -467,37 +561,78 @@ def inradius_outradius(
     contacts. Each answer is certified (nonnegative contact weights
     whose normals balance, no resample point inside the inscribed circle
     or outside the circumscribed one); an uncertified answer raises.
+
     Callers that already hold the centroid support samples pass them as
-    `u`. `start` is the pair returned for a nearby curve, such as the
-    previous sample of a run: Newton then begins at its contacts, and
-    the exchange runs only where that yields no certificate.
+    `u`: one profile's (n,) samples give one (inner, outer) pair, and a
+    (B, n) block of rows, which only the caller can supply, gives a list
+    of one pair per row. `start` is the pair returned for a nearby curve,
+    such as the previous sample of a run, and every row of a block starts
+    Newton at its contacts: all rows at once, with one rfft for the
+    block and one stacked solve per Newton iteration. Without a start the
+    first row is solved cold and starts the others. A row that is flat
+    at the start's center, or whose polish does not converge or is not
+    certified, is solved alone from the row before it, where the exchange
+    runs if that start yields no certificate.
     """
     if u is None:
         u, _ = support_about_centroid(kp)
-    n = u.size
-    U = np.fft.rfft(u)
-    coef = U / n
-    coef[1 : n // 2] *= 2.0
-    modes = np.arange(coef.size)
-    coef = np.stack([coef, 1j * modes * coef, -(modes * modes) * coef], axis=1)
+    rows = np.atleast_2d(u)
+    b, n = rows.shape
     n_fine = _OVERSAMPLE * n
+    U = np.fft.rfft(rows)
+    U2 = deriv_spectrum(U, 2)
+    coef = U / n
+    coef[:, 1 : n // 2] *= 2.0
+    # u on the resample sets the tolerance now and the certificates after
+    # the polish. Neither it nor u'' is held through the polish, whose
+    # temporaries come on top: a (B, n_fine) array is four times a
+    # block's (B, n) rows, and the collector's block memory is pinned
     u_fine = resample_spectrum(U, n, n_fine)
-    u2_fine = resample_spectrum(deriv_spectrum(U, 2), n, n_fine)
-    inner_start = outer_start = None
-    if start is not None:
-        inner_start, outer_start = start[0], _negated(start[1])
-    # min over c of max (u - c.N) is -(max over c of min (-u - c.N)) at -c;
-    # negating u negates its spectrum and resamples exactly
-    solved = []
-    for label, (c, v, v2), s in (
-        ("inradius", (coef, u_fine, u2_fine), inner_start),
-        ("outradius", (-coef, -u_fine, -u2_fine), outer_start),
-    ):
+    tol = _RADIUS_RTOL * np.maximum(u_fine.max(axis=-1), -u_fine.min(axis=-1))
+    del u_fine
+
+    def alone(i: int, sign: float, start: TouchingCircle | None) -> TouchingCircle:
+        row = slice(i, i + 1)
+        u_fine = resample_spectrum(U[row], n, n_fine)
+        u2_fine = resample_spectrum(U2[row], n, n_fine)
         try:
-            solved.append(_max_min(c, v, v2, s))
+            return _max_min(coef[row], sign, u_fine, u2_fine, tol[i], start)
         except RuntimeError as exc:
+            label = "inradius" if sign > 0.0 else "outradius"
             raise RuntimeError(f"{label}: {exc}") from exc
-    return solved[0], _negated(solved[1])
+
+    first = 0
+    if start is None:
+        start = tuple(alone(0, sign, None) for sign in _SIGNS)
+        if b == 1:
+            return [start] if np.ndim(u) == 2 else start
+        first = 1
+    # the rows still to solve, but for those flat at a start's center
+    # (see `_flat`), are polished from it at once and certified
+    rest = slice(first, b)
+    u2_fine = resample_spectrum(U2[rest], n, n_fine)
+    tried = [
+        first + np.flatnonzero(~_flat(u2_fine, s.center, tol[rest])) for s in start
+    ]
+    del u2_fine
+    polished = [
+        _polish_from(coef[ix], sign, tol[ix], s) if ix.size else None
+        for sign, s, ix in zip(_SIGNS, start, tried)
+    ]
+    u_fine = resample_spectrum(U[rest], n, n_fine)
+    solved = []
+    for sign, s, ix, p in zip(_SIGNS, start, tried, polished):
+        circles = [s] * first + [None] * (b - first)
+        if p is not None:
+            certified = _certified(u_fine[ix - first], sign, tol[ix], p)
+            for row, circle in zip(ix.tolist(), certified):
+                circles[row] = circle
+        for row in range(first, b):
+            if circles[row] is None:
+                circles[row] = alone(row, sign, circles[row - 1] if row else s)
+        solved.append(circles)
+    pairs = list(zip(*solved))
+    return pairs if np.ndim(u) == 2 else pairs[0]
 
 
 def bonnesen_sigma(I: float) -> float:

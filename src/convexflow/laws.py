@@ -1,5 +1,5 @@
-"""The five speed laws: nonlocal term lambda(t), normal speed, and the
-curvature-evolution right-hand side k_t = k^2 [(k^a)'' + k^a - lambda].
+"""The five speed laws and their nonlocal term lambda(t); a curve moves
+with normal speed k^alpha - lambda.
 
 LP fixes length, AP fixes area, G1/G2 are the alpha >= 1 variants whose
 lambda mixes L and A, Contraction has lambda = 0 and shrinks to a point.
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import CurvatureProfile
-from .spectral import TWO_PI, deriv_values, integrate_values
+from .spectral import TWO_PI, integrate_values
 
 
 class LawError(ValueError):
@@ -100,25 +100,3 @@ def lambda_value(law: FlowLaw, kp: CurvatureProfile):
         integrate_values(w),
         geometry.parseval_area(kp.W),
     )
-
-
-def curvature_rhs(law: FlowLaw, kp: CurvatureProfile) -> np.ndarray:
-    """Pointwise k_t = k^2 ((k^a)_thth + k^a - lambda); the stepping
-    kernel's w-form rate is -k_t / k^2, and the tests compare the two."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = power(kp.k, law.alpha)
-        lam = lambda_value(law, kp)
-        rhs = kp.k * kp.k * (deriv_values(v, 2) + v - lam)
-    if not np.all(np.isfinite(rhs)):
-        raise BlowUpError(
-            f"curvature power overflow at k_max={kp.k.max():.6e}, "
-            f"alpha={law.alpha}"
-        )
-    return rhs
-
-
-def normal_speed(law: FlowLaw, kp: CurvatureProfile) -> np.ndarray:
-    """k^alpha - lambda; positive where the curve moves inward."""
-    v = power(kp.k, law.alpha)
-    lam = lambda_value(law, kp)
-    return v - lam

@@ -2,8 +2,11 @@
 
 Every function here recomputes a quantity by a route disjoint from the
 library implementation: closed forms, adaptive quadrature in the parametric
-angle, dense finite-difference stencils. Tests compare two derivations
-instead of comparing the code against itself. The `convexflow oracle`
+angle, dense finite-difference stencils, and the curvature form
+k_t = k^2 ((k^a)'' + k^a - lambda) of the flow, which the stepping kernel
+takes in its radius-of-curvature form instead. Tests compare two
+derivations instead of comparing the code against itself; the radii audit
+also takes Bonnesen's window from here. The `convexflow oracle`
 subcommand prints the full table for fixture use.
 """
 
@@ -13,7 +16,9 @@ import math
 
 import numpy as np
 
-from .spectral import TWO_PI
+from .geometry import CurvatureProfile
+from .laws import BlowUpError, FlowLaw, lambda_value, power
+from .spectral import TWO_PI, deriv_values
 
 
 def ellipse_perimeter(a: float, b: float) -> float:
@@ -151,8 +156,11 @@ def fourier_quadratic_core(values: np.ndarray) -> float:
     return TWO_PI * float(np.sum(w * (1.0 - m * m) * np.abs(c) ** 2))
 
 
-def bonnesen_window(L: float, A: float) -> tuple[float, float]:
-    s = math.sqrt(max(L * L - 4.0 * math.pi * A, 0.0))
+def bonnesen_window(L, A):
+    """(lo, hi) = (L -+ sqrt(L^2 - 4 pi A)) / 2 pi: Bonnesen's bounds on
+    the inradius (lo <= r_in) and the outradius (r_out <= hi), for
+    floats or arrays of L and A."""
+    s = np.sqrt(np.maximum(L * L - 4.0 * math.pi * A, 0.0))
     return (L - s) / TWO_PI, (L + s) / TWO_PI
 
 
@@ -185,6 +193,28 @@ def phi_functions(z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     aug[..., 0, 1] = aug[..., 1, 2] = aug[..., 2, 3] = 1.0
     row = expm(aug)[..., 0, :]
     return row[..., 1], row[..., 2], row[..., 3]
+
+
+def curvature_rhs(law: FlowLaw, kp: CurvatureProfile) -> np.ndarray:
+    """Pointwise k_t = k^2 ((k^a)_thth + k^a - lambda); the stepping
+    kernel's w-form rate is -k_t / k^2, and the tests compare the two."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = power(kp.k, law.alpha)
+        lam = lambda_value(law, kp)
+        rhs = kp.k * kp.k * (deriv_values(v, 2) + v - lam)
+    if not np.all(np.isfinite(rhs)):
+        raise BlowUpError(
+            f"curvature power overflow at k_max={kp.k.max():.6e}, "
+            f"alpha={law.alpha}"
+        )
+    return rhs
+
+
+def normal_speed(law: FlowLaw, kp: CurvatureProfile) -> np.ndarray:
+    """k^alpha - lambda; positive where the curve moves inward."""
+    v = power(kp.k, law.alpha)
+    lam = lambda_value(law, kp)
+    return v - lam
 
 
 def reference_table() -> list[tuple[str, float]]:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -17,6 +18,7 @@ from convexflow import (
     Margin,
     PerturbedCircle,
     SampleRecord,
+    StepControl,
     TsoContext,
     area,
     entropy,
@@ -45,6 +47,7 @@ from convexflow.diagnostics import (
     monotonicity_violations,
     oscillation,
     psi_violations,
+    radii_violations,
     rate_fd_pairs,
     rate_violations,
     tso_violations,
@@ -1045,6 +1048,95 @@ class TestSeriesAudits:
         s.append(record(0.1, closure_defect=TWO_PI * 2e-6))
         assert len(closure_violations(s)) == 1
         assert closure_violations(s, rtol=1e-5) == []
+
+
+def ellipse_at(n):
+    return generate(Ellipse(a=2.0, b=1.0, grid_n=n))
+
+
+G1_ALPHA2 = FlowLaw(FlowKind.G1, 2.0)
+# the benchmark's runs and their kind: LP from the ellipse at n=128 and
+# n=512, G1 from random_convex(0) under both cadences, and runs to
+# convergence
+RADII_RUNS = {
+    "LP alpha=1 n=128": lambda: run(
+        FlowLaw(FlowKind.LP, 1.0), ellipse_at(128), t_end=1.0, sample_dt=0.005),
+    "LP alpha=1 n=512": lambda: run(
+        FlowLaw(FlowKind.LP, 1.0), ellipse_at(512), t_end=0.3, sample_dt=0.3 / 80),
+    "G1 alpha=2 step cadence": lambda: run(
+        G1_ALPHA2, random_convex(0), t_end=0.12, sample_every=25),
+    "G1 alpha=2 time cadence": lambda: run(
+        G1_ALPHA2, random_convex(0), t_end=0.12, sample_dt=0.0012),
+    "LP alpha=1 to convergence": lambda: run(
+        FlowLaw(FlowKind.LP, 1.0), ellipse_at(128), t_end=20.0, sample_dt=0.02),
+    "G1 alpha=2 to convergence": lambda: run(
+        G1_ALPHA2, random_convex(0), StepControl(convergence_tol=5e-4),
+        t_end=3.0, sample_dt=0.005),
+    "AP alpha=3": lambda: run(
+        FlowLaw(FlowKind.AP, 3.0), ellipse_at(128), t_end=0.01, sample_dt=0.0002),
+}
+
+
+class TestRadiiAudit:
+    @pytest.mark.parametrize("name", sorted(RADII_RUNS))
+    def test_clean_on_flows(self, name):
+        res = RADII_RUNS[name]()
+        assert not np.isnan(res.series.column("r_out")).any()
+        assert radii_violations(res.series) == []
+
+    def test_lifted_outradius_is_named_at_its_time(self):
+        res = run(FlowLaw(FlowKind.LP, 1.0), ellipse_at(128), t_end=0.1,
+                  sample_dt=0.005)
+        s = series_of()
+        for j, rec in enumerate(res.series):
+            if j == 7:
+                hi = oracles.bonnesen_window(rec.L, rec.A)[1]
+                rec = dataclasses.replace(rec, r_out=hi + 1e-7)
+            s.append(rec)
+        (msg,) = radii_violations(s)
+        assert msg.startswith("r_out") and msg.endswith(f"t={res.series[7].t:.6g}")
+
+    def test_bonnesen_inequality_and_window(self):
+        # L = 8, A = 3.5: the window is (8 -+ 2 sqrt(16 - 3.5 pi)) / 2 pi
+        L, A = 8.0, 3.5
+        lo, hi = oracles.bonnesen_window(L, A)
+        slack = 0.9e-8 * L / TWO_PI
+        s = series_of()
+        s.append(record(0.0, L=L, A=A, r_in=lo, r_out=hi))
+        s.append(record(0.1, L=L, A=A, r_in=lo - slack, r_out=hi))
+        assert radii_violations(s) == []
+        # each radius within the window's slack, their difference not
+        s.append(record(0.2, L=L, A=A, r_in=lo - slack, r_out=hi + slack))
+        (msg,) = radii_violations(s)
+        assert "Bonnesen" in msg and msg.endswith("t=0.2")
+        # beyond the slack, a radius leaves the window and so widens the gap
+        s.append(record(0.3, L=L, A=A, r_in=lo - 2 * slack, r_out=hi))
+        below, *gaps = radii_violations(s)
+        assert below.startswith("r_in") and below.endswith("t=0.3")
+        assert [m[-5:] for m in gaps] == ["t=0.2", "t=0.3"]
+
+    def test_near_circle_deficit_round_off(self):
+        # u = R + eps cos 2 theta: r_in, r_out = R -+ eps, and the deficit
+        # L^2 - 4 pi A is 6 pi^2 eps^2, recorded here 1e-14 low, as its
+        # round-off leaves it near convergence
+        R, eps = 1.54, 1.5e-8
+        L = TWO_PI * R
+        deficit = 6.0 * math.pi**2 * eps**2
+        A = (L * L - (deficit - 1e-14)) / (4.0 * math.pi)
+        assert L * L - 4.0 * math.pi * A < 0.3 * deficit
+        s = series_of()
+        s.append(record(0.0, L=L, A=A, r_in=R - eps, r_out=R + eps))
+        assert radii_violations(s) == []
+        # an outradius 1e-6 too large still leaves the window and the gap
+        s.append(record(0.1, L=L, A=A, r_in=R - eps, r_out=R + 1e-6))
+        msgs = radii_violations(s)
+        assert len(msgs) == 2 and all(m.endswith("t=0.1") for m in msgs)
+
+    def test_radii_off_gives_nothing(self, ellipse21):
+        res = run(FlowLaw(FlowKind.LP, 1.0), ellipse21, t_end=0.02,
+                  audits=("rates",))
+        assert np.isnan(res.series.column("r_in")).all()
+        assert radii_violations(res.series) == []
 
 
 class TestRateAudit:

@@ -347,6 +347,130 @@ class TestWarmStart:
                 assert np.array_equal(w.weights, c.weights)
 
 
+def flowed_profiles(law, kp0, t_end, samples):
+    """kp0 and the profiles a run samples from it."""
+    profiles = []
+    run(law, kp0, t_end=t_end, sample_dt=t_end / samples, audits=(),
+        on_sample=lambda t, kp, index: profiles.append(kp))
+    return profiles
+
+
+def block_of(profiles):
+    block = CurvatureProfile(profiles[0].grid, np.stack([kp.k for kp in profiles]))
+    return block, geometry._support_pipeline(block)[0]
+
+
+def radii_in_blocks(profiles, rows):
+    """Each profile's circles, solved as the collector solves them: in
+    blocks of `rows`, each started from the last circles of the one
+    before, the first block cold."""
+    pairs, start = [], None
+    for lo in range(0, len(profiles), rows):
+        block, u = block_of(profiles[lo : lo + rows])
+        pairs += inradius_outradius(block, u, start=start)
+        start = pairs[-1]
+    return pairs
+
+
+@pytest.fixture
+def solved_alone(monkeypatch):
+    """Circles solved on the per-row path, counted while the test runs."""
+    calls = []
+    max_min = geometry._max_min
+
+    def counted(*args):
+        calls.append(args[1])
+        return max_min(*args)
+
+    monkeypatch.setattr(geometry, "_max_min", counted)
+    return calls
+
+
+LP1, G1 = FlowLaw(FlowKind.LP, 1.0), FlowLaw(FlowKind.G1, 2.0)
+# (profiles, rows per block, whether some rows leave the block solve);
+# the G1 runs change their contacts between 2 and 3 in the first block
+BLOCK_RUNS = {
+    "ellipse n=128": (lambda: flowed_profiles(
+        LP1, CERTIFIED_CURVES["ellipse n=128"](), 0.5, 40), 32, False),
+    "ellipse n=512": (lambda: flowed_profiles(
+        LP1, CERTIFIED_CURVES["ellipse n=512"](), 0.3, 24), 8, False),
+    "LP alpha=3 n=256": (lambda: flowed_profiles(
+        FlowLaw(FlowKind.LP, 3.0), generate(Ellipse(a=2.0, b=1.0, grid_n=256)),
+        0.02, 32), 16, False),
+    "G1 random_convex(1)": (lambda: flowed_profiles(
+        G1, random_convex(1), 0.075, 15), 16, True),
+    "G1 random_convex(3)": (lambda: flowed_profiles(
+        G1, random_convex(3), 0.075, 15), 16, True),
+}
+
+
+class TestBlockRadii:
+    """A block's rows solved at once match each row solved cold."""
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_RUNS))
+    def test_block_matches_a_cold_solve_per_row(self, name, solved_alone):
+        profiles, rows, falls_back = BLOCK_RUNS[name]
+        profiles = profiles()
+        pairs = radii_in_blocks(profiles, rows)
+        # the first row of the first block is solved alone, once per circle
+        assert (len(solved_alone) > 2) == falls_back
+        del solved_alone[:]
+        assert len(pairs) == len(profiles)
+        for kp, pair in zip(profiles, pairs):
+            for got, cold in zip(pair, inradius_outradius(kp)):
+                assert got.radius == pytest.approx(cold.radius, rel=1e-13, abs=0.0)
+        for j in (0, len(profiles) // 2, len(profiles) - 1):
+            u, _ = support_about_centroid(profiles[j])
+            assert_hold_on_a_dense_resample(u, *pairs[j])
+            assert_weights_balance(pairs[j])
+
+    def test_circle_rows_take_the_discrete_branch(self, solved_alone):
+        # criterion 1's circle, shrunk by the flow: flat at every start,
+        # so every row is solved alone and touches at resample points
+        t_end = 0.9 * oracles.extinction_time(1.0, 1.0)
+        profiles = flowed_profiles(
+            FlowLaw(FlowKind.CONTRACTION, 1.0), generate(Circle(r=1.0)), t_end, 9
+        )
+        fine = AngularGrid(geometry._OVERSAMPLE * profiles[0].grid.n)
+        block, u = block_of(profiles)
+        cold = inradius_outradius(profiles[0])
+        for start in (None, cold):
+            del solved_alone[:]
+            pairs = inradius_outradius(block, u, start=start)
+            assert len(solved_alone) == 2 * len(profiles)
+            for kp, pair in zip(profiles, pairs):
+                for got, want in zip(pair, inradius_outradius(kp)):
+                    assert np.isin(got.theta, fine.theta).all()
+                    assert got.radius == want.radius
+                    assert np.array_equal(got.theta, want.theta)
+                    assert np.array_equal(got.weights, want.weights)
+
+    def test_one_row_block_is_the_profile_alone(self, ellipse21):
+        kp = one_sample_later(ellipse21)
+        block, u = block_of([kp])
+        for start in (None, inradius_outradius(ellipse21)):
+            (pair,) = inradius_outradius(block, u, start=start)
+            for got, want in zip(pair, inradius_outradius(kp, u[0], start=start)):
+                assert got.radius == want.radius
+                assert np.array_equal(got.center, want.center)
+                assert np.array_equal(got.theta, want.theta)
+
+    def test_run_at_n512_makes_two_exchanges(self, monkeypatch):
+        # three blocks of 8 rows: the exchange runs for the first row only
+        exchanges = []
+        exchange = geometry._exchange
+
+        def counted(*args):
+            exchanges.append(1)
+            return exchange(*args)
+
+        monkeypatch.setattr(geometry, "_exchange", counted)
+        res = run(LP1, CERTIFIED_CURVES["ellipse n=512"](), t_end=0.3,
+                  sample_dt=0.3 / 24, audits=("radii",))
+        assert len(res.series) == 25
+        assert len(exchanges) == 2
+
+
 def test_import_loads_no_scipy():
     src = str(Path(convexflow.__file__).resolve().parent.parent)
     env = dict(os.environ)

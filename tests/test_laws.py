@@ -9,13 +9,12 @@ from convexflow import (
     Ellipse,
     FlowKind,
     FlowLaw,
-    curvature_rhs,
     generate,
     lambda_value,
-    normal_speed,
     random_convex,
 )
 from convexflow import oracles
+from convexflow.oracles import curvature_rhs, normal_speed
 from convexflow.laws import LawError, power
 from convexflow.spectral import AngularGrid
 

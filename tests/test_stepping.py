@@ -308,7 +308,7 @@ class TestKernel:
         assert np.abs(w - kp.w).max() <= 1e-14 * kp.w.max()
         # w_t = -k_t / k^2, returned as its spectrum
         f = np.fft.irfft(R.view(complex), n)
-        expect = -cf.curvature_rhs(law, kp) * kp.w * kp.w
+        expect = -oracles.curvature_rhs(law, kp) * kp.w * kp.w
         assert np.abs(f - expect).max() <= 1e-12 * np.abs(expect).max()
         v = kp.k ** alpha
         assert q == pytest.approx(cf.integrate_values(v), rel=1e-13)
@@ -430,7 +430,7 @@ class TestKernel:
             def N(S):
                 w = np.fft.irfft(S, n)
                 prof = CurvatureProfile(kp.grid, 1.0 / w)
-                return np.fft.rfft(-cf.curvature_rhs(law, prof) * w * w) - c * S
+                return np.fft.rfft(-oracles.curvature_rhs(law, prof) * w * w) - c * S
 
             m = np.arange(n // 2 + 1)
             sigma = 0.5 * 1.05 * 2.0 * kp.k.max() ** 3
