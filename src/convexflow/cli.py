@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import oracles
@@ -139,8 +138,8 @@ def _cmd_sweep(args) -> int:
         with_alpha(base, alpha, str(out / f"alpha_{alpha:g}"))
         for alpha in args.alpha
     ]
-    with ThreadPoolExecutor(max_workers=min(8, len(scenarios))) as pool:
-        outcomes = list(pool.map(_sweep_one, scenarios))
+    # one after another: the runs hold the GIL, so threads gain nothing
+    outcomes = [_sweep_one(scenario) for scenario in scenarios]
 
     out.mkdir(parents=True, exist_ok=True)
     names = ("alpha", "t_converge", "final_oscillation", "decay_rate")
@@ -190,7 +189,7 @@ def main(argv=None) -> int:
     )
 
     p = sub.add_parser(
-        "sweep", help="run the scenario once per exponent, concurrently"
+        "sweep", help="run the scenario once per exponent, in turn"
     )
     p.add_argument("scenario", help="path to a scenario JSON document")
     p.add_argument(

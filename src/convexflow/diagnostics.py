@@ -32,13 +32,12 @@ from .laws import FlowKind, FlowLaw, lambda_value, nonlocal_lambda, power
 from .oracles import bonnesen_window
 from .spectral import (
     TWO_PI,
+    _derivative_weights,
     deriv_spectrum,
     deriv_values,
     integrate_values,
-    parabola_vertex,
-    refined_extremum_values,
+    interpolant_derivatives,
     resample_spectrum,
-    window_values,
 )
 
 AUDIT_NAMES = ("rates", "radii", "tso", "psi", "phi", "entropy", "margins")
@@ -62,20 +61,16 @@ RADII_RTOL = 1e-8
 # near a circle, so the audit raises the deficit by this much first
 DEFICIT_RTOL = 32 * np.finfo(float).eps
 
-# resample factor for the pointwise-extremum functionals; 32x keeps the
-# parabolic-vertex residual below 1e-8 relative even for the sharp
-# asymmetric peaks that k^3-type speeds develop. The resample is evaluated
-# only in windows of 2 * 32 + 3 fine points around each peak
-# (`_refined_max`), or in full for a row whose windows cannot be trusted
-_DENSE_FACTOR = 32
-# most windows per row: a centrally symmetric curve ties Psi's peak four ways
-_WINDOWS = 4
-# cells on either side of a window's centre when one cell does not cover
-# all a peak's cells that can reach its maximum (a flat peak)
-_WIDE_REACH = 4
-# a cell outside the windows whose bound reaches this close to the window
-# maximum, relative, is taken as a rival peak
+# a candidate cell whose bound reaches this far above the largest node
+# value, relative, is searched for the interpolant's maximum; a row
+# without one keeps its largest node value
 _RIVAL_RTOL = 1e-12
+# the search in a cell ends once the cubic Taylor term at the Newton
+# point, the error of the quadratic model's maximum, is below this,
+# relative to the value
+_NEWTON_RTOL = np.finfo(float).eps
+# most evaluations per cell: bisection halves a cell 20 times
+_MAX_NEWTON = 20
 # grid points per collected block: a block holds max(1, this // n)
 # samples, so each (rows, n) float64 array of a block is 32 KB whatever n
 # is (32 rows at n=128, 8 at n=512)
@@ -330,12 +325,8 @@ def rate_formulas(law: FlowLaw, kp: CurvatureProfile):
 def _mode_sums(coef: np.ndarray, power: int):
     """Sum of m^power |c_m| over the interpolant with rfft `coef` (of
     2 (len - 1) samples), one per row: a bound on |f^(power)| of that
-    interpolant f everywhere."""
-    n = 2 * (coef.shape[-1] - 1)
-    weight = np.full(n // 2 + 1, 2.0 / n)
-    weight[0] = weight[-1] = 1.0 / n
-    weight *= np.arange(n // 2 + 1.0) ** power
-    return np.vecdot(np.abs(coef), weight)
+    interpolant f everywhere (power at most 3)."""
+    return np.vecdot(np.abs(coef), _derivative_weights(coef.shape[-1])[power])
 
 
 def _slopes(coef: np.ndarray, n: int) -> np.ndarray:
@@ -356,99 +347,109 @@ def _cell_bound(g, slope, curv, third):
     and curvature, plus the cubic term at its bound.
     """
     half = TWO_PI / g.shape[-1] / 2.0
-    lift = g + (0.5 * half * half) * np.maximum(curv, 0.0)
-    ahead = lift + half * np.maximum(slope, 0.0)
-    behind = lift - half * np.minimum(slope, 0.0)
-    behind = np.concatenate([behind[:, 1:], behind[:, :1]], -1)
-    return np.maximum(ahead, behind) + (half ** 3 / 6.0) * third[:, None]
+    # in place where it can be: a block's collection peaks here
+    lift = np.maximum(curv, 0.0)
+    lift *= 0.5 * half * half
+    lift += g
+    ahead = np.maximum(slope, 0.0)
+    ahead *= half
+    ahead += lift
+    behind = np.minimum(slope, 0.0)
+    behind *= -half
+    behind += lift
+    del lift
+    np.maximum(ahead, np.concatenate([behind[:, 1:], behind[:, :1]], -1), out=ahead)
+    ahead += (half ** 3 / 6.0) * third[:, None]
+    return ahead
 
 
-def _centers(F: np.ndarray, near: np.ndarray) -> np.ndarray:
-    """(rows, K) nodes to centre windows on: the nodes where F peaks
-    among the `near` ones, at most `_WINDOWS` per row, highest first. A
-    row with none takes its largest node, a row with fewer repeats its
-    first, and K is the most any row needs."""
-    ring = np.concatenate([F[:, -1:], F, F[:, :1]], -1)
-    peak = near & (F >= ring[:, :-2]) & (F >= ring[:, 2:])
-    k = min(_WINDOWS, int(peak.sum(-1).max()))
-    if k <= 1:
-        return F.argmax(-1)[:, None]
-    rows = np.arange(len(F))
-    score = np.where(peak, F, -np.inf)
-    centers = np.empty((len(F), k), dtype=np.intp)
-    chosen = np.empty((len(F), k), dtype=bool)
-    for i in range(k):
-        centers[:, i] = score.argmax(-1)
-        chosen[:, i] = peak[rows, centers[:, i]]
-        peak[rows, centers[:, i]] = False
-        score[rows, centers[:, i]] = -np.inf
-    return np.where(chosen, centers, centers[:, :1])
+def _refined_max(F, slopes, excess, derivs):
+    """The maximum over each row of a smooth periodic function, exact to
+    round-off where it lies between the nodes.
 
+    F (rows, n) holds the function at the nodes and slopes its first and
+    second derivatives there. excess (rows, n) bounds over each cell a
+    function that is positive exactly where the function exceeds the
+    row's largest node value, on the scale of F minus that value
+    (`_cell_bound`). derivs(rows, theta) gives the function and its first
+    three derivatives, (4, angles), at one angle per entry of rows.
 
-def _refined_max(F, excess, window, full):
-    """What `refined_extremum_values(<32x resample of F>, True)` gives,
-    evaluating the resample only where its maximum can be.
-
-    F (rows, n) holds the functional at the nodes. excess(rows, T) gives,
-    for the rows selected and one T per row, an upper bound over each
-    cell of a function that is positive exactly where the functional
-    exceeds T, on the scale of F - T (`_cell_bound`). window(rows,
-    centers, reach) gives the functional on `spectral.window_values`
-    windows, and full(rows) on the whole 32x grid.
-
-    Windows sit on the peaks of F next to cells that may exceed its
-    largest node value (`_centers`), and a row takes the largest sample
-    of the cells they cover and the parabola through it and its
-    neighbours. Where a cell outside them may still exceed that sample,
-    the row takes windows reaching `_WIDE_REACH` cells, as for a flat
-    peak; where one still may, as for near-tied peaks beyond `_WINDOWS`
-    or a circle, the full resample.
+    The cells searched are those whose bound reaches more than
+    `_RIVAL_RTOL` above the row's largest node value and whose end
+    slopes bracket a maximum; a maximum above both ends of a cell with
+    end slopes of one sign would need a minimum next to it in the same
+    cell, which a resolved interpolant does not have. In each, the root
+    of f' is found by Newton safeguarded by bisection inside the
+    bracket ("rtsafe", Numerical Recipes 9.4), from the root of the
+    cubic Hermite interpolant of the inverse of f' on the cell, and a
+    cell's value is the maximum of the quadratic Taylor polynomial at
+    the last point evaluated.
     """
     n = F.shape[-1]
-    todo = slice(None)  # all rows, then those still open
+    h = TWO_PI / n
     top = F.max(-1)
-    cells = excess(todo, top) >= -_RIVAL_RTOL * np.abs(top)[:, None]
-    centers = _centers(F, cells | np.concatenate([cells[:, -1:], cells[:, :-1]], -1))
-    out = np.empty(len(F))
-    for reach in (1, _WIDE_REACH):
-        values = window(todo, centers, reach)
-        # the samples of the covered cells lie between the two end samples
-        r = np.arange(len(values))
-        values = values[r, values[..., 1:-1].max(-1).argmax(-1)]
-        j = values[:, 1:-1].argmax(-1) + 1
-        top = values[r, j]
-        out[todo] = parabola_vertex(values[r, j - 1], top, values[r, j + 1])
-        # NaN compares false, so a row with NaN stays open
-        open_ = ~(excess(todo, top) < -_RIVAL_RTOL * np.abs(top)[:, None])
-        for k in range(-reach, reach):
-            open_[r[:, None], (centers + k) % n] = False
-        keep = open_.any(-1)
-        if not keep.any():
-            return out
-        todo, centers = np.arange(len(F))[todo][keep], centers[keep]
-    out[todo] = refined_extremum_values(full(todo), True)
-    return out
+    slope, curv = slopes
+    rows, j = np.nonzero(excess > _RIVAL_RTOL * np.abs(top)[:, None])
+    s0, s1 = slope[rows, j], slope[rows, (j + 1) % n]
+    bracket = (s0 >= 0.0) & (s1 <= 0.0)
+    if not bracket.any():
+        return top
+    rows, j, s0, s1 = rows[bracket], j[bracket], s0[bracket], s1[bracket]
+    c0, c1 = curv[rows, j], curv[rows, (j + 1) % n]
+    tau = np.divide(s0, s0 - s1, out=np.full(rows.size, 0.5), where=s0 > s1)
+    # the inverse x(f') on [0, h] through (s0, 0) and (s1, h) with the
+    # slopes 1/f'' of the two ends, at f' = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = tau * tau * (3.0 - 2.0 * tau) * h + tau * (1.0 - tau) * (s1 - s0) * (
+            (1.0 - tau) / c0 - tau / c1
+        )
+    x = np.where((x > 0.0) & (x < h), x, tau * h)
+    lo, hi = np.zeros(rows.size), np.full(rows.size, h)
+    value = np.full(rows.size, -np.inf)
+    todo = np.arange(rows.size)
+    for _ in range(_MAX_NEWTON):
+        at = x[todo]
+        f, f1, f2, f3 = derivs(rows[todo], j[todo] * h + at)
+        value[todo] = np.maximum(value[todo], f)
+        rising = f1 > 0.0
+        lo[todo] = np.where(rising, at, lo[todo])
+        hi[todo] = np.where(rising, hi[todo], at)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -f1 / f2
+        newton = (f2 < 0.0) & (at + step >= lo[todo]) & (at + step <= hi[todo])
+        # converged where the cubic Taylor term is round-off, and the
+        # quadratic model's maximum lies in the bracket or gains round-off
+        tiny = _NEWTON_RTOL * np.abs(f)
+        done = np.abs(f3 * step**3) <= 6.0 * tiny
+        done &= newton | (np.abs(f1 * step) <= 2.0 * tiny)
+        value[todo[done]] = np.maximum(value[todo[done]], (f + 0.5 * f1 * step)[done])
+        x[todo] = np.where(newton, at + step, 0.5 * (lo[todo] + hi[todo]))
+        todo = todo[~done]
+        if not todo.size:
+            break
+    np.maximum.at(top, rows, value)
+    return top
 
 
-def _shift_excess(F: np.ndarray, coef: np.ndarray, slopes=None):
-    """excess(rows, T) for a functional that is the interpolant with rfft
-    `coef` itself, F its values at the nodes (and `slopes` its `_slopes`)."""
-    slope, curv = _slopes(coef, F.shape[-1]) if slopes is None else slopes
-    bound = _cell_bound(F, slope, curv, _mode_sums(coef, 3))
-    return lambda rows, T: bound[rows] - T[:, None]
+def _shift_excess(F: np.ndarray, coef: np.ndarray, slopes) -> np.ndarray:
+    """`_refined_max`'s excess for a functional that is the interpolant
+    with rfft `coef` itself, F its values at the nodes and `slopes` its
+    `_slopes`."""
+    bound = _cell_bound(F, *slopes, _mode_sums(coef, 3))
+    bound -= F.max(-1)[:, None]
+    return bound
 
 
-def _dense_rows(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The 32x resample of the selected rows of `coef` (rows, n/2 + 1)."""
-    n = 2 * (coef.shape[-1] - 1)
-    return resample_spectrum(coef[rows], n, _DENSE_FACTOR * n)
-
-
-def _windows(coef: np.ndarray):
-    """window(rows, centers, reach) of the resample of `coef` (rows, n/2 + 1)."""
-    n = 2 * (coef.shape[-1] - 1)
-    return lambda rows, centers, reach: window_values(
-        coef[rows], n, centers, _DENSE_FACTOR, reach
+def _interpolant_max(F: np.ndarray, coef: np.ndarray, slopes=None):
+    """`_refined_max` of the interpolant with rfft `coef` (rows, modes),
+    F its values at the nodes (and `slopes` its `_slopes`)."""
+    if slopes is None:
+        slopes = _slopes(coef, F.shape[-1])
+    return _refined_max(
+        F,
+        slopes,
+        _shift_excess(F, coef, slopes),
+        lambda rows, theta: interpolant_derivatives(coef, theta, rows),
     )
 
 
@@ -467,11 +468,11 @@ def tso_quantity(
     Q_max is NaN when u dips to beta or below (the quotient loses
     meaning); precondition_ok reports the stronger condition min u >= 2
     beta under which the a-priori bound is proved. Both extrema are those
-    of a 32x (`_DENSE_FACTOR`) trigonometric resample with parabolic
-    refinement, so the value does not depend on where the grid happens to
-    land; `_refined_max` evaluates the resample only near the extremum.
-    Callers that already hold the centroid support samples pass them as
-    `u` (required for a block), and the rows of the rfft of k^alpha as `V`.
+    of the trigonometric interpolants of k^alpha and u, exact to
+    round-off (`_refined_max`), so the value does not depend on where the
+    grid happens to land. Callers that already hold the centroid support
+    samples pass them as `u` (required for a block), and the rows of the
+    rfft of k^alpha as `V`.
     """
     if u is None:
         u, _ = geometry.support_about_centroid(kp)
@@ -484,38 +485,40 @@ def tso_quantity(
     U = np.fft.rfft(u)
     slopes = _slopes(np.stack([V, U]), n)
     dv, du = slopes[:, 0], slopes[:, 1]
-    u_min = -_refined_max(
-        -u,
-        _shift_excess(-u, -U, -du),
-        _windows(-U),
-        lambda rows: -_dense_rows(U, rows),
-    )
+    u_min = -_interpolant_max(-u, -U, (-du[0], -du[1]))
     crossed = u_min <= beta
     ok = (u_min >= 2.0 * beta) & ~crossed
 
-    # Q > T where v - T (u - beta) > 0 as long as u > beta, which holds on
-    # the whole 32x grid unless the row is crossed (and reads NaN); over
-    # the largest u - beta, that polynomial is on the scale of Q - T
-    scale = u.max(-1) - beta
+    VU = np.stack([V, U], 1)
 
-    def excess(rows, T):
-        T, s = T[:, None], scale[rows, None]
-        g = [(a[rows] - T * b[rows]) / s
-             for a, b in ((v, u - beta), (dv[0], du[0]), (dv[1], du[1]))]
-        return _cell_bound(*g, _mode_sums(V[rows] - T * U[rows], 3) / s[:, 0])
-
-    v_window, u_window = _windows(V), _windows(U)
-
-    def window(rows, centers, reach):
-        out = u_window(rows, centers, reach)
-        out -= beta
-        return np.divide(v_window(rows, centers, reach), out, out=out)
-
-    def full(rows):
-        return _dense_rows(V, rows) / (_dense_rows(U, rows) - beta)
+    def derivs(rows, theta):
+        # Q and its derivatives from v = Q (u - beta) by the product rule
+        (v0, u0), (v1, u1), (v2, u2), (v3, u3) = interpolant_derivatives(
+            VU, theta, rows
+        ).transpose(0, 2, 1)
+        u0 -= beta
+        q0 = v0 / u0
+        q1 = (v1 - q0 * u1) / u0
+        q2 = (v2 - 2.0 * q1 * u1 - q0 * u2) / u0
+        q3 = (v3 - 3.0 * (q2 * u1 + q1 * u2) - q0 * u3) / u0
+        return q0, q1, q2, q3
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        q_max = _refined_max(v / (u - beta), excess, window, full)
+        q = v / (u - beta)
+        # Q > T where v - T (u - beta) > 0 as long as u > beta, which holds
+        # unless the row is crossed (and reads NaN); over the largest
+        # u - beta, that polynomial is on the scale of Q - T
+        T, scale = q.max(-1)[:, None], u.max(-1)[:, None] - beta
+        excess = _cell_bound(
+            *[(a - T * b) / scale
+              for a, b in ((v, u - beta), (dv[0], du[0]), (dv[1], du[1]))],
+            _mode_sums(V - T * U, 3) / scale[:, 0],
+        )
+        excess[crossed] = -np.inf
+        q1 = (dv[0] - q * du[0]) / (u - beta)
+        q2 = (dv[1] - 2.0 * q1 * du[0] - q * du[1]) / (u - beta)
+        del slopes, dv, du, U
+        q_max = _refined_max(q, (q1, q2), excess, derivs)
     q_max = np.where(crossed, math.nan, q_max)
     return q_max.reshape(shape)[()], ok.reshape(shape)[()]
 
@@ -527,40 +530,22 @@ def gradient_functional(
 ):
     """max of k^(2 alpha) + ((k^alpha)')^2, grid-independent.
 
-    The maximizer generally falls between nodes, so the square sum is
-    taken of the 32x (`_DENSE_FACTOR`) resamples of k^alpha and of its
-    derivative and the peak refined parabolically; `_refined_max`
-    evaluates the resamples only near the peak. Callers that already hold
-    the rows of the rfft of k^alpha pass them as `V`.
+    The maximizer generally falls between nodes. The square sum of the
+    trigonometric interpolants of k^alpha and of its derivative has
+    degree n, so its 2n samples give its exact spectrum, and its maximum
+    is that interpolant's, exact to round-off (`_refined_max`). Callers
+    that already hold the rows of the rfft of k^alpha pass them as `V`.
     """
     shape = kp.k.shape[:-1]
     n = kp.grid.n
     V = np.fft.rfft(_rows(power(kp.k, alpha))) if V is None else _rows(V)
-    D = deriv_spectrum(V, 1)
-    # the square sum has degree n, so 2n samples give its exact spectrum
-    square = resample_spectrum(D, n, 2 * n)
+    square = resample_spectrum(deriv_spectrum(V, 1), n, 2 * n)
     square *= square
     square += resample_spectrum(V, n, 2 * n) ** 2
     nodes = square[:, ::2].copy()
-    excess = _shift_excess(nodes, np.fft.rfft(square))
+    coef = np.fft.rfft(square)
     del square
-    d_window, v_window = _windows(D), _windows(V)
-
-    def window(rows, centers, reach):
-        out = d_window(rows, centers, reach)
-        out *= out
-        v_fine = v_window(rows, centers, reach)
-        v_fine *= v_fine
-        out += v_fine
-        return out
-
-    def full(rows):
-        out = _dense_rows(D, rows)
-        out *= out
-        out += _dense_rows(V, rows) ** 2
-        return out
-
-    return _refined_max(nodes, excess, window, full).reshape(shape)[()]
+    return _interpolant_max(nodes, coef).reshape(shape)[()]
 
 
 def lower_bound_functional(s_accum, kp: CurvatureProfile):
@@ -569,19 +554,13 @@ def lower_bound_functional(s_accum, kp: CurvatureProfile):
     s_accum is the integrator's running time integral of the curvature
     power quadrature (for a block, one per row, NaN where there is
     none); None (no accumulator available) yields NaN and the series
-    flags the diagnostic as disabled. The max of 1/k is that of its 32x
-    (`_DENSE_FACTOR`) resample, refined parabolically (`_refined_max`).
+    flags the diagnostic as disabled. The max of 1/k is that of its
+    trigonometric interpolant, exact to round-off (`_refined_max`).
     """
     shape = kp.k.shape[:-1]
     if s_accum is None:
         return np.full(shape, math.nan)[()]
-    W, w = _rows(kp.W), _rows(kp.w)
-    w_max = _refined_max(
-        w,
-        _shift_excess(w, W),
-        _windows(W),
-        lambda rows: _dense_rows(W, rows),
-    ).reshape(shape)[()]
+    w_max = _interpolant_max(_rows(kp.w), _rows(kp.W)).reshape(shape)[()]
     return w_max - (geometry.length(kp) + s_accum) / TWO_PI
 
 
@@ -726,14 +705,13 @@ class DiagnosticsCollector:
     `max(1, _BLOCK_POINTS // n)` samples, or at the next call without
     `defer`, which also returns that sample's record and releases the
     series' spare capacity. The block size keeps each (rows, n) array
-    at 32 KB; the 32x resamples of the pointwise extrema are evaluated
-    in windows (`_refined_max`), so no (rows, 32 n) array is formed
-    but for a row that falls back to the full resample.
+    at 32 KB; the pointwise extrema evaluate their interpolants only at
+    the Newton points of the cells that can hold a maximum
+    (`_refined_max`).
 
     Per block, the support pipeline (reconstruction and centroid) runs
     once and is shared by everything that needs it, as is one rfft of
-    k^alpha per row, from which the Tso quotient and Psi sum their
-    windows; the area comes from `geometry.parseval_area`, with no
+    k^alpha per row, which the Tso quotient and Psi share; the area comes from `geometry.parseval_area`, with no
     closure check, so a run that drifts open is recorded
     (closure_defect) rather than stopped. The radii of a block are solved
     in one `geometry.inradius_outradius` call, every row from the

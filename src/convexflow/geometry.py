@@ -25,9 +25,9 @@ from .spectral import (
     AngularGrid,
     antiderivative_values,
     deriv_spectrum,
-    deriv_values,
     first_harmonics_values,
     integrate_values,
+    interpolant_derivatives,
     resample_spectrum,
 )
 
@@ -360,11 +360,12 @@ def _kkt_polish(
     """Newton on the KKT system of max-min of the interpolant f_c = v - c.N,
     for rows of one contact count at once.
 
-    coef holds each row's interpolant of u as (rows, modes) coefficients
-    of exp(i m theta), and v = sign * u. Per row the unknowns are c
-    (rows, 2), r (rows,), and theta_i and lam_i (rows, k); the equations
-    f_c(theta_i) = r, f_c'(theta_i) = 0, sum lam_i N(theta_i) = 0 and
-    sum lam_i = 1 are square for any number of contacts. A contact counts
+    coef holds the rfft of each row of u (rows, modes), whose interpolant
+    `spectral.interpolant_derivatives` evaluates, and v = sign * u. Per
+    row the unknowns are c (rows, 2), r (rows,), and theta_i and lam_i
+    (rows, k); the equations f_c(theta_i) = r, f_c'(theta_i) = 0,
+    sum lam_i N(theta_i) = 0 and sum lam_i = 1 are square for any number
+    of contacts. A contact counts
     as settled once the quadratic model leaves less than tol of descent,
     f'^2 <= 2 tol |f''|, which also holds where the interpolant is flat
     and its stationary point is ill-determined. A row that passes is
@@ -380,22 +381,18 @@ def _kkt_polish(
     c, r, theta, lam = c.copy(), r.copy(), theta.copy(), lam.copy()
     done = np.zeros(rows, dtype=bool)
     todo = np.arange(rows)
-    m = np.arange(coef.shape[-1])
-    # coefficients of the interpolant to those of its first two derivatives
-    symbols = np.stack([np.ones(m.size), 1j * m, -(m * m)], axis=1)
     i = np.arange(k)
     size = 3 + 2 * k
     for _ in range(_MAX_NEWTON):
         th, lm, tl = theta[todo], lam[todo], tol[todo]
         cx, cy, rr = c[todo, :1], c[todo, 1:], r[todo, None]
-        z = np.exp(1j * th[..., None] * m)
-        z *= coef[todo, None, :]
-        interp = (z @ symbols).real
-        interp *= sign
+        u0, u1, u2, _ = interpolant_derivatives(
+            coef, th.ravel(), np.repeat(todo, k)
+        ).reshape(4, todo.size, k)
         cos, sin = np.cos(th), np.sin(th)
-        gap = interp[..., 0] - cx * cos - cy * sin - rr
-        f1 = interp[..., 1] + cx * sin - cy * cos
-        f2 = interp[..., 2] + cx * cos + cy * sin
+        gap = sign * u0 - cx * cos - cy * sin - rr
+        f1 = sign * u1 + cx * sin - cy * cos
+        f2 = sign * u2 + cx * cos + cy * sin
         balance = np.stack(
             [(lm * cos).sum(-1), (lm * sin).sum(-1), lm.sum(-1) - 1.0], -1
         )
@@ -486,7 +483,7 @@ def _max_min(
     """The circle of max over c of min over theta of the interpolant of
     v minus c.N, for v = sign * u on one row.
 
-    coef is the row's interpolant of u (see `_kkt_polish`); u_fine and
+    coef is the rfft of the row's u (see `_kkt_polish`); u_fine and
     u2_fine are its u and u'' on the resample, each as one row. A start
     is the same circle of a nearby u: its contacts replace the exchange,
     and if they lead to no certificate the exchange runs after all.
@@ -581,8 +578,6 @@ def inradius_outradius(
     n_fine = _OVERSAMPLE * n
     U = np.fft.rfft(rows)
     U2 = deriv_spectrum(U, 2)
-    coef = U / n
-    coef[:, 1 : n // 2] *= 2.0
     # u on the resample sets the tolerance now and the certificates after
     # the polish. Neither it nor u'' is held through the polish, whose
     # temporaries come on top: a (B, n_fine) array is four times a
@@ -596,7 +591,7 @@ def inradius_outradius(
         u_fine = resample_spectrum(U[row], n, n_fine)
         u2_fine = resample_spectrum(U2[row], n, n_fine)
         try:
-            return _max_min(coef[row], sign, u_fine, u2_fine, tol[i], start)
+            return _max_min(U[row], sign, u_fine, u2_fine, tol[i], start)
         except RuntimeError as exc:
             label = "inradius" if sign > 0.0 else "outradius"
             raise RuntimeError(f"{label}: {exc}") from exc
@@ -616,7 +611,7 @@ def inradius_outradius(
     ]
     del u2_fine
     polished = [
-        _polish_from(coef[ix], sign, tol[ix], s) if ix.size else None
+        _polish_from(U[ix], sign, tol[ix], s) if ix.size else None
         for sign, s, ix in zip(_SIGNS, start, tried)
     ]
     u_fine = resample_spectrum(U[rest], n, n_fine)
@@ -647,8 +642,3 @@ def isoperimetric_ratio(kp: CurvatureProfile) -> float:
     L = length(kp)
     return L * L / (4.0 * math.pi * area(kp))
 
-
-def support_identity_residual(kp: CurvatureProfile) -> float:
-    """Max |u'' + u - 1/k| over the grid, u taken about the centroid."""
-    u, _ = support_about_centroid(kp)
-    return float(np.abs(deriv_values(u, 2) + u - kp.w).max())

@@ -2,7 +2,9 @@
 
 Every function here recomputes a quantity by a route disjoint from the
 library implementation: closed forms, adaptive quadrature in the parametric
-angle, dense finite-difference stencils, and the curvature form
+angle, dense finite-difference stencils, dense trigonometric resamples
+with a parabola through the largest sample, the support identity
+u'' + u = 1/k, and the curvature form
 k_t = k^2 ((k^a)'' + k^a - lambda) of the flow, which the stepping kernel
 takes in its radius-of-curvature form instead. Tests compare two
 derivations instead of comparing the code against itself; the radii audit
@@ -16,9 +18,9 @@ import math
 
 import numpy as np
 
-from .geometry import CurvatureProfile
+from .geometry import CurvatureProfile, support_about_centroid
 from .laws import BlowUpError, FlowLaw, lambda_value, power
-from .spectral import TWO_PI, deriv_values
+from .spectral import TWO_PI, deriv_values, resample_spectrum
 
 
 def ellipse_perimeter(a: float, b: float) -> float:
@@ -215,6 +217,44 @@ def normal_speed(law: FlowLaw, kp: CurvatureProfile) -> np.ndarray:
     v = power(kp.k, law.alpha)
     lam = lambda_value(law, kp)
     return v - lam
+
+
+def resample_values(values: np.ndarray, n_fine: int) -> np.ndarray:
+    """Trigonometric interpolation of samples onto a finer uniform grid."""
+    return resample_spectrum(np.fft.rfft(values), values.shape[-1], n_fine)
+
+
+def refined_extremum_values(values: np.ndarray, want_max: bool):
+    """Grid extremum sharpened by a parabola through the three samples
+    (`parabola_vertex`); of a dense resample, the tests' reference for
+    the library's exact extrema of the interpolant."""
+    n = values.shape[-1]
+    j = values.argmax(axis=-1) if want_max else values.argmin(axis=-1)
+    j = j[..., None]
+    f0 = np.take_along_axis(values, j, -1)[..., 0]
+    fm = np.take_along_axis(values, (j - 1) % n, -1)[..., 0]
+    fp = np.take_along_axis(values, (j + 1) % n, -1)[..., 0]
+    return parabola_vertex(fm, f0, fp)
+
+
+def parabola_vertex(fm: np.ndarray, f0: np.ndarray, fp: np.ndarray):
+    """The vertex value of the parabola through three equally spaced
+    samples, f0 in the middle.
+
+    The vertex correction is bounded by the local sample variation, so
+    flat or noisy data cannot send it far from the middle sample.
+    """
+    curv = fp - 2.0 * f0 + fm
+    flat = np.abs(curv) < 1e-14 * np.maximum(1.0, np.abs(f0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = f0 - (fp - fm) ** 2 / (8.0 * curv)
+    return np.where(flat, f0, vertex)[()]
+
+
+def support_identity_residual(kp: CurvatureProfile) -> float:
+    """Max |u'' + u - 1/k| over the grid, u taken about the centroid."""
+    u, _ = support_about_centroid(kp)
+    return float(np.abs(deriv_values(u, 2) + u - kp.w).max())
 
 
 def reference_table() -> list[tuple[str, float]]:

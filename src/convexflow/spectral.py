@@ -22,6 +22,9 @@ import numpy as np
 
 # the one definition of 2*pi in the package; every other module imports it
 TWO_PI = 2.0 * math.pi
+# terms, angles times modes, that `interpolant_derivatives` forms at once
+# (64 KiB of complex values)
+_TERMS = 1 << 12
 
 
 class GridError(ValueError):
@@ -104,13 +107,9 @@ def first_harmonics_values(values: np.ndarray):
     return d * np.vecdot(values, cos), d * np.vecdot(values, sin)
 
 
-def resample_values(values: np.ndarray, n_fine: int) -> np.ndarray:
-    """Trigonometric interpolation of samples onto a finer uniform grid."""
-    return resample_spectrum(np.fft.rfft(values), values.shape[-1], n_fine)
-
-
 def resample_spectrum(coef: np.ndarray, n: int, n_fine: int) -> np.ndarray:
-    """`resample_values` of n samples from their rfft, which is not changed."""
+    """Trigonometric interpolation onto a finer uniform grid of n_fine
+    points, from the rfft `coef` of n samples, which is not changed."""
     if n_fine < n:
         raise ValueError("resample target must not be coarser")
     # the coarse Nyquist bin becomes an interior mode on the fine grid and
@@ -124,85 +123,54 @@ def resample_spectrum(coef: np.ndarray, n: int, n_fine: int) -> np.ndarray:
     return fine
 
 
-def window_values(
-    coef: np.ndarray, n: int, centers: np.ndarray, factor: int, reach: int = 1
+def interpolant_derivatives(
+    coef: np.ndarray, theta: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
-    """`resample_spectrum(coef, n, factor * n)` near chosen nodes only.
+    """(f, f', f'', f''') as one (4, angles, ...) array: the trigonometric
+    interpolants f of the samples whose rfft is `coef` (rows, ..., modes)
+    and their first three derivatives at the angles theta, theta[i] on
+    coef[rows[i]].
 
-    For each coarse node j in `centers` (..., K) it gives the fine samples
-    j factor - reach factor - 1 ... j factor + reach factor + 1, which
-    span the `reach` cells on either side of j and one fine step beyond:
-    (..., K, 2 reach factor + 3). Each sample is a sum over the n // 2 + 1
-    modes, one dot product per sample and row, so it does not depend on
-    the other rows or centres.
+    Each value is a sum along the modes, one dot product per angle and
+    interpolant, so it does not depend on the other rows or angles. The
+    terms are formed for `_TERMS` of them at a time, or for one angle
+    where that takes more.
     """
-    cos_o, sin_o, weight = _window_tables(n, factor * reach + 1, factor)
-    # e^{i m theta_j} for each mode and centre, from the grid table
-    _, cos_n, sin_n = _grid_arrays(n)
-    turn = centers[..., None] * np.arange(n // 2 + 1)
-    turn %= n
-    er, ei = cos_n[turn], sin_n[turn]
-    # each (..., K, n/2 + 1) temporary is freed once used: they set the
-    # peak memory of a block's collection
-    del turn
-    c = coef * weight
-    cr, ci = c.real[..., None, :], c.imag[..., None, :]
-    # at offset +-o: sum of Re(c e^{i m theta_j}) cos(m o d) -+ Im(...) sin(m o d)
-    part, term = cr * er, ci * ei
-    part -= term
-    even = np.vecdot(part[..., None, :], cos_o)
-    np.multiply(cr, ei, out=part)
-    np.multiply(ci, er, out=term)
-    part += term
-    odd = np.vecdot(part[..., None, :], sin_o)
-    del er, ei, part, term
-    last = even.shape[-1] - 1
-    out = np.empty(even.shape[:-1] + (2 * last + 1,))
-    np.add(even[..., :0:-1], odd[..., :0:-1], out=out[..., :last])
-    np.subtract(even, odd, out=out[..., last:])
+    out = np.empty((4,) + theta.shape + coef.shape[1:-1])
+    step = max(1, _TERMS // coef[0].size)
+    m = np.arange(coef.shape[-1], dtype=np.float64)
+    table = _derivative_weights(coef.shape[-1])
+    for i in range(0, len(theta), step):
+        part = slice(i, i + step)
+        phase = np.multiply.outer(theta[part], m).reshape(
+            (-1,) + (1,) * (coef.ndim - 2) + m.shape
+        )
+        turn = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=turn.real)
+        np.sin(phase, out=turn.imag)
+        del phase
+        terms = coef[rows[part]]
+        terms *= turn
+        del turn
+        even = np.vecdot(terms.real[..., None, :], table[0::2])  # f, -f''
+        odd = np.vecdot(terms.imag[..., None, :], table[1::2])  # -f', f'''
+        out[0, part], out[1, part] = even[..., 0], -odd[..., 0]
+        out[2, part], out[3, part] = -even[..., 1], odd[..., 1]
     return out
 
 
 @lru_cache(maxsize=8)
-def _window_tables(n: int, last: int, factor: int) -> tuple[np.ndarray, ...]:
-    """For `window_values`: cos and sin of m o 2 pi/(factor n) for offsets
-    o = 0..last (rows) and modes m = 0..n/2 (columns), and the weight of
-    each mode in the resample (the mean and the halved Nyquist bin count
-    once, the others twice, over n)."""
-    turn = (np.arange(last + 1)[:, None] * np.arange(n // 2 + 1)) % (factor * n)
-    angle = turn * (TWO_PI / (factor * n))
-    weight = np.full(n // 2 + 1, 2.0 / n)
+def _derivative_weights(modes: int) -> np.ndarray:
+    """For `interpolant_derivatives`: the rows c_m m^p, p = 0..3, over
+    the rfft bins m, c_m the weight of bin m in the interpolant (the
+    mean and the Nyquist bin count once, the others twice, over the
+    2 (modes - 1) samples)."""
+    n = 2 * (modes - 1)
+    weight = np.full(modes, 2.0 / n)
     weight[0] = weight[-1] = 1.0 / n
-    tables = np.cos(angle), np.sin(angle), weight
-    for a in tables:
-        a.setflags(write=False)
-    return tables
-
-
-def refined_extremum_values(values: np.ndarray, want_max: bool):
-    """Grid extremum sharpened by a parabola through the three samples
-    (`parabola_vertex`)."""
-    n = values.shape[-1]
-    j = values.argmax(axis=-1) if want_max else values.argmin(axis=-1)
-    j = j[..., None]
-    f0 = np.take_along_axis(values, j, -1)[..., 0]
-    fm = np.take_along_axis(values, (j - 1) % n, -1)[..., 0]
-    fp = np.take_along_axis(values, (j + 1) % n, -1)[..., 0]
-    return parabola_vertex(fm, f0, fp)
-
-
-def parabola_vertex(fm: np.ndarray, f0: np.ndarray, fp: np.ndarray):
-    """The vertex value of the parabola through three equally spaced
-    samples, f0 in the middle.
-
-    The vertex correction is bounded by the local sample variation, so
-    flat or noisy data cannot send it far from the middle sample.
-    """
-    curv = fp - 2.0 * f0 + fm
-    flat = np.abs(curv) < 1e-14 * np.maximum(1.0, np.abs(f0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = f0 - (fp - fm) ** 2 / (8.0 * curv)
-    return np.where(flat, f0, vertex)[()]
+    table = weight * np.arange(modes, dtype=np.float64) ** np.arange(4)[:, None]
+    table.setflags(write=False)
+    return table
 
 
 def antiderivative_values(values: np.ndarray) -> tuple[np.ndarray, float]:

@@ -28,8 +28,8 @@ from .diagnostics import (
     DiagnosticsSeries,
     oscillation,
 )
-from .geometry import ConvexityError, CurvatureProfile, _require_closed
-from .laws import BlowUpError, FlowKind, FlowLaw
+from .geometry import CurvatureProfile, _require_closed
+from .laws import FlowKind, FlowLaw
 
 
 class ConfigurationError(ValueError):
@@ -112,31 +112,6 @@ _GUARD_TRIPS = {
     _kernels.STATUS_BLOWUP: (RunStatus.BLOW_UP, "blowup"),
     _kernels.STATUS_NONFINITE: (RunStatus.BLOW_UP, "nonfinite"),
 }
-
-
-def step(
-    law: FlowLaw,
-    kp: CurvatureProfile,
-    dt: float,
-) -> CurvatureProfile:
-    """One forced ETDRK4 step of exactly dt, with sigma = (1.05/2) *
-    alpha*k_max^(alpha+1) from kp's k_max: half the stiffest diffusion
-    coefficient, with the 5% band a run refreshes it within, which keeps
-    the explicit remainder of the split stable.
-
-    No error control: the caller owns the accuracy question. Guard trips
-    raise instead of returning a status; a stage or a result whose 1/k
-    is not positive raises ConvexityError.
-    """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    stepper = _kernels.Stepper(kp.k, law.alpha, law.kind, 1.0, math.inf, math.inf)
-    code = stepper.force(dt)
-    if code == _kernels.STATUS_CONVEXITY:
-        raise ConvexityError("curvature lost positivity during the step")
-    if code in (_kernels.STATUS_BLOWUP, _kernels.STATUS_NONFINITE):
-        raise BlowUpError(f"curvature blew up during a step of dt={dt:.6e}")
-    return CurvatureProfile(kp.grid, stepper.k())
 
 
 def run(

@@ -11,7 +11,8 @@ from convexflow import (
     generate,
     random_convex,
 )
-from convexflow.geometry import ConvexityError, support_identity_residual
+from convexflow.geometry import ConvexityError
+from convexflow.oracles import support_identity_residual
 
 
 class TestCircleEllipse:

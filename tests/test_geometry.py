@@ -36,9 +36,8 @@ from convexflow.geometry import (
     ConvexityError,
     DomainError,
     isoperimetric_ratio,
-    support_identity_residual,
 )
-from convexflow.spectral import resample_values
+from convexflow.oracles import resample_values, support_identity_residual
 
 TWO_PI = 2.0 * math.pi
 

@@ -14,11 +14,10 @@ from convexflow.spectral import (
     deriv_values,
     first_harmonics_values,
     integrate_values,
-    refined_extremum_values,
+    interpolant_derivatives,
     resample_spectrum,
-    resample_values,
-    window_values,
 )
+from convexflow.oracles import refined_extremum_values, resample_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -184,29 +183,33 @@ class TestRefinedExtremum:
             assert refined_extremum_values(vals, False) <= vals.min()
 
 
-class TestWindowValues:
-    @pytest.mark.parametrize("n, reach", [(16, 1), (64, 1), (64, 4), (512, 1)])
-    def test_matches_the_full_resample(self, n, reach):
-        # the samples around each centre are those of the full resample,
-        # the Nyquist bin and the wrap past node 0 included
-        rng = np.random.default_rng(n + reach)
-        coef = np.fft.rfft(rng.normal(size=(3, n)))
-        centers = np.array([[0, n // 2], [n - 1, 5], [3, 3]])
-        got = window_values(coef, n, centers, 32, reach)
-        full = resample_spectrum(coef, n, 32 * n)
-        span = 32 * reach + 1
-        assert got.shape == (3, 2, 2 * span + 1)
-        for row in range(3):
-            for k, j in enumerate(centers[row]):
-                want = full[row, (32 * j + np.arange(-span, span + 1)) % (32 * n)]
-                scale = np.abs(full[row]).max()
-                assert np.abs(got[row, k] - want).max() < 1e-14 * scale
+class TestInterpolantDerivatives:
+    # f = 1 + 0.2 cos 3t - 0.1 sin 5t + 0.05 cos 8t on 16 nodes, 8 the
+    # Nyquist mode; each term a cos(m t + phase) has the p-th derivative
+    # a m^p cos(m t + phase + p pi/2)
+    TERMS = ((1.0, 0, 0.0), (0.2, 3, 0.0), (0.1, 5, 0.5 * math.pi), (0.05, 8, 0.0))
+
+    def closed_form(self, theta, p):
+        return sum(a * m**p * np.cos(m * theta + phase + 0.5 * p * math.pi)
+                   for a, m, phase in self.TERMS)
+
+    def test_matches_the_closed_form(self):
+        coef = np.fft.rfft(self.closed_form(AngularGrid(16).theta, 0))
+        theta = np.random.default_rng(2).uniform(0.0, TWO_PI, size=15)
+        got = interpolant_derivatives(coef[None], theta, np.zeros(15, dtype=int))
+        assert got.shape == (4, 15)
+        for p, values in enumerate(got):
+            assert np.abs(values - self.closed_form(theta, p)).max() < 1e-13 * 8**p
 
     def test_rows_do_not_depend_on_the_block(self):
+        # an angle on a row gives the same bits whatever else is
+        # evaluated with it, also when the terms are formed in slices
         rng = np.random.default_rng(3)
-        coef = np.fft.rfft(rng.normal(size=(4, 128)))
-        centers = rng.integers(0, 128, size=(4, 3))
-        block = window_values(coef, 128, centers, 32)
-        for row in range(4):
-            one = window_values(coef[row], 128, centers[row], 32)
-            assert np.array_equal(one, block[row])
+        coef = np.fft.rfft(rng.normal(size=(4, 2, 4096)))
+        rows = rng.integers(0, 4, size=9)
+        theta = rng.uniform(0.0, TWO_PI, size=9)
+        block = interpolant_derivatives(coef, theta, rows)
+        assert block.shape == (4, 9, 2)
+        for i in range(9):
+            one = interpolant_derivatives(coef, theta[i : i + 1], rows[i : i + 1])
+            assert np.array_equal(one, block[:, i : i + 1])
