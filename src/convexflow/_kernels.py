@@ -248,12 +248,11 @@ class Stepper:
     accepted steps.
     """
 
-    def __init__(self, k, alpha, kind, safety, dt_max, blowup_k):
+    def __init__(self, k, alpha, kind, safety, blowup_k):
         n = k.shape[0]
         self.rhs = Derivative(n, alpha, kind)
         self.alpha = alpha
         self.tol = TOL_PER_SAFETY * safety
-        self.dt_max = dt_max
         self.blowup_k = blowup_k
         self.t = 0.0
         self.s = 0.0
@@ -286,8 +285,7 @@ class Stepper:
         # changes w by tol^(1/5) relative at its largest relative rate
         rate = np.fft.irfft(self.R.view(complex), n)
         fastest = float(np.max(np.abs(rate) / self.w))
-        h0 = 0.5 * self.tol**0.2 / fastest if fastest > 0.0 else math.inf
-        self.h = min(h0, dt_max)
+        self.h = 0.5 * self.tol**0.2 / fastest if fastest > 0.0 else math.inf
 
     def k(self) -> np.ndarray:
         """Curvature samples of the held state (a new array)."""
@@ -465,7 +463,7 @@ class Stepper:
             if 1.0 <= fac < _KEEP_BELOW:
                 self.h = hs
                 continue
-            self.h = min(hs * fac, self.dt_max)
+            self.h = hs * fac
             if left > 0 and (fac < 1.0 or self._count(t_end - self.t) < left):
                 left = 0
         return steps, STATUS_OK

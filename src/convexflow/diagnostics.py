@@ -43,8 +43,8 @@ from .spectral import (
 AUDIT_NAMES = ("rates", "radii", "tso", "psi", "phi", "entropy", "margins")
 DEFAULT_BETAS = (0.0, 0.5, 1.0, 2.0, 3.0)
 
-# default slack for "nonnegative" margins and monotone sequences, relative
-# to the quantity's own scale
+# slack for "nonnegative" margins and monotone sequences, relative to the
+# quantity's own scale
 MARGIN_RTOL = 1e-9
 MONOTONE_RTOL = 1e-9
 # absolute allowance for monotone diffs whose values pass through zero:
@@ -52,6 +52,12 @@ MONOTONE_RTOL = 1e-9
 MONOTONE_ATOL = 5e-13
 PSI_RTOL = 1e-6
 TSO_RTOL = 1e-6
+# drift of the conserved L (LP) or A (AP), relative to its initial value
+CONSERVATION_RTOL = 1e-6
+# mismatch of a rate formula with the finite difference of its column:
+# relative to the formula's value, with an absolute floor near zero rates
+RATE_RTOL = 1e-4
+RATE_ATOL = 1e-10
 # slack of the radii audit, relative to L / 2 pi, the radius of the
 # circle of the same length
 RADII_RTOL = 1e-8
@@ -91,8 +97,8 @@ class Margin:
     value: float
     scale: float
 
-    def ok(self, rtol: float = MARGIN_RTOL) -> bool:
-        return self.value >= -rtol * self.scale
+    def ok(self) -> bool:
+        return self.value >= -MARGIN_RTOL * self.scale
 
 
 @dataclass(frozen=True)
@@ -618,14 +624,10 @@ def _named_phi_margins(
     )
 
 
-def inequality_audit(
-    kp: CurvatureProfile,
-    alpha: float = 1.0,
-    betas: Sequence[float] = DEFAULT_BETAS,
-) -> dict[str, Margin]:
+def inequality_audit(kp: CurvatureProfile, alpha: float = 1.0) -> dict[str, Margin]:
     """Every audited inequality as named margins (large - small side).
 
-    Exponent-family margins run over `betas` (each >= 0). The quadratic
+    Exponent-family margins run over DEFAULT_BETAS. The quadratic
     test-function margins take the two flow speeds (curvature power
     minus the length- resp. area-stabilizing nonlocal term), for which
     one side vanishes identically. Margins comparing the four nonlocal
@@ -651,19 +653,15 @@ def inequality_audit(
     margins: dict[str, Margin] = {}
     margins["holder"] = Margin(lam_lp - lam_ap, lam_scale)
 
-    betas = [float(b) for b in betas]
-    for b in betas:
-        if not (math.isfinite(b) and b >= 0.0):
-            raise AuditError(f"beta exponents must be finite and >= 0, got {b}")
     # every exponent at once, on a leading axis: (betas, n) or (betas, rows, n)
-    kb = power(k, np.reshape(betas, (-1,) + (1,) * k.ndim))
+    kb = power(k, np.reshape(DEFAULT_BETAS, (-1,) + (1,) * k.ndim))
     int_kb = integrate_values(kb)
     large = (L / TWO_PI) * int_kb
     small = integrate_values(kb * w)
     ineq11 = large - small, np.maximum(large, small)
     large = (2.0 * A / L) * integrate_values(kb * k)
     ineq22 = large - int_kb, np.maximum(large, int_kb)
-    for j, b in enumerate(betas):
+    for j, b in enumerate(DEFAULT_BETAS):
         margins[f"ineq11_b{b:g}"] = Margin(ineq11[0][j], ineq11[1][j])
         margins[f"ineq22_b{b:g}"] = Margin(ineq22[0][j], ineq22[1][j])
 
@@ -689,10 +687,8 @@ def inequality_audit(
     return margins
 
 
-def failed_margins(
-    margins: Mapping[str, Margin], rtol: float = MARGIN_RTOL
-) -> list[str]:
-    return [name for name, m in sorted(margins.items()) if not m.ok(rtol)]
+def failed_margins(margins: Mapping[str, Margin]) -> list[str]:
+    return [name for name, m in sorted(margins.items()) if not m.ok()]
 
 
 class DiagnosticsCollector:
@@ -850,10 +846,9 @@ def _mono_violations(
     q: np.ndarray,
     direction: int,
     label: str,
-    rtol: float,
 ) -> list[str]:
     a, b = q[:-1], q[1:]
-    slack = rtol * np.maximum(abs(a), abs(b)) + MONOTONE_ATOL
+    slack = MONOTONE_RTOL * np.maximum(abs(a), abs(b)) + MONOTONE_ATOL
     drift = (b - a) if direction < 0 else (a - b)
     return [
         f"{label} moved {'up' if direction < 0 else 'down'} by "
@@ -862,27 +857,25 @@ def _mono_violations(
     ]
 
 
-def monotonicity_violations(
-    series: DiagnosticsSeries, rtol: float = MONOTONE_RTOL
-) -> list[str]:
+def monotonicity_violations(series: DiagnosticsSeries) -> list[str]:
     """Per-sample monotonicity checks appropriate to the series' law."""
     law = series.law
     t = series.column("t")
     out: list[str] = []
     if law.kind is not FlowKind.CONTRACTION:
-        out += _mono_violations(t, series.column("I"), -1, "isoperimetric ratio", rtol)
+        out += _mono_violations(t, series.column("I"), -1, "isoperimetric ratio")
     if law.kind in (FlowKind.G1, FlowKind.G2):
-        out += _mono_violations(t, series.column("L"), -1, "length", rtol)
-        out += _mono_violations(t, series.column("A"), +1, "area", rtol)
+        out += _mono_violations(t, series.column("L"), -1, "length")
+        out += _mono_violations(t, series.column("A"), +1, "area")
     direction = entropy_direction(law)
     if direction:
-        out += _mono_violations(t, series.column("entropy"), direction, "entropy", rtol)
+        out += _mono_violations(t, series.column("entropy"), direction, "entropy")
     if series.phi_enabled:
-        out += _mono_violations(t, series.column("Phi_max"), -1, "Phi_max", rtol)
+        out += _mono_violations(t, series.column("Phi_max"), -1, "Phi_max")
     return out
 
 
-def psi_violations(series: DiagnosticsSeries, rtol: float = PSI_RTOL) -> list[str]:
+def psi_violations(series: DiagnosticsSeries) -> list[str]:
     """Running max of Psi must not exceed max(Psi(0), running max of v^2)."""
     alpha = series.law.alpha
     out: list[str] = []
@@ -897,7 +890,7 @@ def psi_violations(series: DiagnosticsSeries, rtol: float = PSI_RTOL) -> list[st
     for tj, psi_j, k_j in zip(t, psi, k_max):
         run_v2 = max(run_v2, k_j ** (2.0 * alpha))
         run_psi = max(run_psi, psi_j)
-        bound = max(psi0, run_v2) * (1.0 + rtol)
+        bound = max(psi0, run_v2) * (1.0 + PSI_RTOL)
         if run_psi > bound:
             out.append(
                 f"Psi running max {run_psi:.12e} exceeds bound {bound:.12e} "
@@ -906,7 +899,7 @@ def psi_violations(series: DiagnosticsSeries, rtol: float = PSI_RTOL) -> list[st
     return out
 
 
-def tso_violations(series: DiagnosticsSeries, rtol: float = TSO_RTOL) -> list[str]:
+def tso_violations(series: DiagnosticsSeries) -> list[str]:
     """Q_max against its a-priori bound, asserted only where proved.
 
     The bound applies to the two conserving laws, on 0 < t <= T1, and
@@ -920,29 +913,25 @@ def tso_violations(series: DiagnosticsSeries, rtol: float = TSO_RTOL) -> list[st
     for t, q_ok, q_max in zip(*columns):
         if not (0.0 < t <= ctx.T1) or not q_ok or math.isnan(q_max):
             continue
-        bound = ctx.bound_at(t) * (1.0 + rtol)
+        bound = ctx.bound_at(t) * (1.0 + TSO_RTOL)
         if q_max > bound:
             out.append(f"Q_max {q_max:.12e} exceeds bound {bound:.12e} at t={t:.6g}")
     return out
 
 
-def margin_violations(
-    series: DiagnosticsSeries, rtol: float = MARGIN_RTOL
-) -> list[str]:
+def margin_violations(series: DiagnosticsSeries) -> list[str]:
     names, values, scales = series.margin_table()
     t = series.column("t")
-    failed = ~(values >= -rtol * scales)
+    failed = ~(values >= -MARGIN_RTOL * scales)
     return [
-        f"margin {names[i]} = {values[i, j]:.3e} below -{rtol:.0e}*scale "
+        f"margin {names[i]} = {values[i, j]:.3e} below -{MARGIN_RTOL:.0e}*scale "
         f"(scale {scales[i, j]:.3e}) at sample {j}, t={t[j]:.6g}"
         for j, i in zip(*np.nonzero(failed.T))
     ]
 
 
-def conservation_violations(
-    series: DiagnosticsSeries, rtol: float = 1e-6
-) -> list[str]:
-    """LP must hold L, AP must hold A, within rtol of the initial value."""
+def conservation_violations(series: DiagnosticsSeries) -> list[str]:
+    """LP must hold L, AP must hold A, to CONSERVATION_RTOL relative."""
     law = series.law
     out: list[str] = []
     if not len(series):
@@ -956,24 +945,25 @@ def conservation_violations(
     ref = col[0]
     drift = np.abs(col - ref) / abs(ref)
     worst = int(drift.argmax())
-    if drift[worst] > rtol:
+    if drift[worst] > CONSERVATION_RTOL:
         out.append(
             f"{name} drifted {drift[worst]:.3e} relative at "
-            f"t={series.column('t')[worst]:.6g} (allowed {rtol:.0e})"
+            f"t={series.column('t')[worst]:.6g} (allowed {CONSERVATION_RTOL:.0e})"
         )
     return out
 
 
-def closure_violations(series: DiagnosticsSeries, rtol: float = 1e-6) -> list[str]:
+def closure_violations(series: DiagnosticsSeries) -> list[str]:
+    """Every recorded closure defect within geometry.CLOSURE_RTOL * L(0)."""
     out: list[str] = []
     if not len(series):
         return out
-    limit = rtol * series.column("L")[0]
+    limit = geometry.CLOSURE_RTOL * series.column("L")[0]
     defect = series.column("closure_defect")
     t = series.column("t")
     return [
         f"closure defect {defect[j]:.3e} exceeds "
-        f"{rtol:.0e}*L(0) = {limit:.3e} at t={t[j]:.6g}"
+        f"{geometry.CLOSURE_RTOL:.0e}*L(0) = {limit:.3e} at t={t[j]:.6g}"
         for j in np.flatnonzero(defect > limit)
     ]
 
@@ -1002,16 +992,14 @@ def rate_fd_pairs(
     return fd[equal], avg[equal]
 
 
-def rate_violations(
-    series: DiagnosticsSeries, rtol: float = 1e-4, atol: float = 1e-10
-) -> list[str]:
+def rate_violations(series: DiagnosticsSeries) -> list[str]:
     out: list[str] = []
     for quantity in ("A", "L"):
         fd, avg = rate_fd_pairs(series, quantity)
-        beyond = abs(fd - avg) > np.maximum(rtol * abs(avg), atol)
+        beyond = abs(fd - avg) > np.maximum(RATE_RTOL * abs(avg), RATE_ATOL)
         out += [
             f"d{quantity}/dt finite difference {x:.12e} vs formula "
-            f"{y:.12e} beyond max({rtol:.0e} rel, {atol:.0e} abs)"
+            f"{y:.12e} beyond max({RATE_RTOL:.0e} rel, {RATE_ATOL:.0e} abs)"
             for x, y in zip(fd[beyond], avg[beyond])
         ]
     return out

@@ -138,10 +138,9 @@ def _nodes(
     return Gx + mx * grid.theta, Gy + my * grid.theta, mx, my
 
 
-def reconstruct_points(
-    kp: CurvatureProfile, anchor: tuple[float, float] = (0.0, 0.0)
-) -> np.ndarray:
-    """Integrate the tangent to recover points X(theta_j), anchored at X(0).
+def reconstruct_points(kp: CurvatureProfile) -> np.ndarray:
+    """Integrate the tangent to recover points X(theta_j), with X(0) at the
+    origin.
 
     Returns an (n+1, 2) array including the wrap-around endpoint X(2*pi);
     the gap between last and first rows equals the closure defect.
@@ -149,10 +148,10 @@ def reconstruct_points(
     x, y, mx, my = _nodes(kp)
     n = kp.grid.n
     pts = np.empty((n + 1, 2))
-    pts[:n, 0] = anchor[0] + x
-    pts[:n, 1] = anchor[1] + y
-    pts[n, 0] = anchor[0] + mx[0] * TWO_PI
-    pts[n, 1] = anchor[1] + my[0] * TWO_PI
+    pts[:n, 0] = x
+    pts[:n, 1] = y
+    pts[n, 0] = mx[0] * TWO_PI
+    pts[n, 1] = my[0] * TWO_PI
     return pts
 
 

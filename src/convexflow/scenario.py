@@ -280,8 +280,7 @@ def scenario_to_document(scenario: Scenario) -> dict:
         curve_doc[name] = value
     curve_doc["grid_n"] = curve.grid_n
 
-    # control echoes only non-default entries, keeping the JSON finite
-    # (the dt_max default is infinity)
+    # control echoes only non-default entries
     base = StepControl()
     control_doc = {
         f.name: getattr(scenario.control, f.name)

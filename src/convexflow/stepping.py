@@ -43,11 +43,10 @@ class StepControl:
     safety scales the local error tolerance of a step: a step is accepted
     when its step-doubling estimate of the largest relative error of 1/k
     is at most 4e-9 * safety (1e-9 at the default), so halving safety
-    halves the tolerance. dt_max caps the step size.
+    halves the tolerance.
     """
 
     safety: float = 0.25
-    dt_max: float = math.inf
     max_steps: int = 10_000_000
     convergence_tol: float = 1e-3
     blowup_k: float = 1e6
@@ -55,8 +54,6 @@ class StepControl:
     def __post_init__(self) -> None:
         if not (0.0 < self.safety <= 1.0):
             raise ConfigurationError(f"safety must be in (0, 1], got {self.safety}")
-        if not (self.dt_max > 0.0):
-            raise ConfigurationError(f"dt_max must be positive, got {self.dt_max}")
         if self.max_steps < 1:
             raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
         if not (self.convergence_tol > 0.0):
@@ -165,9 +162,7 @@ def run(
     if on_sample is not None:
         on_sample(0.0, kp0, 0)
 
-    stepper = _kernels.Stepper(
-        kp0.k, law.alpha, law.kind, ctl.safety, ctl.dt_max, ctl.blowup_k
-    )
+    stepper = _kernels.Stepper(kp0.k, law.alpha, law.kind, ctl.safety, ctl.blowup_k)
     kp_cur = kp0
     held = (0.0, kp0, 0.0)  # the latest sample, not yet collected
     t_cur = 0.0

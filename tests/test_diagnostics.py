@@ -302,7 +302,7 @@ class TestInequalityAudit:
         L = oracles.ellipse_perimeter(2.0, 1.0)
         A = oracles.ellipse_area(2.0, 1.0)
         Iq = lambda p: oracles.ellipse_curvature_integral(2.0, 1.0, p)
-        margins = inequality_audit(ellipse21, alpha=1.0, betas=(2.0,))
+        margins = inequality_audit(ellipse21, alpha=1.0)
         assert margins["ineq11_b2"].value == pytest.approx(
             (L / TWO_PI) * Iq(2.0) - Iq(1.0), rel=1e-9
         )
@@ -376,10 +376,6 @@ class TestInequalityAudit:
                 dual2, abs=1e-12 * scale
             )
 
-    def test_negative_beta_rejected(self, ellipse21):
-        with pytest.raises(AuditError, match="beta exponents"):
-            inequality_audit(ellipse21, betas=(1.0, -0.5))
-
     def test_nonpositive_alpha_rejected(self, ellipse21):
         # every audited inequality presumes a positive exponent; margins
         # for alpha <= 0 would print as meaningless FAILs
@@ -390,7 +386,6 @@ class TestInequalityAudit:
     def test_margin_ok_threshold(self):
         assert Margin(-1e-10, 1.0).ok()
         assert not Margin(-1e-8, 1.0).ok()
-        assert Margin(-1e-8, 1.0).ok(rtol=1e-7)
 
 
 class TestCollector:
@@ -653,9 +648,9 @@ class TestBlocks:
             }
 
     def test_block_compute_memory(self):
-        # the windowed extrema keep no (rows, 32 n) array, so a full block
-        # stays within a few times its (rows, n) arrays: 8 rows at n=512,
-        # 32 at n=128 (one (8, 32 * 512) float64 temporary alone is 1 MiB)
+        # the extrema evaluate the interpolants only in candidate cells,
+        # with no dense resample, so a full block stays within a few times
+        # its (rows, n) arrays: 8 rows at n=512, 32 at n=128
         law = FlowLaw(FlowKind.LP, 1.0)
         for n, t_end in ((512, 0.05), (128, 0.2)):
             kp0 = generate(Ellipse(a=2.0, b=1.0, grid_n=n))
@@ -682,7 +677,8 @@ class TestBlocks:
 
 # the exact extrema against the parabola-refined maximum of a 1024x
 # resample, whose own error is at most 3.3e-12 relative (against a 4096x
-# one on random_convex(2, 3, 6))
+# one on random_convex(2, 3, 6)); the five near-tied sharp peaks take a
+# 16384x one, as the 1024x one is 8.8e-12 off there
 DENSE_FACTOR = 1024
 EXTREMA_RTOL = 1e-11
 
@@ -691,25 +687,25 @@ def dense_max(fine):
     return refined_extremum_values(fine, True)
 
 
-def dense_tso(kp, ctx, u):
-    """(Q_max, min u) from the dense resamples of k^alpha and u."""
+def dense_tso(kp, ctx, u, factor=DENSE_FACTOR):
+    """(Q_max, min u) from the factor-times resamples of k^alpha and u."""
     n = kp.grid.n
-    u_fine = resample_values(u, DENSE_FACTOR * n)
+    u_fine = resample_values(u, factor * n)
     u_min = refined_extremum_values(u_fine, False)
     if u_min <= ctx.beta:
         return math.nan, u_min
     u_fine -= ctx.beta
-    v_fine = resample_values(power(kp.k, ctx.alpha), DENSE_FACTOR * n)
+    v_fine = resample_values(power(kp.k, ctx.alpha), factor * n)
     return dense_max(v_fine / u_fine), u_min
 
 
-def dense_maxima(kp, alpha):
-    """(Psi_max, max of 1/k) from the dense resamples."""
+def dense_maxima(kp, alpha, factor=DENSE_FACTOR):
+    """(Psi_max, max of 1/k) from the factor-times resamples."""
     n = kp.grid.n
     V = np.fft.rfft(power(kp.k, alpha))
-    square = resample_spectrum(deriv_spectrum(V, 1), n, DENSE_FACTOR * n) ** 2
-    square += resample_spectrum(V, n, DENSE_FACTOR * n) ** 2
-    return dense_max(square), dense_max(resample_spectrum(kp.W, n, DENSE_FACTOR * n))
+    square = resample_spectrum(deriv_spectrum(V, 1), n, factor * n) ** 2
+    square += resample_spectrum(V, n, factor * n) ** 2
+    return dense_max(square), dense_max(resample_spectrum(kp.W, n, factor * n))
 
 
 def flowed(kind, alpha, n, t):
@@ -766,11 +762,11 @@ class TestWindowedExtrema:
         "LP alpha=3, t=0.015": lambda: (flowed(FlowKind.LP, 3.0, 256, 0.015), 3.0),
     }
 
-    def check(self, kp, alpha, ctx=None):
+    def check(self, kp, alpha, ctx=None, factor=DENSE_FACTOR):
         # ctx None: a curve without a support function, so no Tso quotient
         if ctx is not None:
             u, _ = support_about_centroid(kp)
-            q_ref, u_min = dense_tso(kp, ctx, u)
+            q_ref, u_min = dense_tso(kp, ctx, u, factor)
             q_max, ok = tso_quantity(kp, ctx, u=u)
             assert ok == (ctx.beta < u_min and u_min >= 2.0 * ctx.beta)
             if math.isnan(q_ref):
@@ -782,7 +778,7 @@ class TestWindowedExtrema:
                     beta = 0.5 * u_min * (1.0 + side * EXTREMA_RTOL)
                     near = dataclasses.replace(ctx, beta=beta)
                     assert tso_quantity(kp, near, u=u)[1] == (side < 0.0)
-        psi_ref, w_ref = dense_maxima(kp, alpha)
+        psi_ref, w_ref = dense_maxima(kp, alpha, factor)
         psi = gradient_functional(kp, alpha)
         assert psi == pytest.approx(psi_ref, rel=EXTREMA_RTOL, abs=0.0)
         phi = lower_bound_functional(0.25, kp)
@@ -870,7 +866,7 @@ class TestWindowedExtrema:
         peaks = np.flatnonzero((kp.w >= ring[:-2]) & (kp.w >= ring[2:]))
         assert sorted(peaks, key=lambda j: -kp.w[j])[:4] == [26, 39, 13, 52]
         assert fine.argmax() // DENSE_FACTOR == 0
-        self.check(kp, 1.0)
+        self.check(kp, 1.0, factor=16384)
 
 
 class TestColumnarSeries:
@@ -1038,7 +1034,10 @@ class TestSeriesAudits:
         s.append(record(0.0, L=TWO_PI))
         s.append(record(0.1, L=TWO_PI * (1.0 + 2e-6)))
         assert len(conservation_violations(s)) == 1
-        assert conservation_violations(s, rtol=1e-5) == []
+        s = series_of(FlowKind.LP, 1.0)
+        s.append(record(0.0, L=TWO_PI))
+        s.append(record(0.1, L=TWO_PI * (1.0 + 5e-7)))
+        assert conservation_violations(s) == []
         # AP watches area instead, G1 watches neither
         s = series_of(FlowKind.AP, 1.0)
         s.append(record(0.0, L=TWO_PI, A=math.pi))
@@ -1054,7 +1053,10 @@ class TestSeriesAudits:
         s.append(record(0.0, L=TWO_PI, closure_defect=0.0))
         s.append(record(0.1, closure_defect=TWO_PI * 2e-6))
         assert len(closure_violations(s)) == 1
-        assert closure_violations(s, rtol=1e-5) == []
+        s = series_of()
+        s.append(record(0.0, L=TWO_PI, closure_defect=0.0))
+        s.append(record(0.1, closure_defect=TWO_PI * 5e-7))
+        assert closure_violations(s) == []
 
 
 def ellipse_at(n):

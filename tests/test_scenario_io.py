@@ -153,7 +153,7 @@ class TestParse:
                 "modes": [[2, 0.1, 0.0], [5, 0.01, 1.25]],
                 "grid_n": 128,
             },
-            "control": {"safety": 0.125, "max_steps": 1000, "dt_max": 0.5},
+            "control": {"safety": 0.125, "max_steps": 1000, "blowup_k": 1e5},
             "t_end": 2.0,
             "sample_every": 7,
             "snapshot_every": 3,
@@ -187,7 +187,6 @@ class TestParse:
             parse_scenario(block)
 
     def test_default_control_echo_stays_finite_json(self):
-        # dt_max defaults to infinity; the echo must remain strict JSON
         s = parse_scenario(MINIMAL)
         text = json.dumps(scenario_to_document(s))
         assert "Infinity" not in text
@@ -472,6 +471,7 @@ class TestCli:
             ({"audits": [1]}, "audits"),
             ({"curve": {"kind": ["Circle"]}}, "curve.kind"),
             ({"output_dir": 5}, "output_dir"),
+            ({"control": {"dt_max": 0.5}}, "dt_max"),
         ],
     )
     def test_bad_key_exit_two_names_it(self, tmp_path, capsys, overrides, key):

@@ -29,7 +29,7 @@ AREA_SPECS = [
 def forced_step(law, kp, dt):
     """One ETDRK4 step of exactly dt, with no error control
     (`_kernels.Stepper.force`); a guard trip raises."""
-    stepper = _kernels.Stepper(kp.k, law.alpha, law.kind, 1.0, math.inf, math.inf)
+    stepper = _kernels.Stepper(kp.k, law.alpha, law.kind, 1.0, math.inf)
     code = stepper.force(dt)
     if code == _kernels.STATUS_CONVEXITY:
         raise ConvexityError("curvature lost positivity during the step")
@@ -53,11 +53,6 @@ class TestStepControl:
     def test_bad_safety(self, safety):
         with pytest.raises(ConfigurationError, match="safety"):
             cf.StepControl(safety=safety)
-
-    def test_bad_dt_window(self):
-        for dt_max in (0.0, -1.0, math.nan):
-            with pytest.raises(ConfigurationError, match="dt_max"):
-                cf.StepControl(dt_max=dt_max)
 
     def test_bad_caps(self):
         with pytest.raises(ConfigurationError, match="max_steps"):
@@ -286,9 +281,7 @@ class TestRunTargets:
 def advance(k, span=1.0, law=cf.FlowKind.LP, alpha=1.0, *, safety=0.25,
             blowup_k=1e6, budget=100_000):
     """One Stepper advance from t = 0: (k, s, t, steps, status)."""
-    stepper = _kernels.Stepper(
-        np.array(k, dtype=float), alpha, law, safety, math.inf, blowup_k
-    )
+    stepper = _kernels.Stepper(np.array(k, dtype=float), alpha, law, safety, blowup_k)
     steps, code = stepper.advance(span, budget)
     return stepper.k(), stepper.s, stepper.t, steps, code
 
@@ -395,7 +388,7 @@ class TestKernel:
         # a forced step far past what the error control would take: a
         # stage leaves w > 0, and the held state is kept
         k0 = cf.generate(cf.Ellipse(6.0, 1.0, grid_n=64)).k
-        stepper = _kernels.Stepper(k0, 2.0, cf.FlowKind.AP, 0.25, math.inf, 1e6)
+        stepper = _kernels.Stepper(k0, 2.0, cf.FlowKind.AP, 0.25, 1e6)
         held = stepper.k()
         assert stepper.force(0.1) == _kernels.STATUS_CONVEXITY
         assert np.array_equal(stepper.k(), held)
