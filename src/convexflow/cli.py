@@ -1,4 +1,4 @@
-"""Command-line surface: run, audit, sweep, oracle.
+"""Command-line surface: run, audit, sweep.
 
 Exit codes: 0 for a clean run (Converged or TimeLimit with every audit
 passing), 1 when the flow tripped a guard or an audit failed, 2 for
@@ -13,7 +13,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import oracles
 from .diagnostics import audit_series, failed_margins, fit_decay_rate, inequality_audit
 from .generators import generate
 from .geometry import area, length
@@ -158,12 +157,6 @@ def _cmd_sweep(args) -> int:
     return 0 if all(ok for ok, _ in outcomes) else 1
 
 
-def _cmd_oracle(_args) -> int:
-    for label, value in oracles.reference_table():
-        print(f"{label}: {value:.17g}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="convexflow",
@@ -196,14 +189,11 @@ def main(argv=None) -> int:
         "--alpha", type=float, nargs="+", required=True, help="exponents to run"
     )
 
-    sub.add_parser("oracle", help="print the reference values the tests pin")
-
     args = parser.parse_args(argv)
     commands = {
         "run": _cmd_run,
         "audit": _cmd_audit,
         "sweep": _cmd_sweep,
-        "oracle": _cmd_oracle,
     }
     try:
         return commands[args.command](args)

@@ -29,7 +29,6 @@ import numpy as np
 from . import geometry
 from .geometry import CurvatureProfile
 from .laws import FlowKind, FlowLaw, lambda_value, nonlocal_lambda, power
-from .oracles import bonnesen_window
 from .spectral import (
     TWO_PI,
     _derivative_weights,
@@ -1005,10 +1004,18 @@ def rate_violations(series: DiagnosticsSeries) -> list[str]:
     return out
 
 
+def bonnesen_window(L, A):
+    """(lo, hi) = (L -+ sqrt(L^2 - 4 pi A)) / 2 pi: Bonnesen's bounds on
+    the inradius (lo <= r_in) and the outradius (r_out <= hi), for
+    floats or arrays of L and A."""
+    s = np.sqrt(np.maximum(L * L - 4.0 * math.pi * A, 0.0))
+    return (L - s) / TWO_PI, (L + s) / TWO_PI
+
+
 def radii_violations(series: DiagnosticsSeries) -> list[str]:
     """The recorded radii against Bonnesen's bounds, sample by sample.
 
-    Both radii must lie in `oracles.bonnesen_window(L, A)`, and
+    Both radii must lie in `bonnesen_window(L, A)`, and
     pi^2 (r_out - r_in)^2 <= L^2 - 4 pi A must hold, each within
     RADII_RTOL * L / 2 pi once the deficit L^2 - 4 pi A is raised by
     DEFICIT_RTOL * L^2, its round-off; so the square roots are of at

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import ConvexityError, CurvatureProfile
-from .oracles import ellipse_curvature
 from .spectral import TWO_PI, AngularGrid
 
 DEFAULT_GRID_N = 256
@@ -80,6 +79,13 @@ def _rho_values(spec: PerturbedCircle, theta: np.ndarray) -> np.ndarray:
         s = (1 - m * m) * amp * math.sin(phase)
         rho += c * np.cos(m * theta) + s * np.sin(m * theta)
     return rho
+
+
+def ellipse_curvature(a: float, b: float, theta) -> np.ndarray:
+    """Curvature at normal angle theta: (a^2 cos^2 + b^2 sin^2)^(3/2)/(a b)^2."""
+    theta = np.asarray(theta, dtype=float)
+    g = a * a * np.cos(theta) ** 2 + b * b * np.sin(theta) ** 2
+    return g**1.5 / (a * a * b * b)
 
 
 def generate(spec: CurveSpec) -> CurvatureProfile:

@@ -22,10 +22,6 @@ class LawError(ValueError):
     pass
 
 
-class BlowUpError(FloatingPointError):
-    pass
-
-
 class FlowKind(enum.Enum):
     LP = "LP"
     AP = "AP"

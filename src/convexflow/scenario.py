@@ -213,8 +213,10 @@ def parse_scenario(text: str) -> Scenario:
     _reject_unknown(
         control_doc, {f.name for f in fields(StepControl)}, "control"
     )
+    # blowup_k null is an infinite blowup_k: no blow-up guard
     control = StepControl(**{
-        k: _number(v, f"control.{k}", int if k == "max_steps" else float)
+        k: math.inf if k == "blowup_k" and v is None
+        else _number(v, f"control.{k}", int if k == "max_steps" else float)
         for k, v in control_doc.items()
     })
 
@@ -280,13 +282,16 @@ def scenario_to_document(scenario: Scenario) -> dict:
         curve_doc[name] = value
     curve_doc["grid_n"] = curve.grid_n
 
-    # control echoes only non-default entries
+    # control echoes only non-default entries; an infinite blowup_k as
+    # null, which strict JSON can hold
     base = StepControl()
     control_doc = {
         f.name: getattr(scenario.control, f.name)
         for f in fields(StepControl)
         if getattr(scenario.control, f.name) != getattr(base, f.name)
     }
+    if control_doc.get("blowup_k") == math.inf:
+        control_doc["blowup_k"] = None
 
     doc = {
         "law": {"kind": scenario.law.kind.value, "alpha": scenario.law.alpha},

@@ -7,9 +7,9 @@ with a parabola through the largest sample, the support identity
 u'' + u = 1/k, and the curvature form
 k_t = k^2 ((k^a)'' + k^a - lambda) of the flow, which the stepping kernel
 takes in its radius-of-curvature form instead. Tests compare two
-derivations instead of comparing the code against itself; the radii audit
-also takes Bonnesen's window from here. The `convexflow oracle`
-subcommand prints the full table for fixture use.
+derivations instead of comparing the code against itself, so the closed
+forms that the library also needs (the ellipse curvature in `generators`,
+Bonnesen's window in `diagnostics`) keep their own copies here.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ import math
 
 import numpy as np
 
-from .geometry import CurvatureProfile, support_about_centroid
-from .laws import BlowUpError, FlowLaw, lambda_value, power
-from .spectral import TWO_PI, deriv_values, resample_spectrum
+from convexflow.geometry import CurvatureProfile, support_about_centroid
+from convexflow.laws import FlowLaw, lambda_value, power
+from convexflow.spectral import TWO_PI, deriv_values, resample_spectrum
 
 
 def ellipse_perimeter(a: float, b: float) -> float:
     """Arc length by adaptive quadrature over the parametric angle."""
-    from scipy.integrate import quad  # lazy: importing convexflow loads no scipy
+    from scipy.integrate import quad  # lazy: only the scipy oracles load scipy
 
     val, err = quad(
         lambda p: math.hypot(a * math.sin(p), b * math.cos(p)),
@@ -205,7 +205,7 @@ def curvature_rhs(law: FlowLaw, kp: CurvatureProfile) -> np.ndarray:
         lam = lambda_value(law, kp)
         rhs = kp.k * kp.k * (deriv_values(v, 2) + v - lam)
     if not np.all(np.isfinite(rhs)):
-        raise BlowUpError(
+        raise FloatingPointError(
             f"curvature power overflow at k_max={kp.k.max():.6e}, "
             f"alpha={law.alpha}"
         )
@@ -256,28 +256,3 @@ def support_identity_residual(kp: CurvatureProfile) -> float:
     u, _ = support_about_centroid(kp)
     return float(np.abs(deriv_values(u, 2) + u - kp.w).max())
 
-
-def reference_table() -> list[tuple[str, float]]:
-    """Everything the test suite pins, labeled for the CLI `oracle` command."""
-    rows = [
-        ("ellipse(2,1) perimeter", ellipse_perimeter(2.0, 1.0)),
-        ("ellipse(2,1) area", ellipse_area(2.0, 1.0)),
-        ("ellipse(2,1) k at 0", float(ellipse_curvature(2.0, 1.0, 0.0))),
-        ("ellipse(2,1) k at pi/2", float(ellipse_curvature(2.0, 1.0, math.pi / 2))),
-        ("integral 1/(2+sin)", integral_inv_two_plus_sin()),
-        ("ellipse(2,1) integral of k d(theta)", ellipse_curvature_integral(2.0, 1.0, 1.0)),
-        ("contraction r(0.375), r0=1, alpha=1", shrinking_circle_radius(1.0, 1.0, 0.375)),
-        ("extinction time r0=1 alpha=1", extinction_time(1.0, 1.0)),
-        ("LP rhs at 0, k=1+0.1cos2th, alpha=1", perturbed_circle_rhs_at_zero(0.1)),
-        ("Psi_max, k=1+0.05cos, alpha=1", gradient_functional_perturbed(0.05)),
-    ]
-    L = ellipse_perimeter(2.0, 1.0)
-    A = ellipse_area(2.0, 1.0)
-    I0 = L * L / (4.0 * math.pi * A)
-    rows.append(("ellipse(2,1) isoperimetric ratio", I0))
-    for key, val in tso_constants(A, I0, 1.0).items():
-        rows.append((f"ellipse(2,1) alpha=1 Tso {key}", val))
-    lo, hi = bonnesen_window(L, A)
-    rows.append(("ellipse(2,1) Bonnesen lower", lo))
-    rows.append(("ellipse(2,1) Bonnesen upper", hi))
-    return rows

@@ -24,7 +24,6 @@ from convexflow import (
     StepControl,
     TsoContext,
     generate,
-    oracles,
     random_convex,
     run,
 )
@@ -38,6 +37,8 @@ from convexflow.diagnostics import (
     rate_violations,
     tso_violations,
 )
+
+import oracles
 
 GRID_N = 256
 CONTRACTION_ALPHAS = (0.5, 1.0, 2.0)

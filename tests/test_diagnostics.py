@@ -34,7 +34,7 @@ from convexflow import (
     to_csv,
     tso_quantity,
 )
-from convexflow import diagnostics, geometry, oracles
+from convexflow import diagnostics, geometry
 from convexflow.diagnostics import (
     AuditError,
     DEFAULT_BETAS,
@@ -53,8 +53,10 @@ from convexflow.diagnostics import (
     tso_violations,
 )
 from convexflow.laws import power
-from convexflow.oracles import refined_extremum_values, resample_values
 from convexflow.spectral import deriv_spectrum, integrate_values, resample_spectrum
+
+import oracles
+from oracles import refined_extremum_values, resample_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -747,7 +749,7 @@ def quartic_peak_profile():
     return CurvatureProfile(AngularGrid(64), 1.0 / w)
 
 
-class TestWindowedExtrema:
+class TestExactExtrema:
     """min u, Q, Psi and max 1/k are the maxima of the interpolants,
     searched in the cells around the peaks."""
 
@@ -755,11 +757,11 @@ class TestWindowedExtrema:
         "ellipse n=128": lambda: (generate(Ellipse(a=2.0, b=1.0, grid_n=128)), 1.0),
         "ellipse n=512": lambda: (generate(Ellipse(a=2.0, b=1.0, grid_n=512)), 1.0),
         **{
-            f"random_convex({seed})": (lambda seed=seed: (random_convex(seed), 2.0))
+            f"random seed {seed}": (lambda seed=seed: (random_convex(seed), 2.0))
             for seed in range(8)
         },
         # sharp asymmetric peaks of k^3
-        "LP alpha=3, t=0.015": lambda: (flowed(FlowKind.LP, 3.0, 256, 0.015), 3.0),
+        "LP a=3 t=0.015": lambda: (flowed(FlowKind.LP, 3.0, 256, 0.015), 3.0),
     }
 
     def check(self, kp, alpha, ctx=None, factor=DENSE_FACTOR):

@@ -12,7 +12,8 @@ from convexflow import (
     random_convex,
 )
 from convexflow.geometry import ConvexityError
-from convexflow.oracles import support_identity_residual
+
+from oracles import support_identity_residual
 
 
 class TestCircleEllipse:

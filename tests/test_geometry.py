@@ -31,13 +31,15 @@ from convexflow import (
     run,
     support_about_centroid,
 )
-from convexflow import geometry, oracles
+from convexflow import geometry
 from convexflow.geometry import (
     ConvexityError,
     DomainError,
     isoperimetric_ratio,
 )
-from convexflow.oracles import resample_values, support_identity_residual
+
+import oracles
+from oracles import resample_values, support_identity_residual
 
 TWO_PI = 2.0 * math.pi
 

@@ -13,10 +13,11 @@ from convexflow import (
     lambda_value,
     random_convex,
 )
-from convexflow import oracles
-from convexflow.oracles import curvature_rhs, normal_speed
 from convexflow.laws import LawError, power
 from convexflow.spectral import AngularGrid
+
+import oracles
+from oracles import curvature_rhs, normal_speed
 
 NONLOCAL_KINDS = (FlowKind.LP, FlowKind.AP, FlowKind.G1, FlowKind.G2)
 
@@ -139,9 +140,7 @@ class TestCurvatureRhs:
         huge = np.full(256, 1e200)
         huge[0] = 1e250
         kp = CurvatureProfile(grid256, huge)
-        from convexflow import BlowUpError
-
-        with pytest.raises(BlowUpError, match=r"k_max=1\.0\d*e\+250"):
+        with pytest.raises(FloatingPointError, match=r"k_max=1\.0\d*e\+250"):
             curvature_rhs(FlowLaw(FlowKind.CONTRACTION, 3.0), kp)
 
 

@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import convexflow
 from convexflow import (
     Circle,
     DiagnosticsCollector,
@@ -45,6 +49,15 @@ def small_scenario(tmp_path, **overrides):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 class TestParse:
@@ -337,7 +350,7 @@ class TestCli:
         assert manifest["guard"] == guard
 
     @pytest.mark.parametrize(
-        "control, guard", [({}, "blowup"), ({"blowup_k": math.inf}, "convexity")]
+        "control, guard", [({}, "blowup"), ({"blowup_k": None}, "convexity")]
     )
     def test_run_names_the_guard_past_extinction(self, tmp_path, capsys, control, guard):
         # the contracting unit circle dies at t = 1/2: the blowup guard ends
@@ -352,8 +365,14 @@ class TestCli:
         with np.errstate(over="ignore"):
             assert main(["run", str(path)]) == 1
         assert f"(guard: {guard})" in capsys.readouterr().out
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        # both echoes of the scenario are strict JSON, the guard off or on
+        manifest = strict_json((tmp_path / "out" / "manifest.json").read_text())
+        echo = strict_json((tmp_path / "out" / "scenario.json").read_text())
         assert manifest["guard"] == guard
+        assert manifest["scenario"] == echo
+        assert parse_scenario(json.dumps(echo)).control.blowup_k == (
+            math.inf if control else 1e6
+        )
 
     def test_manifest_records_step_counters(self, tmp_path, capsys):
         path = small_scenario(tmp_path)
@@ -478,8 +497,29 @@ class TestCli:
         assert main(["run", str(small_scenario(tmp_path, **overrides))]) == 2
         assert key in capsys.readouterr().err
 
-    def test_oracle(self, capsys):
-        assert main(["oracle"]) == 0
-        out = capsys.readouterr().out
-        assert "perimeter" in out
-        assert "9.6884482205476" in out
+    def test_every_subcommand_runs_without_scipy(self, tmp_path):
+        # the library is numpy-only (scipy is a test dependency), and
+        # `oracle` is no subcommand: argparse exits 2
+        path = small_scenario(tmp_path, t_end=0.02)
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from convexflow.cli import main\n"
+            "path = sys.argv[1]\n"
+            "codes = [main(['run', path]), main(['audit', path]),\n"
+            "         main(['sweep', path, '--alpha', '2'])]\n"
+            "try:\n"
+            "    main(['oracle'])\n"
+            "except SystemExit as exc:\n"
+            "    codes.append(exc.code)\n"
+            "print(codes)\n"
+        )
+        src = str(Path(convexflow.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(path)], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "[0, 0, 0, 2]"
+        assert "invalid choice: 'oracle'" in out.stderr

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from convexflow import oracles
 from convexflow.spectral import (
     AngularGrid,
     GridError,
@@ -17,7 +16,9 @@ from convexflow.spectral import (
     interpolant_derivatives,
     resample_spectrum,
 )
-from convexflow.oracles import refined_extremum_values, resample_values
+
+import oracles
+from oracles import refined_extremum_values, resample_values
 
 TWO_PI = 2.0 * math.pi
 

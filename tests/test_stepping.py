@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import convexflow as cf
-from convexflow import _kernels, diagnostics, oracles
+from convexflow import _kernels, diagnostics
 from convexflow.geometry import ClosureError, ConvexityError, CurvatureProfile
 from convexflow.spectral import AngularGrid
 from convexflow.stepping import ConfigurationError
+
+import oracles
 
 NONLOCAL = ("LP", "AP", "G1", "G2")
 LAWS = NONLOCAL + ("Contraction",)
