@@ -124,7 +124,9 @@ def _sweep_one(scenario: Scenario) -> tuple[bool, dict]:
         "t_converge": (
             result.t_final if result.status is RunStatus.CONVERGED else math.nan
         ),
-        "final_oscillation": series[-1].oscillation if len(series) else math.nan,
+        "final_oscillation": (
+            series.column("oscillation")[-1] if len(series) else math.nan
+        ),
         "decay_rate": fit_decay_rate(series),
     }
 

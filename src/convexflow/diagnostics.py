@@ -6,10 +6,11 @@ the curvature-power quadrature). Each functional computes with
 transforms and sums along the last axis of `CurvatureProfile.k`, so it
 takes one profile, giving numpy scalars, or a (B, n) block, giving one
 value per row; a row's value does not depend on the block it sits in.
-A collector threads the per-sample results into a time-ordered,
-columnar series; the audit helpers then re-check the recorded series
-as a whole: conservation, monotone functionals, the support bound on
-Q, and finite-difference consistency of the rate formulas.
+A collector threads the per-sample results, a block at a time, into a
+time-ordered series, one table with a row per column; the audit helpers
+then re-check the recorded series as a whole: conservation, monotone
+functionals, the support bound on Q, and finite-difference consistency
+of the rate formulas.
 
 Margins are oriented so that nonnegative means the inequality holds.
 Every margin carries its own magnitude scale; equality cases (circles)
@@ -21,8 +22,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -90,13 +91,14 @@ class AuditError(ValueError):
 class Margin:
     """One audited inequality: value = large side - small side.
 
-    For a block of profiles, value and scale hold one entry per row.
+    For a block of profiles, value and scale hold one entry per row, and
+    so does `ok()`.
     """
 
     value: float
     scale: float
 
-    def ok(self) -> bool:
+    def ok(self):
         return self.value >= -MARGIN_RTOL * self.scale
 
 
@@ -133,36 +135,12 @@ class TsoContext:
         return max(self.Q0, 1.0 / ((self.alpha + 1.0) * t))
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """Scalars recorded at one sample time."""
-
-    t: float
-    L: float
-    A: float
-    I: float
-    k_min: float
-    k_max: float
-    lam: float
-    closure_defect: float
-    r_in: float
-    r_out: float
-    dA_dt_formula: float
-    dL_dt_formula: float
-    Q_max: float
-    Q_ok: bool
-    Psi_max: float
-    Phi_max: float
-    entropy: float
-    oscillation: float
-    margins: Mapping[str, Margin] = field(default_factory=dict)
-
-
-# the scalar fields in CSV column order; `lam` is written as "lambda"
-_RECORD_FIELDS = tuple(f.name for f in fields(SampleRecord) if f.name != "margins")
-_CSV_FIELDS = tuple("lambda" if f == "lam" else f for f in _RECORD_FIELDS)
-_FIELD_ROW = {name: i for i, name in enumerate(_RECORD_FIELDS)}
-_FIELD_ROW["lambda"] = _FIELD_ROW["lam"]
+# the scalar columns of a series, in CSV order; Q_ok is stored as 0.0 or 1.0
+COLUMNS = (
+    "t", "L", "A", "I", "k_min", "k_max", "lambda", "closure_defect", "r_in",
+    "r_out", "dA_dt_formula", "dL_dt_formula", "Q_max", "Q_ok", "Psi_max",
+    "Phi_max", "entropy", "oscillation",
+)
 
 
 def _require_after(t_prev: float, t: float) -> None:
@@ -172,15 +150,20 @@ def _require_after(t_prev: float, t: float) -> None:
         )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
 class DiagnosticsSeries:
     """Time-ordered samples of one run, stored by column.
 
-    The scalars sit in one float64 row per field (Q_ok as 0.0 or 1.0) of
-    a table that grows by doubling, the margins in one 2-D array: the
-    values of margin i in row i and their scales in row M + i, M being
-    the number of `_margin_order` names, which the first sample fixes.
-    `column` is a read-only view of a row; `series[j]` assembles the
-    SampleRecord of sample j.
+    One float64 table that grows by doubling holds a row per name of
+    COLUMNS, then, for the margins in name order, one row of values each
+    ("margin_<name>") and one row of scales each; the first `extend`
+    fixes the margin names. `column` and `margin_table` read the table
+    without copying it.
     """
 
     def __init__(self, law: FlowLaw, tso: TsoContext | None, phi_enabled: bool):
@@ -188,49 +171,49 @@ class DiagnosticsSeries:
         self.tso = tso
         self.phi_enabled = phi_enabled
         self._n = 0
-        self._table = np.empty((len(_RECORD_FIELDS), 0))
-        self._margin_order: tuple[str, ...] | None = None
-        self._margins = np.empty((0, 0))
+        self._table = np.empty((len(COLUMNS), 0))
+        self._rows = {name: i for i, name in enumerate(COLUMNS)}
+        self._margin_names: tuple[str, ...] | None = None
 
-    def append(self, record: SampleRecord) -> None:
-        if self._n:
-            _require_after(float(self._table[0, self._n - 1]), record.t)
-        values = [float(getattr(record, name)) for name in _RECORD_FIELDS]
-        margins = record.margins
-        self._extend(
-            np.array(values)[:, None],
-            {name: Margin(np.array([m.value]), np.array([m.scale]))
-             for name, m in margins.items()},
-        )
-
-    def _extend(self, columns: np.ndarray, margins: Mapping[str, Margin]) -> None:
-        """Append rows: columns is (fields, B), margins name -> Margin of B."""
-        if self._margin_order is None:
-            self._margin_order = tuple(margins)
-            self._margins = np.empty((2 * len(margins), self._table.shape[1]))
-        elif set(margins) != set(self._margin_order):
+    def extend(
+        self,
+        columns: Mapping[str, object],
+        margins: Mapping[str, Margin] = {},
+    ) -> None:
+        """Append samples: `columns` maps every name of COLUMNS to a scalar
+        or to one value per sample, `margins` names to Margins of the same
+        shape."""
+        names = tuple(sorted(margins))
+        if self._margin_names is not None and names != self._margin_names:
             raise AuditError(
-                f"margin names {sorted(margins)} differ from the series' "
-                f"{sorted(self._margin_order)}"
+                f"margin names {list(names)} differ from the series' "
+                f"{list(self._margin_names)}"
             )
-        b = columns.shape[1]
-        n, end = self._n, self._n + b
+        rows = [columns[name] for name in COLUMNS]
+        rows += [margins[name].value for name in names]
+        rows += [margins[name].scale for name in names]
+        block = np.array(np.broadcast_arrays(*rows), dtype=float)
+        block = block.reshape(len(rows), -1)
+        times = np.concatenate([self._table[0, self._n - 1 : self._n], block[0]])
+        bad = np.flatnonzero(times[1:] <= times[:-1])
+        if bad.size:
+            _require_after(float(times[bad[0]]), float(times[bad[0] + 1]))
+        if self._margin_names is None:
+            self._margin_names = names
+            self._rows.update(
+                ("margin_" + name, len(COLUMNS) + i) for i, name in enumerate(names)
+            )
+            self._table = np.empty((len(rows), 0))
+        n, end = self._n, self._n + block.shape[1]
         if end > self._table.shape[1]:
             self._resize(max(end, 2 * self._table.shape[1], 16))
-        self._table[:, n:end] = columns
-        m = len(self._margin_order)
-        for i, name in enumerate(self._margin_order):
-            self._margins[i, n:end] = margins[name].value
-            self._margins[m + i, n:end] = margins[name].scale
+        self._table[:, n:end] = block
         self._n = end
 
     def _resize(self, capacity: int) -> None:
-        n = self._n
         table = np.empty((self._table.shape[0], capacity))
-        table[:, :n] = self._table[:, :n]
-        margins = np.empty((self._margins.shape[0], capacity))
-        margins[:, :n] = self._margins[:, :n]
-        self._table, self._margins = table, margins
+        table[:, : self._n] = self._table[:, : self._n]
+        self._table = table
 
     def _trim(self) -> None:
         """Release the capacity beyond the last sample."""
@@ -240,54 +223,28 @@ class DiagnosticsSeries:
     def __len__(self) -> int:
         return self._n
 
-    def __iter__(self) -> Iterator[SampleRecord]:
-        return (self[j] for j in range(self._n))
-
-    def __getitem__(self, j: int) -> SampleRecord:
-        n = self._n
-        if not -n <= j < n:
-            raise IndexError(f"sample {j} out of range for {n} samples")
-        j %= n
-        values = dict(zip(_RECORD_FIELDS, self._table[:, j].tolist()))
-        values["Q_ok"] = bool(values["Q_ok"])
-        order = self._margin_order or ()
-        pairs = self._margins[:, j].tolist()
-        m = len(order)
-        margins = {name: Margin(pairs[i], pairs[m + i]) for i, name in enumerate(order)}
-        return SampleRecord(**values, margins=margins)
-
     def column(self, name: str) -> np.ndarray:
         """One scalar per sample (read-only); margin columns via
         'margin_<name>', all NaN for a margin the series does not hold."""
+        if name in self._rows:
+            return _read_only(self._table[self._rows[name], : self._n])
         if name.startswith("margin_"):
-            order = self._margin_order or ()
-            key = name[len("margin_"):]
-            if key not in order:
-                return np.full(self._n, math.nan)
-            col = self._margins[order.index(key), : self._n]
-        elif name in _FIELD_ROW:
-            col = self._table[_FIELD_ROW[name], : self._n]
-        else:
-            raise AttributeError(f"no series column {name!r}")
-        col = col.view()
-        col.flags.writeable = False
-        return col
+            return np.full(self._n, math.nan)
+        raise AttributeError(f"no series column {name!r}")
 
     def margin_table(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        """(names, values, scales), sorted by name, one row per margin."""
-        order = self._margin_order or ()
-        rows = sorted(range(len(order)), key=order.__getitem__)
-        m = len(order)
-        values = self._margins[rows, : self._n]
-        scales = self._margins[[m + i for i in rows], : self._n]
-        return tuple(order[i] for i in rows), values, scales
+        """(names, values, scales), sorted by name, one row per margin
+        (read-only)."""
+        names = self.margin_names
+        rows = _read_only(self._table[len(COLUMNS) :, : self._n])
+        return names, rows[: len(names)], rows[len(names) :]
 
     @property
     def margin_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._margin_order or ()))
+        return self._margin_names or ()
 
     def column_names(self) -> tuple[str, ...]:
-        return _CSV_FIELDS + tuple("margin_" + m for m in self.margin_names)
+        return COLUMNS + tuple("margin_" + m for m in self.margin_names)
 
 
 def to_csv(series: DiagnosticsSeries) -> str:
@@ -698,21 +655,22 @@ class DiagnosticsCollector:
     queues a sample, and the queue is computed as one `CurvatureProfile`
     block, its k in (B, n) rows, once it holds
     `max(1, _BLOCK_POINTS // n)` samples, or at the next call without
-    `defer`, which also returns that sample's record and releases the
-    series' spare capacity. The block size keeps each (rows, n) array
-    at 32 KB; the pointwise extrema evaluate their interpolants only at
-    the Newton points of the cells that can hold a maximum
-    (`_refined_max`).
+    `defer`, which also releases the series' spare capacity. Each block
+    enters the series in one `DiagnosticsSeries.extend`. The block size
+    keeps each (rows, n) array at 32 KB; the pointwise extrema evaluate
+    their interpolants only at the Newton points of the cells that can
+    hold a maximum (`_refined_max`).
 
     Per block, the support pipeline (reconstruction and centroid) runs
     once and is shared by everything that needs it, as is one rfft of
-    k^alpha per row, which the Tso quotient and Psi share; the area comes from `geometry.parseval_area`, with no
-    closure check, so a run that drifts open is recorded
-    (closure_defect) rather than stopped. The radii of a block are solved
-    in one `geometry.inradius_outradius` call, every row from the
-    contacts of the certified inscribed and circumscribed circles of the
-    previous block's last sample, which the collector carries; it is one
-    run's state, so each run needs its own collector.
+    k^alpha per row, which the Tso quotient and Psi share; the area
+    comes from `geometry.parseval_area`, with no closure check, so a run
+    that drifts open is recorded (closure_defect) rather than stopped.
+    The radii of a block are solved in one `geometry.inradius_outradius`
+    call, every row from the contacts of the certified inscribed and
+    circumscribed circles of the previous block's last sample, which the
+    collector carries; it is one run's state, so each run needs its own
+    collector.
     """
 
     def __init__(
@@ -742,22 +700,20 @@ class DiagnosticsCollector:
         s_accum: float | None = None,
         *,
         defer: bool = False,
-    ) -> SampleRecord | None:
-        """Record the sample at t: at once, returning its record, or with
-        `defer` queued for its block, returning None."""
+    ) -> None:
+        """Record the sample at t: at once, or with `defer` queued for its
+        block."""
         if self._queue:
             _require_after(self._queue[-1][0], t)
         elif len(self.series):
             _require_after(float(self.series.column("t")[-1]), t)
         self._queue.append((t, kp, s_accum))
         if defer and len(self._queue) < self.block_rows:
-            return None
+            return
         queue, self._queue = self._queue, []
         self._compute(queue)
-        if defer:
-            return None
-        self.series._trim()
-        return self.series[-1]
+        if not defer:
+            self.series._trim()
 
     def _radii(self, block: CurvatureProfile, u: np.ndarray) -> np.ndarray:
         """(r_in, r_out) rows of a block, whose last circles start the next
@@ -810,30 +766,27 @@ class DiagnosticsCollector:
             margins = inequality_audit(block, alpha=law.alpha)
 
         k = block.k
-        columns = dict(
-            t=np.array([t for t, _, _ in queue]),
-            L=L,
-            A=A,
-            I=L * L / (2.0 * TWO_PI * A),
-            k_min=k.min(axis=-1),
-            k_max=k.max(axis=-1),
-            lam=lambda_value(law, block),
-            closure_defect=geometry.closure_defect(block),
-            r_in=r_in,
-            r_out=r_out,
-            dA_dt_formula=dA_dt,
-            dL_dt_formula=dL_dt,
-            Q_max=q_max,
-            Q_ok=q_ok,
-            Psi_max=psi,
-            Phi_max=phi,
-            entropy=ent,
-            oscillation=oscillation(block),
-        )
-        table = np.empty((len(_RECORD_FIELDS), b))
-        for i, name in enumerate(_RECORD_FIELDS):
-            table[i] = columns[name]
-        self.series._extend(table, margins)
+        columns = {
+            "t": [t for t, _, _ in queue],
+            "L": L,
+            "A": A,
+            "I": L * L / (2.0 * TWO_PI * A),
+            "k_min": k.min(axis=-1),
+            "k_max": k.max(axis=-1),
+            "lambda": lambda_value(law, block),
+            "closure_defect": geometry.closure_defect(block),
+            "r_in": r_in,
+            "r_out": r_out,
+            "dA_dt_formula": dA_dt,
+            "dL_dt_formula": dL_dt,
+            "Q_max": q_max,
+            "Q_ok": q_ok,
+            "Psi_max": psi,
+            "Phi_max": phi,
+            "entropy": ent,
+            "oscillation": oscillation(block),
+        }
+        self.series.extend(columns, margins)
 
 
 # ---------------------------------------------------------------------------
@@ -921,7 +874,7 @@ def tso_violations(series: DiagnosticsSeries) -> list[str]:
 def margin_violations(series: DiagnosticsSeries) -> list[str]:
     names, values, scales = series.margin_table()
     t = series.column("t")
-    failed = ~(values >= -MARGIN_RTOL * scales)
+    failed = ~Margin(values, scales).ok()
     return [
         f"margin {names[i]} = {values[i, j]:.3e} below -{MARGIN_RTOL:.0e}*scale "
         f"(scale {scales[i, j]:.3e}) at sample {j}, t={t[j]:.6g}"

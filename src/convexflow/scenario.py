@@ -102,8 +102,6 @@ def snapshot_of(
 # parsing
 
 
-_REQUIRED = ("law.kind", "law.alpha", "curve", "t_end")
-
 _TOP_KEYS = {
     "law", "curve", "control", "t_end", "sample_every", "sample_dt",
     "snapshot_every", "output_dir", "audits",

@@ -185,8 +185,6 @@ def run(
         else:
             t_next = t_end
             budget = min(sample_every, remaining)
-        if t_next <= t_cur:
-            continue
 
         start = time.perf_counter()
         n_steps, code = stepper.advance(t_next, budget)

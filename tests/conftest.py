@@ -47,7 +47,7 @@ def assert_matched_scalars():
         assert n >= 2
         ta, tb = series_a.column("t")[:n], series_b.column("t")[:n]
         assert np.array_equal(ta, tb)
-        L0 = series_a[0].L
+        L0 = series_a.column("L")[0]
         for name in names:
             if name in ("t", "Q_ok"):
                 continue

@@ -205,9 +205,9 @@ def test_criterion_3_convergence_targets(converged_runs):
     for kind, res in converged_runs.items():
         ok = ok and res.status is RunStatus.CONVERGED
         if kind is FlowKind.LP:
-            k_inf = 2.0 * math.pi / res.series[0].L
+            k_inf = 2.0 * math.pi / res.series.column("L")[0]
         else:
-            k_inf = math.sqrt(math.pi / res.series[0].A)
+            k_inf = math.sqrt(math.pi / res.series.column("A")[0])
         dev = float(np.abs(res.final.k / k_inf - 1.0).max())
         ok = ok and dev <= 1e-3
         details.append(f"{kind.value} dev {dev:.2e} at t={res.t_final:.2f}")
@@ -231,8 +231,8 @@ def test_criterion_4_monotonicity_suite(all_runs):
 def test_criterion_5_curvature_bound(tso_run):
     series = tso_run.series
     bad = tso_violations(series)
-    precondition = all(bool(s.Q_ok) for s in series)
-    inside = sum(1 for s in series if s.t > 0.0)
+    precondition = bool(series.column("Q_ok").all())
+    inside = int((series.column("t") > 0.0).sum())
     ok = not bad and precondition and inside >= 60
     if ok:
         detail = (
@@ -286,7 +286,7 @@ def test_criterion_7_rate_formulas(all_runs):
 
 def _worst_column_change(sa, sb):
     # same scaling the shared fixture uses, kept here for the report line
-    L0 = sa[0].L
+    L0 = sa.column("L")[0]
     worst, worst_name = 0.0, "none"
     for name in sa.column_names():
         if name in ("t", "Q_ok"):
@@ -328,7 +328,7 @@ def test_criterion_9_closure_preservation(all_runs):
     for name, res in all_runs:
         problems += [f"{name}: {v}" for v in closure_violations(res.series)]
         defect = res.series.column("closure_defect")
-        worst = max(worst, float(defect.max() / res.series[0].L))
+        worst = max(worst, float(defect.max() / res.series.column("L")[0]))
     report(
         9,
         not problems,

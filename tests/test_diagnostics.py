@@ -17,7 +17,6 @@ from convexflow import (
     FlowLaw,
     Margin,
     PerturbedCircle,
-    SampleRecord,
     StepControl,
     TsoContext,
     area,
@@ -36,6 +35,7 @@ from convexflow import (
 )
 from convexflow import diagnostics, geometry
 from convexflow.diagnostics import (
+    COLUMNS,
     AuditError,
     DEFAULT_BETAS,
     closure_violations,
@@ -81,15 +81,26 @@ def series_of(kind=FlowKind.LP, alpha=1.0, tso=None, phi_enabled=False):
 
 
 def record(t, **overrides):
-    """SampleRecord with plausible circle-at-rest defaults."""
-    base = dict(
-        t=t, L=TWO_PI, A=math.pi, I=1.0, k_min=1.0, k_max=1.0, lam=1.0,
-        closure_defect=0.0, r_in=1.0, r_out=1.0, dA_dt_formula=0.0,
-        dL_dt_formula=0.0, Q_max=math.nan, Q_ok=False, Psi_max=math.nan,
-        Phi_max=math.nan, entropy=math.nan, oscillation=0.0, margins={},
-    )
+    """The COLUMNS of one sample, with plausible circle-at-rest defaults."""
+    base = {
+        "t": t, "L": TWO_PI, "A": math.pi, "I": 1.0, "k_min": 1.0, "k_max": 1.0,
+        "lambda": 1.0, "closure_defect": 0.0, "r_in": 1.0, "r_out": 1.0,
+        "dA_dt_formula": 0.0, "dL_dt_formula": 0.0, "Q_max": math.nan,
+        "Q_ok": False, "Psi_max": math.nan, "Phi_max": math.nan,
+        "entropy": math.nan, "oscillation": 0.0,
+    }
     base.update(overrides)
-    return SampleRecord(**base)
+    return base
+
+
+def columns_of(series):
+    """A writable copy of the COLUMNS of a series, by name."""
+    return {name: series.column(name).copy() for name in COLUMNS}
+
+
+def sample(series, j=-1):
+    """Sample j of a series as column name -> value."""
+    return {name: series.column(name)[j] for name in series.column_names()}
 
 
 class TestTsoContext:
@@ -399,46 +410,53 @@ class TestCollector:
 
     def test_full_collection(self, ellipse21):
         coll = DiagnosticsCollector(FlowLaw(FlowKind.LP, 1.0), ellipse21)
-        rec = coll.collect(0.0, ellipse21, s_accum=0.0)
-        assert rec.L == pytest.approx(ELLIPSE21_PERIMETER, rel=1e-10)
-        assert rec.A == pytest.approx(ELLIPSE21_AREA, rel=1e-10)
-        assert rec.lam == pytest.approx(ELLIPSE21_MEAN_K, rel=1e-9)
-        assert rec.Q_ok
-        assert rec.entropy == pytest.approx(TWO_PI, rel=1e-13)
-        assert rec.Phi_max == pytest.approx(4.0 - rec.L / TWO_PI, rel=1e-12)
+        assert coll.collect(0.0, ellipse21, s_accum=0.0) is None
+        rec = sample(coll.series)
+        assert rec["L"] == pytest.approx(ELLIPSE21_PERIMETER, rel=1e-10)
+        assert rec["A"] == pytest.approx(ELLIPSE21_AREA, rel=1e-10)
+        assert rec["lambda"] == pytest.approx(ELLIPSE21_MEAN_K, rel=1e-9)
+        assert rec["Q_ok"]
+        assert rec["entropy"] == pytest.approx(TWO_PI, rel=1e-13)
+        assert rec["Phi_max"] == pytest.approx(4.0 - rec["L"] / TWO_PI, rel=1e-12)
         # the gradient term peaks between the tips, off any uniform grid
-        assert rec.Psi_max == pytest.approx(ELLIPSE21_PSI, rel=1e-8)
+        assert rec["Psi_max"] == pytest.approx(ELLIPSE21_PSI, rel=1e-8)
         assert set(coll.series.margin_names) >= {"holder", "gage", "andrews"}
-        assert rec.k_max == pytest.approx(2.0)
-        assert rec.k_min == pytest.approx(0.25)
-        assert rec.I >= 1.0
-        lo, hi = oracles.bonnesen_window(rec.L, rec.A)
-        assert lo - 1e-8 <= rec.r_in <= rec.r_out <= hi + 1e-8
+        assert rec["k_max"] == pytest.approx(2.0)
+        assert rec["k_min"] == pytest.approx(0.25)
+        assert rec["I"] >= 1.0
+        lo, hi = oracles.bonnesen_window(rec["L"], rec["A"])
+        assert lo - 1e-8 <= rec["r_in"] <= rec["r_out"] <= hi + 1e-8
 
     def test_recorded_margins_match_the_audit(self, ellipse21):
         # the series keeps margins compactly; reading them back gives the
         # audit's own Margin values, bit for bit
         law = FlowLaw(FlowKind.LP, 1.0)
         coll = DiagnosticsCollector(law, ellipse21)
-        rec = coll.collect(0.0, ellipse21, s_accum=0.0)
+        coll.collect(0.0, ellipse21, s_accum=0.0)
         audit = inequality_audit(ellipse21, alpha=1.0)
-        assert list(rec.margins) == list(audit)
-        assert dict(rec.margins.items()) == audit
-        assert "nope" not in rec.margins
-        assert failed_margins(rec.margins) == failed_margins(audit)
+        names, values, scales = coll.series.margin_table()
+        assert names == tuple(sorted(audit))
+        margins = {
+            name: Margin(values[i, 0], scales[i, 0]) for i, name in enumerate(names)
+        }
+        assert margins == audit
+        assert failed_margins(margins) == failed_margins(audit)
 
     def test_recorded_functionals_match_standalone_calls(self, ellipse21):
         # collect shares one rfft of 1/k and one dense resample of k^alpha
         # between the functionals; each records what it computes alone
         law = FlowLaw(FlowKind.LP, 1.0)
         coll = DiagnosticsCollector(law, ellipse21)
-        rec = coll.collect(0.0, ellipse21, s_accum=0.0)
+        coll.collect(0.0, ellipse21, s_accum=0.0)
+        rec = sample(coll.series)
         u, _ = support_about_centroid(ellipse21)
-        assert rec.A == area(ellipse21)
-        assert rec.lam == lambda_value(law, ellipse21)
-        assert (rec.dA_dt_formula, rec.dL_dt_formula) == rate_formulas(law, ellipse21)
-        assert (rec.Q_max, rec.Q_ok) == tso_quantity(ellipse21, coll.series.tso, u=u)
-        assert rec.Psi_max == gradient_functional(ellipse21, 1.0)
+        assert rec["A"] == area(ellipse21)
+        assert rec["lambda"] == lambda_value(law, ellipse21)
+        rates = rate_formulas(law, ellipse21)
+        assert (rec["dA_dt_formula"], rec["dL_dt_formula"]) == rates
+        tso = tso_quantity(ellipse21, coll.series.tso, u=u)
+        assert (rec["Q_max"], rec["Q_ok"]) == tso
+        assert rec["Psi_max"] == gradient_functional(ellipse21, 1.0)
 
     def test_profile_spectrum_is_cached_and_read_only(self, ellipse21):
         assert ellipse21.W is ellipse21.W
@@ -449,19 +467,20 @@ class TestCollector:
         coll = DiagnosticsCollector(
             FlowLaw(FlowKind.LP, 1.0), ellipse21, audits=("rates",)
         )
-        rec = coll.collect(0.0, ellipse21, s_accum=0.0)
+        coll.collect(0.0, ellipse21, s_accum=0.0)
+        rec = sample(coll.series)
         for name in ("r_in", "r_out", "Q_max", "Psi_max", "Phi_max", "entropy"):
-            assert math.isnan(getattr(rec, name)), name
-        assert not rec.Q_ok
-        assert rec.margins == {}
-        assert not math.isnan(rec.dA_dt_formula)
+            assert math.isnan(rec[name]), name
+        assert not rec["Q_ok"]
+        assert coll.series.margin_names == ()
+        assert not math.isnan(rec["dA_dt_formula"])
         assert coll.series.tso is None
         assert coll.series.column_names()[-1] == "oscillation"
 
     def test_phi_needs_accumulator(self, ellipse21):
         coll = DiagnosticsCollector(FlowLaw(FlowKind.LP, 1.0), ellipse21)
-        rec = coll.collect(0.0, ellipse21)  # no s_accum available
-        assert math.isnan(rec.Phi_max)
+        coll.collect(0.0, ellipse21)  # no s_accum available
+        assert math.isnan(coll.series.column("Phi_max")[0])
 
     def test_time_must_increase(self, ellipse21):
         coll = DiagnosticsCollector(FlowLaw(FlowKind.LP, 1.0), ellipse21)
@@ -470,15 +489,20 @@ class TestCollector:
             coll.collect(0.1, ellipse21)
 
     def test_column_access(self, ellipse21, unit_circle):
-        coll = DiagnosticsCollector(FlowLaw(FlowKind.AP, 1.0), ellipse21)
-        r0 = coll.collect(0.0, ellipse21)
-        r1 = coll.collect(0.5, unit_circle)
+        law = FlowLaw(FlowKind.AP, 1.0)
+        coll = DiagnosticsCollector(law, ellipse21)
+        coll.collect(0.0, ellipse21)
+        coll.collect(0.5, unit_circle)
         series = coll.series
+        profiles = (ellipse21, unit_circle)
         assert np.array_equal(series.column("t"), [0.0, 0.5])
-        assert np.array_equal(series.column("lambda"), [r0.lam, r1.lam])
-        got = series.column("margin_holder")
-        assert got[0] == r0.margins["holder"].value
-        assert got[1] == r1.margins["holder"].value
+        assert np.array_equal(
+            series.column("lambda"), [lambda_value(law, kp) for kp in profiles]
+        )
+        assert np.array_equal(
+            series.column("margin_holder"),
+            [inequality_audit(kp, alpha=1.0)["holder"].value for kp in profiles],
+        )
         with pytest.raises(AttributeError):
             series.column("no_such_column")
 
@@ -521,10 +545,11 @@ class TestWarmRadii:
         )
         assert len(exchanges) == 2
         assert len(profiles) == len(res.series) == 41
-        for kp, rec in zip(profiles, res.series):
+        radii = zip(profiles, res.series.column("r_in"), res.series.column("r_out"))
+        for kp, r_in, r_out in radii:
             inner, outer = geometry.inradius_outradius(kp)
-            assert rec.r_in == pytest.approx(inner.radius, rel=1e-13, abs=0.0)
-            assert rec.r_out == pytest.approx(outer.radius, rel=1e-13, abs=0.0)
+            assert r_in == pytest.approx(inner.radius, rel=1e-13, abs=0.0)
+            assert r_out == pytest.approx(outer.radius, rel=1e-13, abs=0.0)
 
 
 class TestBlocks:
@@ -566,7 +591,7 @@ class TestBlocks:
 
         single = DiagnosticsCollector(law, kp0)
         for t, kp, s_accum in samples:
-            assert single.collect(t, kp, s_accum) == single.series[-1]
+            single.collect(t, kp, s_accum)
         assert single.series.column_names() == res.series.column_names()
         for name in res.series.column_names():
             got, want = res.series.column(name), single.series.column(name)
@@ -574,8 +599,10 @@ class TestBlocks:
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
             else:
                 assert np.array_equal(got, want, equal_nan=True), name
-        for j in (0, 17, 40):
-            assert res.series[j].margins == single.series[j].margins
+        names, values, scales = res.series.margin_table()
+        assert names == single.series.margin_table()[0]
+        assert np.array_equal(values, single.series.margin_table()[1])
+        assert np.array_equal(scales, single.series.margin_table()[2])
 
     def test_block_rows_follow_the_memory_budget(self):
         law = FlowLaw(FlowKind.LP, 1.0)
@@ -593,11 +620,10 @@ class TestBlocks:
         assert len(coll.series) == 0
         with pytest.raises(AuditError, match="increase"):
             coll.collect(0.0, unit_circle, defer=True)
-        rec = coll.collect(0.5, unit_circle, 0.1)
+        assert coll.collect(0.5, unit_circle, 0.1) is None
         assert len(coll.series) == 2
-        assert rec == coll.series[1]
-        assert coll.series[0].k_max == pytest.approx(2.0)
-        assert rec.oscillation == 0.0
+        assert coll.series.column("k_max")[0] == pytest.approx(2.0)
+        assert coll.series.column("oscillation")[1] == 0.0
 
     def test_functionals_take_a_block_or_one_profile(self, ellipse21):
         # a (3, n) block gives each row bit for bit what its profile gives
@@ -880,27 +906,47 @@ class TestColumnarSeries:
             assert not col.flags.writeable
             with pytest.raises(ValueError):
                 col[0] = 1.0
-        assert coll.series[0].t == 0.0
+        assert coll.series.column("t")[0] == 0.0
         assert math.isnan(coll.series.column("margin_no_such_margin")[0])
 
     def test_records_round_trip(self):
+        # 20 samples one at a time and in one block give the same table
+        j = np.arange(20.0)
+        columns = record(0.1 * j, L=1.0 + j, Q_max=2.0, Q_ok=j % 2 == 1,
+                         Psi_max=3.0, Phi_max=0.5, entropy=1.0)
+        margins = {"b": Margin(-1.0 * j, 2.0), "a": Margin(3.0, j)}
+
+        def at(x, i):
+            return np.broadcast_to(x, j.shape)[i]
+
         s = series_of(FlowKind.G1, 2.0)
-        recs = [
-            record(0.1 * j, L=1.0 + j, Q_max=2.0, Q_ok=bool(j % 2), Psi_max=3.0,
-                   Phi_max=0.5, entropy=1.0,
-                   margins={"b": Margin(-1.0 * j, 2.0), "a": Margin(3.0, j)})
-            for j in range(20)
-        ]
-        for rec in recs:
-            s.append(rec)
-        assert len(s) == 20
-        assert list(s) == recs
-        assert s[-1] == recs[-1]
-        assert s.margin_names == ("a", "b")
-        with pytest.raises(IndexError):
-            s[20]
+        for i in range(20):
+            s.extend(
+                {name: at(x, i) for name, x in columns.items()},
+                {name: Margin(at(m.value, i), at(m.scale, i))
+                 for name, m in margins.items()},
+            )
+        block = series_of(FlowKind.G1, 2.0)
+        block.extend(columns, margins)
+        assert len(s) == len(block) == 20
+        assert s.margin_names == block.margin_names == ("a", "b")
+        assert s.column_names() == block.column_names()
+        for name in s.column_names():
+            assert np.array_equal(s.column(name), block.column(name), equal_nan=True)
+        for name in COLUMNS:
+            want = np.broadcast_to(columns[name], j.shape)
+            assert np.array_equal(s.column(name), want, equal_nan=True), name
+        names, values, scales = s.margin_table()
+        assert np.array_equal(values, [np.full(20, 3.0), -j])
+        assert np.array_equal(scales, [j, np.full(20, 2.0)])
         with pytest.raises(AuditError, match="margin names"):
-            s.append(record(5.0, margins={"a": Margin(1.0, 1.0)}))
+            s.extend(record(5.0), {"a": Margin(1.0, 1.0)})
+        with pytest.raises(AuditError, match="increase"):
+            s.extend(record(1.9), margins)
+        with pytest.raises(AuditError, match="increase"):
+            block.extend(record(np.array([3.0, 3.0])),
+                         dict.fromkeys("ab", Margin(1.0, 1.0)))
+        assert len(s) == len(block) == 20
 
     def test_result_footprint(self):
         # the series keeps one float64 per scalar and two per margin for
@@ -928,16 +974,24 @@ class TestCsv:
         coll.collect(0.0, ellipse21, s_accum=0.0)
         coll.collect(0.25, unit_circle, s_accum=0.3)
         text = to_csv(coll.series)
-        assert text.startswith("t,L,A,")
         names = coll.series.column_names()
+        assert text.splitlines()[0] == ",".join(names) == (
+            "t,L,A,I,k_min,k_max,lambda,closure_defect,r_in,r_out,"
+            "dA_dt_formula,dL_dt_formula,Q_max,Q_ok,Psi_max,Phi_max,entropy,"
+            "oscillation,margin_andrews,margin_gage,margin_gage1_lower,"
+            "margin_gage1_upper,margin_gage2_lower,margin_gage2_upper,"
+            "margin_holder,margin_ineq11_b0,margin_ineq11_b0.5,margin_ineq11_b1,"
+            "margin_ineq11_b2,margin_ineq11_b3,margin_ineq22_b0,"
+            "margin_ineq22_b0.5,margin_ineq22_b1,margin_ineq22_b2,"
+            "margin_ineq22_b3,margin_mink1_ap,margin_mink1_lp,margin_mink2_ap,"
+            "margin_mink2_lp"
+        )
         parsed = np.genfromtxt(
             text.splitlines(), delimiter=",", names=True, deletechars=""
         )
         assert parsed.dtype.names == names
         for name in names:
             col = coll.series.column(name)
-            if name == "Q_ok":
-                col = np.array([1.0 if s.Q_ok else 0.0 for s in coll.series])
             back = parsed[name]
             both_nan = np.isnan(col) & np.isnan(back)
             assert np.array_equal(col[~both_nan], back[~both_nan]), name
@@ -946,13 +1000,13 @@ class TestCsv:
 class TestSeriesAudits:
     def test_monotone_clean_and_flagged(self):
         s = series_of(FlowKind.LP, 2.0)
-        s.append(record(0.0, I=1.2, entropy=5.0))
-        s.append(record(0.1, I=1.1, entropy=4.0))
-        s.append(record(0.2, I=1.05, entropy=3.5))
+        s.extend(record(0.0, I=1.2, entropy=5.0))
+        s.extend(record(0.1, I=1.1, entropy=4.0))
+        s.extend(record(0.2, I=1.05, entropy=3.5))
         assert monotonicity_violations(s) == []
         s = series_of(FlowKind.LP, 2.0)
-        s.append(record(0.0, I=1.1, entropy=5.0))
-        s.append(record(0.1, I=1.2, entropy=6.0))
+        s.extend(record(0.0, I=1.1, entropy=5.0))
+        s.extend(record(0.1, I=1.2, entropy=6.0))
         out = monotonicity_violations(s)
         assert len(out) == 2
         assert any("isoperimetric" in msg for msg in out)
@@ -961,103 +1015,103 @@ class TestSeriesAudits:
     def test_monotone_directions_by_law(self):
         # G1 adds length down / area up; contraction drops the ratio check
         s = series_of(FlowKind.G1, 1.0)
-        s.append(record(0.0, L=6.0, A=3.0))
-        s.append(record(0.1, L=6.1, A=2.9))
+        s.extend(record(0.0, L=6.0, A=3.0))
+        s.extend(record(0.1, L=6.1, A=2.9))
         out = monotonicity_violations(s)
         assert any("length" in msg for msg in out)
         assert any("area" in msg for msg in out)
         s = series_of(FlowKind.CONTRACTION, 1.0)
-        s.append(record(0.0, I=1.0))
-        s.append(record(0.1, I=1.5))
+        s.extend(record(0.0, I=1.0))
+        s.extend(record(0.1, I=1.5))
         assert monotonicity_violations(s) == []
 
     def test_monotone_tolerates_roundoff(self):
         s = series_of(FlowKind.LP, 1.0)
-        s.append(record(0.0, I=1.1))
-        s.append(record(0.1, I=1.1 * (1.0 + 1e-13)))
+        s.extend(record(0.0, I=1.1))
+        s.extend(record(0.1, I=1.1 * (1.0 + 1e-13)))
         assert monotonicity_violations(s) == []
 
     def test_phi_checked_only_when_enabled(self):
         for enabled, expect in ((True, 1), (False, 0)):
             s = series_of(FlowKind.LP, 1.0, phi_enabled=enabled)
-            s.append(record(0.0, Phi_max=0.5))
-            s.append(record(0.1, Phi_max=0.6))
+            s.extend(record(0.0, Phi_max=0.5))
+            s.extend(record(0.1, Phi_max=0.6))
             assert len(monotonicity_violations(s)) == expect
 
     def test_psi_running_max(self):
         s = series_of(FlowKind.LP, 1.0)
-        s.append(record(0.0, Psi_max=4.0, k_max=2.0))
-        s.append(record(0.1, Psi_max=3.0, k_max=1.5))
-        s.append(record(0.2, Psi_max=3.9, k_max=1.2))
+        s.extend(record(0.0, Psi_max=4.0, k_max=2.0))
+        s.extend(record(0.1, Psi_max=3.0, k_max=1.5))
+        s.extend(record(0.2, Psi_max=3.9, k_max=1.2))
         assert psi_violations(s) == []
         s = series_of(FlowKind.LP, 1.0)
-        s.append(record(0.0, Psi_max=4.0, k_max=2.0))
-        s.append(record(0.1, Psi_max=4.5, k_max=1.5))
+        s.extend(record(0.0, Psi_max=4.0, k_max=2.0))
+        s.extend(record(0.1, Psi_max=4.5, k_max=1.5))
         assert len(psi_violations(s)) == 1
         # a growing curvature maximum raises the allowance
         s = series_of(FlowKind.LP, 1.0)
-        s.append(record(0.0, Psi_max=4.0, k_max=2.0))
-        s.append(record(0.1, Psi_max=8.9, k_max=3.0))
+        s.extend(record(0.0, Psi_max=4.0, k_max=2.0))
+        s.extend(record(0.1, Psi_max=8.9, k_max=3.0))
         assert psi_violations(s) == []
 
     def test_psi_skipped_when_disabled(self):
         s = series_of(FlowKind.LP, 1.0)
-        s.append(record(0.0, Psi_max=math.nan, k_max=2.0))
-        s.append(record(0.1, Psi_max=math.nan, k_max=9.0))
+        s.extend(record(0.0, Psi_max=math.nan, k_max=2.0))
+        s.extend(record(0.1, Psi_max=math.nan, k_max=9.0))
         assert psi_violations(s) == []
 
     def test_tso_bound(self):
         ctx = TsoContext(alpha=1.0, beta=0.1, sigma=1.0, T1=1.0, Q0=5.0)
         s = series_of(FlowKind.LP, 1.0, tso=ctx)
-        s.append(record(0.0, Q_max=100.0, Q_ok=True))  # t = 0 exempt
-        s.append(record(0.2, Q_max=2.49, Q_ok=True))  # spike allows 2.5
-        s.append(record(0.6, Q_max=4.9, Q_ok=True))  # plateau allows 5
-        s.append(record(0.8, Q_max=50.0, Q_ok=False))  # precondition lost
-        s.append(record(2.0, Q_max=50.0, Q_ok=True))  # past T1
+        s.extend(record(0.0, Q_max=100.0, Q_ok=True))  # t = 0 exempt
+        s.extend(record(0.2, Q_max=2.49, Q_ok=True))  # spike allows 2.5
+        s.extend(record(0.6, Q_max=4.9, Q_ok=True))  # plateau allows 5
+        s.extend(record(0.8, Q_max=50.0, Q_ok=False))  # precondition lost
+        s.extend(record(2.0, Q_max=50.0, Q_ok=True))  # past T1
         assert tso_violations(s) == []
         s = series_of(FlowKind.LP, 1.0, tso=ctx)
-        s.append(record(0.6, Q_max=5.1, Q_ok=True))
+        s.extend(record(0.6, Q_max=5.1, Q_ok=True))
         assert len(tso_violations(s)) == 1
 
     def test_tso_asserted_for_conserving_laws_only(self):
         ctx = TsoContext(alpha=1.0, beta=0.1, sigma=1.0, T1=1.0, Q0=5.0)
         s = series_of(FlowKind.G1, 1.0, tso=ctx)
-        s.append(record(0.5, Q_max=1e9, Q_ok=True))
+        s.extend(record(0.5, Q_max=1e9, Q_ok=True))
         assert tso_violations(s) == []
 
     def test_margin_violations(self):
         s = series_of()
-        s.append(record(0.0, margins={"holder": Margin(-1.0, 1.0)}))
+        s.extend(record(0.0), {"holder": Margin(-1.0, 1.0)})
         out = margin_violations(s)
         assert len(out) == 1 and "holder" in out[0]
 
     def test_conservation(self):
         s = series_of(FlowKind.LP, 1.0)
-        s.append(record(0.0, L=TWO_PI))
-        s.append(record(0.1, L=TWO_PI * (1.0 + 2e-6)))
+        s.extend(record(0.0, L=TWO_PI))
+        s.extend(record(0.1, L=TWO_PI * (1.0 + 2e-6)))
         assert len(conservation_violations(s)) == 1
         s = series_of(FlowKind.LP, 1.0)
-        s.append(record(0.0, L=TWO_PI))
-        s.append(record(0.1, L=TWO_PI * (1.0 + 5e-7)))
+        s.extend(record(0.0, L=TWO_PI))
+        s.extend(record(0.1, L=TWO_PI * (1.0 + 5e-7)))
         assert conservation_violations(s) == []
         # AP watches area instead, G1 watches neither
         s = series_of(FlowKind.AP, 1.0)
-        s.append(record(0.0, L=TWO_PI, A=math.pi))
-        s.append(record(0.1, L=5.0, A=math.pi * (1.0 + 2e-6)))
+        s.extend(record(0.0, L=TWO_PI, A=math.pi))
+        s.extend(record(0.1, L=5.0, A=math.pi * (1.0 + 2e-6)))
         assert len(conservation_violations(s)) == 1
         s = series_of(FlowKind.G1, 1.0)
-        s.append(record(0.0, L=TWO_PI, A=math.pi))
-        s.append(record(0.1, L=5.0, A=4.0))
+        s.extend(record(0.0, L=TWO_PI, A=math.pi))
+        s.extend(record(0.1, L=5.0, A=4.0))
         assert conservation_violations(s) == []
 
     def test_closure(self):
         s = series_of()
-        s.append(record(0.0, L=TWO_PI, closure_defect=0.0))
-        s.append(record(0.1, closure_defect=TWO_PI * 2e-6))
+        s.extend(record(0.0, L=TWO_PI, closure_defect=0.0))
+        s.extend(record(0.1, closure_defect=TWO_PI * 2e-6))
         assert len(closure_violations(s)) == 1
         s = series_of()
-        s.append(record(0.0, L=TWO_PI, closure_defect=0.0))
-        s.append(record(0.1, closure_defect=TWO_PI * 5e-7))
+        s.extend(record(0.0, L=TWO_PI, closure_defect=0.0))
+        s.extend(record(0.1, closure_defect=TWO_PI * 5e-7))
         assert closure_violations(s) == []
 
 
@@ -1098,14 +1152,13 @@ class TestRadiiAudit:
     def test_lifted_outradius_is_named_at_its_time(self):
         res = run(FlowLaw(FlowKind.LP, 1.0), ellipse_at(128), t_end=0.1,
                   sample_dt=0.005)
+        columns = columns_of(res.series)
+        hi = oracles.bonnesen_window(columns["L"][7], columns["A"][7])[1]
+        columns["r_out"][7] = hi + 1e-7
         s = series_of()
-        for j, rec in enumerate(res.series):
-            if j == 7:
-                hi = oracles.bonnesen_window(rec.L, rec.A)[1]
-                rec = dataclasses.replace(rec, r_out=hi + 1e-7)
-            s.append(rec)
+        s.extend(columns)
         (msg,) = radii_violations(s)
-        assert msg.startswith("r_out") and msg.endswith(f"t={res.series[7].t:.6g}")
+        assert msg.startswith("r_out") and msg.endswith(f"t={columns['t'][7]:.6g}")
 
     def test_bonnesen_inequality_and_window(self):
         # L = 8, A = 3.5: the window is (8 -+ 2 sqrt(16 - 3.5 pi)) / 2 pi
@@ -1113,15 +1166,15 @@ class TestRadiiAudit:
         lo, hi = oracles.bonnesen_window(L, A)
         slack = 0.9e-8 * L / TWO_PI
         s = series_of()
-        s.append(record(0.0, L=L, A=A, r_in=lo, r_out=hi))
-        s.append(record(0.1, L=L, A=A, r_in=lo - slack, r_out=hi))
+        s.extend(record(0.0, L=L, A=A, r_in=lo, r_out=hi))
+        s.extend(record(0.1, L=L, A=A, r_in=lo - slack, r_out=hi))
         assert radii_violations(s) == []
         # each radius within the window's slack, their difference not
-        s.append(record(0.2, L=L, A=A, r_in=lo - slack, r_out=hi + slack))
+        s.extend(record(0.2, L=L, A=A, r_in=lo - slack, r_out=hi + slack))
         (msg,) = radii_violations(s)
         assert "Bonnesen" in msg and msg.endswith("t=0.2")
         # beyond the slack, a radius leaves the window and so widens the gap
-        s.append(record(0.3, L=L, A=A, r_in=lo - 2 * slack, r_out=hi))
+        s.extend(record(0.3, L=L, A=A, r_in=lo - 2 * slack, r_out=hi))
         below, *gaps = radii_violations(s)
         assert below.startswith("r_in") and below.endswith("t=0.3")
         assert [m[-5:] for m in gaps] == ["t=0.2", "t=0.3"]
@@ -1136,10 +1189,10 @@ class TestRadiiAudit:
         A = (L * L - (deficit - 1e-14)) / (4.0 * math.pi)
         assert L * L - 4.0 * math.pi * A < 0.3 * deficit
         s = series_of()
-        s.append(record(0.0, L=L, A=A, r_in=R - eps, r_out=R + eps))
+        s.extend(record(0.0, L=L, A=A, r_in=R - eps, r_out=R + eps))
         assert radii_violations(s) == []
         # an outradius 1e-6 too large still leaves the window and the gap
-        s.append(record(0.1, L=L, A=A, r_in=R - eps, r_out=R + 1e-6))
+        s.extend(record(0.1, L=L, A=A, r_in=R - eps, r_out=R + 1e-6))
         msgs = radii_violations(s)
         assert len(msgs) == 2 and all(m.endswith("t=0.1") for m in msgs)
 
@@ -1157,7 +1210,7 @@ class TestRateAudit:
         s = series_of(FlowKind.G1, 1.0)
         for j in range(n):
             t = j * h
-            s.append(
+            s.extend(
                 record(
                     t, L=math.exp(t), A=math.exp(t),
                     dL_dt_formula=math.exp(t), dA_dt_formula=math.exp(t),
@@ -1177,22 +1230,19 @@ class TestRateAudit:
 
     def test_unequal_spacing_skipped(self):
         s = self.exp_series(0.05, 5)
-        s.append(record(0.33, L=math.exp(0.33), A=math.exp(0.33),
+        s.extend(record(0.33, L=math.exp(0.33), A=math.exp(0.33),
                         dL_dt_formula=math.exp(0.33), dA_dt_formula=math.exp(0.33)))
         fd, _ = rate_fd_pairs(s, "L")
         assert len(fd) == 3  # interior points flanked by equal steps only
 
     def test_corrupt_formula_flagged(self):
+        columns = columns_of(self.exp_series(0.05, 9))
+        columns["dL_dt_formula"][4] *= 1.01
         s = series_of(FlowKind.G1, 1.0)
-        for j, rec in enumerate(self.exp_series(0.05, 9)):
-            if j == 4:
-                rec = record(
-                    rec.t, L=rec.L, A=rec.A,
-                    dL_dt_formula=rec.dL_dt_formula * 1.01,
-                    dA_dt_formula=rec.dA_dt_formula,
-                )
-            s.append(rec)
-        assert s[4].dL_dt_formula == pytest.approx(1.01 * math.exp(0.2), rel=1e-15)
+        s.extend(columns)
+        assert s.column("dL_dt_formula")[4] == pytest.approx(
+            1.01 * math.exp(0.2), rel=1e-15
+        )
         assert any("dL/dt" in msg for msg in rate_violations(s))
         assert not any("dA/dt" in msg for msg in rate_violations(s))
 
@@ -1205,24 +1255,24 @@ class TestDecayRate:
     def test_recovers_exponential_rate(self):
         s = series_of()
         for t in np.linspace(0.0, 3.0, 40):
-            s.append(record(t, k_min=1.0, k_max=1.0 + math.exp(-3.0 * t)))
+            s.extend(record(t, k_min=1.0, k_max=1.0 + math.exp(-3.0 * t)))
         assert fit_decay_rate(s) == pytest.approx(-3.0, rel=1e-9)
 
     def test_uses_final_decade_only(self):
         # early plateau would bias the fit; the cutoff must exclude it
         s = series_of()
         for t in np.linspace(0.0, 1.0, 10):
-            s.append(record(t, k_min=1.0, k_max=2.0))
+            s.extend(record(t, k_min=1.0, k_max=2.0))
         for t in np.linspace(1.1, 4.0, 30):
-            s.append(record(t, k_min=1.0, k_max=1.0 + math.exp(-2.0 * (t - 1.0))))
+            s.extend(record(t, k_min=1.0, k_max=1.0 + math.exp(-2.0 * (t - 1.0))))
         assert fit_decay_rate(s) == pytest.approx(-2.0, rel=1e-6)
 
     def test_degenerate_series(self):
         s = series_of()
         for t in (0.0, 0.1, 0.2):
-            s.append(record(t, k_min=1.0, k_max=1.0 + math.exp(-t)))
+            s.extend(record(t, k_min=1.0, k_max=1.0 + math.exp(-t)))
         assert math.isnan(fit_decay_rate(s))  # too few points
         s = series_of()
         for t in (0.0, 0.1, 0.2, 0.3, 0.4):
-            s.append(record(t, k_min=1.0, k_max=1.0))
+            s.extend(record(t, k_min=1.0, k_max=1.0))
         assert math.isnan(fit_decay_rate(s))  # gap identically zero

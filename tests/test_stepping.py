@@ -207,7 +207,7 @@ class TestRunStatuses:
         res = cf.run(cf.FlowLaw("LP", 1.0), kp, ctl, 10.0, sample_dt=0.05,
                      audits=())
         assert res.status is cf.RunStatus.CONVERGED
-        assert res.series[-1].oscillation <= 1e-2
+        assert res.series.column("oscillation")[-1] <= 1e-2
         assert res.t_final < 10.0
 
     def test_step_counters(self):
@@ -270,7 +270,7 @@ class TestRunTargets:
                      audits=())
         assert res.status is cf.RunStatus.TIME_LIMIT
         defect = res.series.column("closure_defect")
-        assert defect.max() <= 1e-14 * res.series[0].L
+        assert defect.max() <= 1e-14 * res.series.column("L")[0]
 
         kp = cf.generate(cf.Ellipse(2.0, 1.0, grid_n=128))
         res = cf.run(cf.FlowLaw("LP", 1.0), kp, None, 1.0, sample_dt=0.005,
@@ -394,6 +394,36 @@ class TestKernel:
         held = stepper.k()
         assert stepper.force(0.1) == _kernels.STATUS_CONVEXITY
         assert np.array_equal(stepper.k(), held)
+
+    def test_positivity_cut_recovers(self, monkeypatch):
+        # a first step of 0.1 leaves w > 0 in a stage: the attempt comes
+        # back with err = inf, the next one tries a quarter of its step,
+        # and the run lands where a stepper from its own first step does
+        k0 = cf.generate(cf.Ellipse(6.0, 1.0, grid_n=64)).k
+        log = []  # (h on entry, step tried, err = inf) per attempt
+        attempt = _kernels.Stepper._attempt
+
+        def logged(self, h):
+            entry = self.h
+            out = attempt(self, h)
+            log.append((entry, h, out[0] is None and math.isinf(out[1])))
+            return out
+
+        monkeypatch.setattr(_kernels.Stepper, "_attempt", logged)
+        plain = _kernels.Stepper(k0, 2.0, cf.FlowKind.AP, 0.25, 1e6)
+        assert plain.advance(0.05, 100_000)[1] == _kernels.STATUS_OK
+        assert not any(inf for _, _, inf in log)
+        log.clear()
+        stepper = _kernels.Stepper(k0, 2.0, cf.FlowKind.AP, 0.25, 1e6)
+        stepper.h = 0.1
+        assert stepper.advance(0.05, 100_000)[1] == _kernels.STATUS_OK
+        cut = [i for i, (_, _, inf) in enumerate(log) if inf]
+        assert cut
+        for i in cut:
+            assert log[i + 1][0] == log[i][1] * _kernels._POSITIVITY_CUT
+        assert stepper.t == 0.05
+        assert stepper.rejected > plain.rejected
+        np.testing.assert_allclose(stepper.k(), plain.k(), rtol=1e-10, atol=0.0)
 
     def test_step_size_underflow_is_convexity(self):
         # with the blowup guard off, the contracting circle runs into its
