@@ -3,8 +3,9 @@ radius of curvature w = 1/k.
 
 In w every law reads w_t = lambda - (d^2/dtheta^2 + 1) k^alpha. Each
 evaluation takes the spectrum of w, applies one inverse real FFT (the
-stage's w, its positivity check and v = k^alpha) and one forward FFT of
-v, whose bins are multiplied by m^2 - 1, the symbol of -(d^2 + 1), with
+stage's w, its positivity check and v = k^alpha, which `laws.power`
+forms from w as it does for every profile) and one forward FFT of v,
+whose bins are multiplied by m^2 - 1, the symbol of -(d^2 + 1), with
 the Nyquist bin kept as `spectral.deriv_values` keeps it; lambda enters
 mode 0. lambda is `laws.nonlocal_lambda` of the quadratures the law
 reads, each computed only where it is read: the quadrature of v is
@@ -52,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import parseval_area
-from .laws import FlowKind, nonlocal_lambda
+from .laws import FlowKind, nonlocal_lambda, power
 from .spectral import TWO_PI
 
 # The gufuncs behind np.fft.rfft and np.fft.irfft, called as (x, fct, out=)
@@ -200,13 +201,7 @@ class Derivative:
         _irfft(S.view(complex), self.inv_n, out=w_out)
         if _min(w_out) <= 0.0:
             return None
-        v = self.v
-        if self.alpha == 1.0:
-            np.divide(1.0, w_out, out=v)
-        else:
-            np.log(w_out, out=v)
-            v *= -self.alpha
-            np.exp(v, out=v)
+        v = power(w_out, self.alpha, self.v)
         _rfft(v, 1.0, out=self.V)
         L = A = vw = math.nan
         if self.reads_A:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import CurvatureProfile
-from .laws import FlowKind, FlowLaw, lambda_value, nonlocal_lambda, power
+from .laws import FlowKind, FlowLaw, integrals, lambda_value, nonlocal_lambda, power
 from .spectral import (
     TWO_PI,
     _derivative_weights,
@@ -264,17 +264,13 @@ def oscillation(kp: CurvatureProfile):
 
 def rate_formulas(law: FlowLaw, kp: CurvatureProfile):
     """Instantaneous (dA_dt, dL_dt) = (lambda L - qw, 2 pi lambda - q),
-    q and qw the integrals of k^alpha and k^alpha/k.
+    q and qw the integrals of k^alpha and k^alpha/k (`laws.integrals`).
 
     LP pins dL_dt to literally 0.0 and AP pins dA_dt to 0.0; those are
     the conserved quantities, and reporting the algebraic zero keeps the
     conservation audit independent of this function.
     """
-    v = power(kp.k, law.alpha)
-    q = integrate_values(v)
-    qw = integrate_values(v * kp.w)
-    L = geometry.length(kp)
-    A = geometry.parseval_area(kp.W)
+    _, q, qw, L, A = integrals(kp, law.alpha)
     lam = nonlocal_lambda(law.kind, q, qw, L, A)
     dA_dt, dL_dt = lam * L - qw, TWO_PI * lam - q
     if law.kind is FlowKind.LP:
@@ -441,7 +437,7 @@ def tso_quantity(
     shape = kp.k.shape[:-1]
     n = kp.grid.n
     beta = ctx.beta
-    v = _rows(power(kp.k, ctx.alpha))
+    v = _rows(power(kp.w, ctx.alpha))
     V = np.fft.rfft(v) if V is None else _rows(V)
     u = _rows(u)
     U = np.fft.rfft(u)
@@ -500,7 +496,7 @@ def gradient_functional(
     """
     shape = kp.k.shape[:-1]
     n = kp.grid.n
-    V = np.fft.rfft(_rows(power(kp.k, alpha))) if V is None else _rows(V)
+    V = np.fft.rfft(_rows(power(kp.w, alpha))) if V is None else _rows(V)
     square = resample_spectrum(deriv_spectrum(V, 1), n, 2 * n)
     square *= square
     square += resample_spectrum(V, n, 2 * n) ** 2
@@ -545,11 +541,10 @@ def entropy(law: FlowLaw, kp: CurvatureProfile):
     it by L^(alpha-1), except alpha = 1 where the logarithmic integral of
     k L takes over. The remaining laws record the LP integrand with no
     monotonicity claim attached; `entropy_direction` gives the claim.
+    The integrals are those of `laws.integrals`.
     """
-    w = kp.w
-    base = integrate_values(power(kp.k, law.alpha) * w)
+    _, _, base, L, _ = integrals(kp, law.alpha)
     if law.kind is FlowKind.AP:
-        L = integrate_values(w)
         if law.alpha == 1.0:
             base = integrate_values(np.log(kp.k * np.expand_dims(L, -1)))
         else:
@@ -594,12 +589,7 @@ def inequality_audit(kp: CurvatureProfile, alpha: float = 1.0) -> dict[str, Marg
         raise AuditError(f"alpha must be finite and positive, got {alpha}")
     k = kp.k
     w = kp.w
-    L = geometry.length(kp)
-    A = geometry.parseval_area(kp.W)
-
-    v = power(k, alpha)
-    iv = integrate_values(v)
-    ivw = integrate_values(v * w)
+    v, iv, ivw, L, A = integrals(kp, alpha)
     lam_lp, lam_ap, lam_g1, lam_g2 = (
         nonlocal_lambda(kind, iv, ivw, L, A)
         for kind in (FlowKind.LP, FlowKind.AP, FlowKind.G1, FlowKind.G2)
@@ -610,7 +600,7 @@ def inequality_audit(kp: CurvatureProfile, alpha: float = 1.0) -> dict[str, Marg
     margins["holder"] = Margin(lam_lp - lam_ap, lam_scale)
 
     # every exponent at once, on a leading axis: (betas, n) or (betas, rows, n)
-    kb = power(k, np.reshape(DEFAULT_BETAS, (-1,) + (1,) * k.ndim))
+    kb = power(w, np.reshape(DEFAULT_BETAS, (-1,) + (1,) * k.ndim))
     int_kb = integrate_values(kb)
     large = (L / TWO_PI) * int_kb
     small = integrate_values(kb * w)
@@ -663,8 +653,8 @@ class DiagnosticsCollector:
 
     Per block, the support pipeline (reconstruction and centroid) runs
     once and is shared by everything that needs it, as is one rfft of
-    k^alpha per row, which the Tso quotient and Psi share; the area
-    comes from `geometry.parseval_area`, with no closure check, so a run
+    k^alpha per row, which the Tso quotient and Psi share. L, A and
+    k^alpha come from `laws.integrals`, with no closure check, so a run
     that drifts open is recorded (closure_defect) rather than stopped.
     The radii of a block are solved in one `geometry.inradius_outradius`
     call, every row from the contacts of the certified inscribed and
@@ -730,8 +720,6 @@ class DiagnosticsCollector:
         block = CurvatureProfile(profiles[0].grid, np.stack([kp.k for kp in profiles]))
         b = len(profiles)
         nan = np.full(b, math.nan)
-        L = geometry.length(block)
-        A = geometry.parseval_area(block.W)
         u, _ = geometry._support_pipeline(block)
 
         r_in = r_out = nan
@@ -742,9 +730,11 @@ class DiagnosticsCollector:
         if "rates" in self.audits:
             dA_dt, dL_dt = rate_formulas(law, block)
 
+        v, _, _, L, A = integrals(block, law.alpha)
         V = None
         if tso is not None or "psi" in self.audits:
-            V = np.fft.rfft(power(block.k, law.alpha))
+            V = np.fft.rfft(v)
+        del v
 
         q_max, q_ok = nan, np.zeros(b)
         if tso is not None:

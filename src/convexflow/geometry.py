@@ -4,7 +4,9 @@ A convex closed curve with strictly positive curvature is stored as samples
 k(theta_j) over the outward normal angle. Everything else is derived from
 w = 1/k by spectral calculus: arc length element ds = w dtheta, tangent
 T(theta) = (-sin theta, cos theta), position by antidifferentiation, support
-function u = <X - c, N> about the area centroid c. Closure holds iff the
+function u = <X - c, N> about the area centroid c. The enclosed area has
+one formula, `parseval_area` of the spectrum of w, which the stepping
+kernel, the diagnostics and the centroid all use. Closure holds iff the
 first Fourier moments of w vanish; the residual norm is reported as the
 closure defect rather than silently projected away. A `CurvatureProfile`
 holds one profile or a (B, n) block of them, and the functionals that
@@ -157,15 +159,17 @@ def reconstruct_points(kp: CurvatureProfile) -> np.ndarray:
 
 def _support_pipeline(kp: CurvatureProfile) -> tuple[np.ndarray, tuple]:
     """Reconstruct, find the area centroid, return (u, center); for a
-    block, u holds one row per profile and center one (cx, cy) array pair."""
+    block, u holds one row per profile and center one (cx, cy) array pair.
+
+    The centroid is (integral of x^2 dy, -integral of y^2 dx) / 2A, with
+    dx = -sin w dtheta, dy = cos w dtheta and A the `parseval_area`."""
     grid = kp.grid
     w = kp.w
     x, y, _, _ = _nodes(kp)
     cos, sin = grid.cos, grid.sin
-    # Green's theorem with dx = -sin*w dtheta, dy = cos*w dtheta
-    area0 = 0.5 * integrate_values(w * (x * cos + y * sin))
-    cx = integrate_values(x * x * cos * w) / (2.0 * area0)
-    cy = integrate_values(y * y * sin * w) / (2.0 * area0)
+    twice_area = 2.0 * parseval_area(kp.W)
+    cx = integrate_values(x * x * cos * w) / twice_area
+    cy = integrate_values(y * y * sin * w) / twice_area
     u = (x - np.expand_dims(cx, -1)) * cos + (y - np.expand_dims(cy, -1)) * sin
     return u, (cx, cy)
 

@@ -1,5 +1,6 @@
 """The five speed laws and their nonlocal term lambda(t); a curve moves
-with normal speed k^alpha - lambda.
+with normal speed k^alpha - lambda, k^alpha from `power`, lambda from
+`nonlocal_lambda` of the integrals that `integrals` gives.
 
 LP fixes length, AP fixes area, G1/G2 are the alpha >= 1 variants whose
 lambda mixes L and A, Contraction has lambda = 0 and shrinks to a point.
@@ -49,15 +50,15 @@ class FlowLaw:
             raise LawError("alpha must be >= 1 for G1/G2")
 
 
-def power(k: np.ndarray, alpha: float) -> np.ndarray:
-    """k^alpha as exp(alpha*log k); k > 0 is an invariant so log is safe.
-
-    `lambda_value` and the diagnostics take k^alpha from here. The
-    stepping kernel, which holds w = 1/k, computes it as exp(-alpha*log w),
-    or 1/w at alpha = 1, so its lambda and `lambda_value` agree to
-    round-off, not bit for bit.
-    """
-    return np.exp(alpha * np.log(k))
+def power(w: np.ndarray, alpha, out=None) -> np.ndarray:
+    """k^alpha from the radius of curvature w = 1/k > 0: 1/w at alpha = 1,
+    exp(-alpha log w) otherwise. The one k^alpha of the kernel's stages and
+    of every profile or block (from `kp.w`). An array of exponents
+    broadcasts against w; `out` is an output buffer."""
+    if not isinstance(alpha, np.ndarray) and alpha == 1.0:
+        return np.divide(1.0, w, out=out)
+    v = np.multiply(np.log(w, out=out), -alpha, out=out)
+    return np.exp(v, out=v)
 
 
 def nonlocal_lambda(kind: FlowKind, q: float, qw: float, L: float, A: float) -> float:
@@ -78,21 +79,21 @@ def nonlocal_lambda(kind: FlowKind, q: float, qw: float, L: float, A: float) -> 
     return 0.0
 
 
-def lambda_value(law: FlowLaw, kp: CurvatureProfile):
-    """The law's nonlocal term for the given profile: a numpy scalar, or
-    one value per row of a (B, n) block.
+def integrals(kp: CurvatureProfile, alpha: float):
+    """(v, q, qw, L, A) of a profile or a (B, n) block, with no closure
+    check: v = k^alpha, q and qw the integrals of v and v/k over the
+    normal angle, the length L and the `geometry.parseval_area` A, each a
+    numpy scalar or one value per row. (The kernel reads its own.)"""
+    w = kp.w
+    v = power(w, alpha)
+    L, A = geometry.length(kp), geometry.parseval_area(kp.W)
+    return v, integrate_values(v), integrate_values(v * w), L, A
 
-    Like the stepping kernel, it does not require a closed curve, so it
-    also evaluates the open intermediate states of a step.
-    """
+
+def lambda_value(law: FlowLaw, kp: CurvatureProfile):
+    """The law's nonlocal term for a profile (a numpy scalar) or a (B, n)
+    block (one value per row)."""
     if law.kind is FlowKind.CONTRACTION:
         return np.zeros(kp.k.shape[:-1])[()]
-    v = power(kp.k, law.alpha)
-    w = kp.w
-    return nonlocal_lambda(
-        law.kind,
-        integrate_values(v),
-        integrate_values(v * w),
-        integrate_values(w),
-        geometry.parseval_area(kp.W),
-    )
+    _, q, qw, L, A = integrals(kp, law.alpha)
+    return nonlocal_lambda(law.kind, q, qw, L, A)

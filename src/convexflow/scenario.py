@@ -121,18 +121,26 @@ def _reject_unknown(doc: Mapping, known: set, where: str) -> None:
         raise ScenarioError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _number(value, key: str, cast=float):
-    """cast(value) for the scalar at `key`, as a ScenarioError naming it."""
+def _number(value, key: str, integral: bool = False):
+    """The JSON number at `key`, a float or with `integral` an int (1e6 is
+    one); else, booleans and strings too, a ScenarioError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{key} must be a number, got {value!r}")
+    if integral and isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"{key} must be an integer, got {value!r}")
     try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
+        return int(value) if integral else float(value)
+    except OverflowError:  # an integer beyond the float range
         raise ScenarioError(f"{key} must be a number, got {value!r}") from None
 
 
 def _parse_modes(value) -> tuple[tuple[int, float, float], ...]:
-    """PerturbedCircle modes: a list of [m, amp, phase] entries."""
+    """PerturbedCircle modes: a list of [m, amp, phase], m an integer."""
     try:
-        return tuple((int(m), float(a), float(p)) for m, a, p in value)
+        return tuple(
+            (_number(m, "m", True), _number(a, "a"), _number(p, "p"))
+            for m, a, p in value
+        )
     except (TypeError, ValueError):
         raise ScenarioError(
             f"curve PerturbedCircle modes must be a list of [m, amp, phase], "
@@ -164,13 +172,11 @@ def parse_curve(doc) -> CurveSpec:
             _parse_modes(value) if name == "modes" else _number(value, f"curve.{name}")
         )
     if "grid_n" in doc:
-        kwargs["grid_n"] = _number(doc["grid_n"], "curve.grid_n", int)
+        kwargs["grid_n"] = _number(doc["grid_n"], "curve.grid_n", True)
     return _CURVE_KINDS[kind](**kwargs)
 
 
-def _parse_law(doc) -> FlowLaw:
-    if not isinstance(doc, Mapping):
-        raise ScenarioError("law must be an object with 'kind' and 'alpha'")
+def _parse_law(doc: Mapping) -> FlowLaw:
     _reject_unknown(doc, {"kind", "alpha"}, "law")
     try:
         kind = FlowKind(doc["kind"])
@@ -214,7 +220,7 @@ def parse_scenario(text: str) -> Scenario:
     # blowup_k null is an infinite blowup_k: no blow-up guard
     control = StepControl(**{
         k: math.inf if k == "blowup_k" and v is None
-        else _number(v, f"control.{k}", int if k == "max_steps" else float)
+        else _number(v, f"control.{k}", k == "max_steps")
         for k, v in control_doc.items()
     })
 
@@ -234,10 +240,10 @@ def parse_scenario(text: str) -> Scenario:
                 f"sample_dt must be positive and finite, got {sample_dt}"
             )
     else:
-        sample_every = _number(doc.get("sample_every", 25), "sample_every", int)
+        sample_every = _number(doc.get("sample_every", 25), "sample_every", True)
         if sample_every < 1:
             raise ScenarioError(f"sample_every must be >= 1, got {sample_every}")
-    snapshot_every = _number(doc.get("snapshot_every", 0), "snapshot_every", int)
+    snapshot_every = _number(doc.get("snapshot_every", 0), "snapshot_every", True)
     if snapshot_every < 0:
         raise ScenarioError(f"snapshot_every must be >= 0, got {snapshot_every}")
 

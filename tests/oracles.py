@@ -19,8 +19,14 @@ import math
 import numpy as np
 
 from convexflow.geometry import CurvatureProfile, support_about_centroid
-from convexflow.laws import FlowLaw, lambda_value, power
+from convexflow.laws import FlowLaw, lambda_value
 from convexflow.spectral import TWO_PI, deriv_values, resample_spectrum
+
+
+def power(k: np.ndarray, alpha) -> np.ndarray:
+    """k^alpha as exp(alpha log k), from the curvature itself; the library
+    forms it from the radius of curvature 1/k (`laws.power`)."""
+    return np.exp(alpha * np.log(k))
 
 
 def ellipse_perimeter(a: float, b: float) -> float:

@@ -52,11 +52,11 @@ from convexflow.diagnostics import (
     rate_violations,
     tso_violations,
 )
-from convexflow.laws import power
+from convexflow.laws import integrals
 from convexflow.spectral import deriv_spectrum, integrate_values, resample_spectrum
 
 import oracles
-from oracles import refined_extremum_values, resample_values
+from oracles import power, refined_extremum_values, resample_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -245,10 +245,12 @@ class TestEntropy:
         assert e == pytest.approx(8.0 * math.pi**3, rel=1e-12)
 
     def test_other_laws_record_plain_integral(self, ellipse21):
-        base = integrate_values(power(ellipse21.k, 2.0) * ellipse21.w)
+        _, _, base, _, _ = integrals(ellipse21, 2.0)
         for kind in (FlowKind.G1, FlowKind.G2, FlowKind.CONTRACTION):
             e = entropy(FlowLaw(kind, 2.0), ellipse21)
             assert e == base
+        plain = integrate_values(power(ellipse21.k, 2.0) * ellipse21.w)
+        assert base == pytest.approx(plain, rel=1e-14)
 
 
 class TestRateFormulas:
@@ -1113,6 +1115,12 @@ class TestSeriesAudits:
         s.extend(record(0.0, L=TWO_PI, closure_defect=0.0))
         s.extend(record(0.1, closure_defect=TWO_PI * 5e-7))
         assert closure_violations(s) == []
+
+    @pytest.mark.parametrize(
+        "check", [psi_violations, conservation_violations, closure_violations]
+    )
+    def test_empty_series_checks_nothing(self, check):
+        assert check(series_of(FlowKind.LP, 1.0)) == []
 
 
 def ellipse_at(n):

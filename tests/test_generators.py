@@ -34,6 +34,8 @@ class TestCircleEllipse:
             Ellipse(a=1.0, b=2.0)
         with pytest.raises(ValueError):
             Ellipse(a=1.0, b=-1.0)
+        with pytest.raises(ValueError, match="base radius"):
+            PerturbedCircle(r0=0.0)
 
     @pytest.mark.parametrize("s", [2.0, 4.0])
     def test_power_of_two_scaling_exact(self, s):
@@ -58,6 +60,8 @@ class TestPerturbedCircle:
     def test_mode_one_forbidden(self):
         with pytest.raises(ValueError, match="translation"):
             PerturbedCircle(r0=1.0, modes=((1, 0.1, 0.0),))
+        with pytest.raises(ValueError, match="must be >= 2, got 0"):
+            PerturbedCircle(r0=1.0, modes=((0, 0.1, 0.0),))
 
     def test_modes_are_amplitude_and_phase(self):
         # u = r0 + amp cos(m theta - phase), so 1/k = u'' + u is
@@ -96,6 +100,8 @@ class TestRandomConvex:
             random_convex(seed=0, budget=1.0)
         with pytest.raises(ValueError):
             random_convex(seed=0, budget=-0.1)
+        with pytest.raises(ValueError, match="max_mode"):
+            random_convex(seed=0, max_mode=1)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_seeds_valid_convex_closed(self, seed):

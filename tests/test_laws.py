@@ -153,7 +153,7 @@ class TestNormalSpeed:
 
     def test_contraction_speed_positive(self, ellipse21):
         speed = normal_speed(FlowLaw(FlowKind.CONTRACTION, 1.0), ellipse21)
-        assert np.array_equal(speed, power(ellipse21.k, 1.0))
+        assert np.array_equal(speed, oracles.power(ellipse21.k, 1.0))
         assert speed.min() > 0.0
 
     @pytest.mark.parametrize("seed", range(6))
@@ -167,8 +167,29 @@ class TestNormalSpeed:
 class TestPower:
     def test_matches_numpy_pow(self):
         k = np.linspace(0.1, 5.0, 100)
-        assert np.allclose(power(k, 2.5), k**2.5, rtol=1e-14)
+        assert np.allclose(power(1.0 / k, 2.5), k**2.5, rtol=1e-14)
 
     def test_integer_alpha_consistent(self):
         k = np.linspace(0.5, 2.0, 64)
-        assert np.abs(power(k, 1.0) - k).max() < 1e-15
+        assert np.abs(power(1.0 / k, 1.0) - k).max() < 1e-15
+
+    def test_alpha_one_is_the_reciprocal(self):
+        w = np.linspace(0.5, 2.0, 64)
+        assert np.array_equal(power(w, 1.0), 1.0 / w)
+
+    def test_exponent_array_broadcasts(self):
+        # the beta family: one row per exponent, each that exponent's power
+        w = np.linspace(0.2, 3.0, 32).reshape(2, 16)
+        betas = np.array([0.0, 1.0, 2.5]).reshape(-1, 1, 1)
+        rows = power(w, betas)
+        assert rows.shape == (3, 2, 16)
+        assert np.array_equal(rows[0], np.ones_like(w))
+        assert np.allclose(rows[1], 1.0 / w, rtol=1e-14, atol=0.0)
+        assert np.array_equal(rows[2], power(w, 2.5))
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.5])
+    def test_out_buffer(self, alpha):
+        w = np.linspace(0.5, 2.0, 64)
+        out = np.empty_like(w)
+        assert power(w, alpha, out=out) is out
+        assert np.array_equal(out, power(w, alpha))

@@ -149,6 +149,11 @@ class TestInternals:
         expect = 1.0 + 0.2 * np.cos(3 * fine.theta) - 0.1 * np.sin(5 * fine.theta)
         assert np.abs(resample_values(vals, 256) - expect).max() < 1e-13
 
+    def test_resample_refuses_a_coarser_grid(self):
+        vals = np.cos(3 * AngularGrid(64).theta)
+        with pytest.raises(ValueError, match="coarser"):
+            resample_spectrum(np.fft.rfft(vals), 64, 32)
+
     def test_antiderivative_splits_mean(self):
         g = AngularGrid(64)
         vals = 2.0 + np.cos(g.theta)

@@ -131,6 +131,8 @@ class TestRunSampling:
             cf.run(law, ellipse21, None, 1.0, sample_dt=0.1, sample_every=5)
         with pytest.raises(ConfigurationError, match="sample_every"):
             cf.run(law, ellipse21, None, 1.0, sample_every=0)
+        with pytest.raises(ConfigurationError, match="sample_dt"):
+            cf.run(law, ellipse21, None, 1.0, sample_dt=0.0)
         with pytest.raises(ConfigurationError, match="t_end"):
             cf.run(law, ellipse21, None, 0.0)
 
