@@ -42,7 +42,7 @@ h/2, with the local error of the pair measured as max |w2 - w1| / (15 w2)
 and the extrapolated w2 + (w2 - w1)/15 kept. Within a span the steps are
 equal, span / ceil(span / h), which lands its end exactly and lets the
 coefficients repeat. `Stepper` holds one run's state, spectrum, step
-size and sigma across `advance` calls.
+size and sigma across `advance` calls, and how the run stopped.
 """
 
 from __future__ import annotations
@@ -76,13 +76,6 @@ except ImportError:  # pragma: no cover - a numpy without that module
 # extrema without the argument handling of ndarray.min/max
 _min = np.minimum.reduce
 _max = np.maximum.reduce
-
-# status codes returned by Stepper.advance and Stepper.force
-STATUS_OK = 0
-STATUS_BUDGET = 1
-STATUS_CONVEXITY = 2
-STATUS_BLOWUP = 3
-STATUS_NONFINITE = 4
 
 # local error tolerance of one step per unit of StepControl.safety
 TOL_PER_SAFETY = 4e-9
@@ -218,39 +211,43 @@ class Derivative:
         return q
 
 
-def _guard(kmin: float, kmax: float, blowup_k: float) -> int:
-    """Status of a state from its extrema. A NaN anywhere makes both NaN,
-    +inf reaches the max and -inf the min, so no separate scan is needed."""
+def _guard(kmin: float, kmax: float, blowup_k: float) -> str | None:
+    """The guard a state trips (or None), from its extrema. A NaN makes
+    both NaN, +inf reaches the max and -inf the min: no scan is needed."""
     if not (-np.inf < kmin and kmax < np.inf):
-        return STATUS_NONFINITE
+        return "nonfinite"
     if kmin <= 0.0:
-        return STATUS_CONVEXITY
+        return "convexity"
     if kmax >= blowup_k:
-        return STATUS_BLOWUP
-    return STATUS_OK
+        return "blowup"
+    return None
 
 
 class Stepper:
-    """One run's integrator: the state w = 1/k as its spectrum, the step
-    size and sigma, carried across `advance` calls.
+    """One run's integrator and its record: the state w = 1/k as its
+    spectrum, the step size and sigma, carried across `advance` calls.
 
-    The state is guarded on construction (`status`) and after every step;
-    a step that would trip a guard is not taken, so the held state is
-    always the last good one, at flow time `t`. `s` integrates the
-    quadrature of k^alpha over time by Simpson's rule on the start, middle
-    and end of each step (it feeds the lower-bound functional). `rejected`
-    counts thrown-away step attempts and `h_min`/`h_max` the range of
-    accepted steps.
+    The state is guarded on construction and after every step; a step
+    that would trip a guard is not taken, so the held state is always the
+    last good one, at flow time `t`. `guard` names the guard that stopped
+    the stepper for good: None, "convexity", "blowup", "nonfinite", or
+    "step_limit" once `steps` accepted steps reach `max_steps` short of an
+    end time. `rejected` counts thrown-away step attempts, `h_min`/`h_max`
+    bound the accepted steps, and `s` integrates the quadrature of k^alpha
+    over time by Simpson's rule on the start, middle and end of each step
+    (it feeds the lower-bound functional).
     """
 
-    def __init__(self, k, alpha, kind, safety, blowup_k):
+    def __init__(self, k, alpha, kind, safety, blowup_k, max_steps):
         n = k.shape[0]
         self.rhs = Derivative(n, alpha, kind)
         self.alpha = alpha
         self.tol = TOL_PER_SAFETY * safety
         self.blowup_k = blowup_k
+        self.max_steps = max_steps
         self.t = 0.0
         self.s = 0.0
+        self.steps = 0
         self.rejected = 0
         self.h_min = math.inf
         self.h_max = 0.0
@@ -266,15 +263,15 @@ class Stepper:
          self._ES, self._tmp, self._stage_R, self._S1, self._mid, self._mid_R,
          self._dS) = np.empty((14, pairs))
         self._stage_w, self._w2, self._d = np.empty((3, n))
-        self.status = _guard(k.min(), k.max(), blowup_k)
+        self.guard = _guard(k.min(), k.max(), blowup_k)
         with np.errstate(divide="ignore"):
             self.w[:] = 1.0 / k
-        if self.status != STATUS_OK:
+        if self.guard is not None:
             return
         _rfft(self.w, 1.0, out=self.S.view(complex))
         self.q = self.rhs(self.S, self.w, self.R)
         if self.q is None:  # round-off of the transform pair
-            self.status = STATUS_CONVEXITY
+            self.guard = "convexity"
             return
         # first step from the state's own time scale: half the step that
         # changes w by tol^(1/5) relative at its largest relative rate
@@ -362,24 +359,28 @@ class Stepper:
         self.R, self._R_new = self._R_new, self.R
         self.w, self._w_new = self._w_new, self.w
         self.q = q_new
+        self.steps += 1
         self.h_min = min(self.h_min, h)
         self.h_max = max(self.h_max, h)
 
-    def _candidate_status(self, q_new) -> int | None:
-        """Guard status of the candidate just evaluated (None: w > 0 lost)."""
-        if q_new is None:
-            return None
+    def _trip(self, guard: str) -> str:
+        self.guard = guard
+        return guard
+
+    def _candidate_guard(self) -> str | None:
+        """The guard the candidate just evaluated (w > 0) trips, or None."""
         wmin = _min(self._w_new)
-        status = _guard(wmin, _max(self._w_new), math.inf)
-        if status == STATUS_OK and 1.0 / wmin >= self.blowup_k:
-            status = STATUS_BLOWUP
-        return status
+        guard = _guard(wmin, _max(self._w_new), math.inf)
+        if guard is None and 1.0 / wmin >= self.blowup_k:
+            guard = "blowup"
+        return guard
 
     def _attempt(self, h: float):
         """Step doubling from the held state into the candidate buffers:
-        (status, err, q_new, q_mid), status None for a rejection, with
-        err = inf when it was a stage or the result that left w > 0."""
-        rejected = None, math.inf, None, None
+        (err, q_new, q_mid). q_new is None for a rejection, with err = inf
+        when it was a stage or the result that left w > 0; a candidate
+        that trips a guard, or a nonfinite err, sets `guard`."""
+        rejected = math.inf, None, None
         full, half = self._coefficients(h)
         if not self._etd(full, self.S, self.R, self._S1):
             return rejected
@@ -401,43 +402,48 @@ class Stepper:
         d /= self._w2
         err = float(_max(d)) / 15.0
         if not math.isfinite(err):
-            return STATUS_NONFINITE, err, None, None
+            self.guard = "nonfinite"
+            return err, None, None
         if err > self.tol:
-            return None, err, None, None
+            return err, None, None
         # local extrapolation of the two-step result
         dS *= 1.0 / 15.0
         S2 += dS
         q_new = self.rhs(S2, self._w_new, self._R_new)
-        status = self._candidate_status(q_new)
-        if status is None:
+        if q_new is None:
             return rejected
-        return status, err, q_new, q_mid
+        self.guard = self._candidate_guard()
+        return err, q_new, q_mid
 
-    def advance(self, t_end: float, budget: int) -> tuple[int, int]:
-        """Advance the held state from `t` to `t_end`, taking at most
-        `budget` accepted steps. Returns (steps, status): the accepted
-        steps, and STATUS_OK or the guard that stopped the state short of
-        t_end; `t` is where it got to, exactly t_end on STATUS_OK."""
-        if self.status != STATUS_OK:
-            return 0, self.status
-        steps = 0
+    def advance(self, t_end: float, budget: float = math.inf) -> str | None:
+        """Advance the held state from `t` towards `t_end`, taking at most
+        `budget` accepted steps in this call. Returns `guard`: None when
+        the state reached t_end, exactly, or used up the budget short of
+        it; `t` is where it got to."""
+        if self.guard is not None:
+            return self.guard
+        until = self.steps + budget
         left = 0  # equal steps of size hs still planned up to t_end
         hs = 0.0
         while self.t < t_end:
-            if steps >= budget:
-                return steps, STATUS_BUDGET
+            if self.steps >= self.max_steps:
+                return self._trip("step_limit")
+            if self.steps >= until:
+                return None
             if not self._refresh_sigma():
-                return steps, STATUS_NONFINITE
+                return self._trip("nonfinite")
             if left == 0:
                 if not self.t + self.h > self.t:
-                    return steps, STATUS_CONVEXITY
+                    return self._trip("convexity")
                 rem = t_end - self.t
                 left = self._count(rem)
                 hs = rem / left
             if not self.t + hs > self.t:  # no representable step is left
-                return steps, STATUS_CONVEXITY
-            status, err, q_new, q_mid = self._attempt(hs)
-            if status is None:
+                return self._trip("convexity")
+            err, q_new, q_mid = self._attempt(hs)
+            if self.guard is not None:
+                return self.guard
+            if q_new is None:
                 self.rejected += 1
                 if math.isinf(err):  # a stage or the result left w > 0
                     fac = _POSITIVITY_CUT
@@ -446,11 +452,8 @@ class Stepper:
                 self.h = hs * fac
                 left = 0
                 continue
-            if status != STATUS_OK:
-                return steps, status
             self.s += (hs / 6.0) * (self.q + 4.0 * q_mid + q_new)
             self._accept(hs, q_new)
-            steps += 1
             left -= 1
             self.t = t_end if left == 0 else self.t + hs
             fac = _FAC_MAX if err == 0.0 else _AIM * (self.tol / err) ** 0.2
@@ -461,22 +464,22 @@ class Stepper:
             self.h = hs * fac
             if left > 0 and (fac < 1.0 or self._count(t_end - self.t) < left):
                 left = 0
-        return steps, STATUS_OK
+        return None
 
-    def force(self, h: float) -> int:
+    def force(self, h: float) -> str | None:
         """One ETDRK4 step of exactly h, with no error control and no
-        quadrature; the status of the result, STATUS_CONVEXITY when a stage
+        quadrature (`t` stays); returns `guard`, "convexity" when a stage
         or the result left w > 0."""
-        if self.status != STATUS_OK:
-            return self.status
+        if self.guard is not None:
+            return self.guard
         if not self._refresh_sigma():
-            return STATUS_NONFINITE
+            return self._trip("nonfinite")
         if not self._etd(self._coefficients(h)[0], self.S, self.R, self._S_new):
-            return STATUS_CONVEXITY
+            return self._trip("convexity")
         q_new = self.rhs(self._S_new, self._w_new, self._R_new)
-        status = self._candidate_status(q_new)
-        if status is None:
-            return STATUS_CONVEXITY
-        if status == STATUS_OK:
+        if q_new is None:
+            return self._trip("convexity")
+        self.guard = self._candidate_guard()
+        if self.guard is None:
             self._accept(h, q_new)
-        return status
+        return self.guard

@@ -56,25 +56,8 @@ def _execute(scenario: Scenario) -> tuple[RunResult, list[Snapshot]]:
     return result, snapshots
 
 
-def _stepping(result: RunResult) -> dict:
-    """The run's deterministic step counters, as the manifest records them."""
-    return {
-        "steps": result.steps,
-        "rejected": result.rejected,
-        "dt_range": None if result.dt_range is None else list(result.dt_range),
-    }
-
-
 def _finish(scenario: Scenario, result: RunResult, snapshots) -> tuple[bool, list[str]]:
-    emit(
-        result.series,
-        snapshots,
-        scenario.output_dir,
-        scenario=scenario,
-        status=result.status.value,
-        guard=result.guard,
-        stepping=_stepping(result),
-    )
+    emit(result, snapshots, scenario.output_dir, scenario=scenario)
     problems = audit_series(result.series)
     ok = result.status in CLEAN and not problems
     return ok, problems

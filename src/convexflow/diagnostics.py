@@ -637,6 +637,16 @@ def failed_margins(margins: Mapping[str, Margin]) -> list[str]:
     return [name for name, m in sorted(margins.items()) if not m.ok()]
 
 
+def check_audits(audits: Sequence[str]) -> None:
+    """Each name in `audits` must be one of AUDIT_NAMES."""
+    unknown = sorted(set(audits) - set(AUDIT_NAMES))
+    if unknown:
+        raise AuditError(
+            f"unknown audit name(s) {', '.join(unknown)}; "
+            f"expected among {', '.join(AUDIT_NAMES)}"
+        )
+
+
 class DiagnosticsCollector:
     """Accumulates a DiagnosticsSeries sample by sample during a run.
 
@@ -669,12 +679,7 @@ class DiagnosticsCollector:
         kp0: CurvatureProfile,
         audits: Sequence[str] = AUDIT_NAMES,
     ):
-        unknown = sorted(set(audits) - set(AUDIT_NAMES))
-        if unknown:
-            raise AuditError(
-                f"unknown audit name(s) {', '.join(unknown)}; "
-                f"expected among {', '.join(AUDIT_NAMES)}"
-            )
+        check_audits(audits)
         self.law = law
         self.audits = frozenset(audits)
         tso = TsoContext.from_initial(kp0, law.alpha) if "tso" in self.audits else None

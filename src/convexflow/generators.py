@@ -45,7 +45,8 @@ class Ellipse:
 @dataclass(frozen=True)
 class PerturbedCircle:
     """u = r0 + sum of amp*cos(m*theta - phase) over the (m, amp, phase)
-    modes, each m >= 2."""
+    modes, each m an integer from 2 to below grid_n/2, the modes the grid
+    holds without aliasing."""
 
     r0: float
     modes: tuple[tuple[int, float, float], ...] = field(default_factory=tuple)
@@ -56,6 +57,8 @@ class PerturbedCircle:
             raise ValueError(f"base radius must be positive, got {self.r0}")
         modes = []
         for m, amp, phase in self.modes:
+            if not float(m).is_integer():
+                raise ValueError(f"perturbation mode {m} is not an integer")
             m = int(m)
             if m == 1:
                 raise ValueError(
@@ -64,6 +67,10 @@ class PerturbedCircle:
                 )
             if m < 2:
                 raise ValueError(f"perturbation modes must be >= 2, got {m}")
+            if 2 * m >= self.grid_n:
+                raise ValueError(
+                    f"perturbation mode {m} needs grid_n > {2 * m}, got {self.grid_n}"
+                )
             modes.append((m, float(amp), float(phase)))
         object.__setattr__(self, "modes", tuple(modes))
 

@@ -25,6 +25,7 @@ import numpy as np
 from .spectral import (
     TWO_PI,
     AngularGrid,
+    _derivative_weights,
     antiderivative_values,
     deriv_spectrum,
     first_harmonics_values,
@@ -157,21 +158,32 @@ def reconstruct_points(kp: CurvatureProfile) -> np.ndarray:
     return pts
 
 
+def _centroid(kp: CurvatureProfile, x: np.ndarray, y: np.ndarray) -> tuple:
+    """The area centroid (cx, cy) from the points x, y of `_nodes`:
+    (integral of x^2 dy, -integral of y^2 dx) / 2A, with dx = -sin w
+    dtheta, dy = cos w dtheta and A the `parseval_area`."""
+    twice_area = 2.0 * parseval_area(kp.W)
+    cx = integrate_values(x * x * kp.grid.cos * kp.w) / twice_area
+    cy = integrate_values(y * y * kp.grid.sin * kp.w) / twice_area
+    return cx, cy
+
+
 def _support_pipeline(kp: CurvatureProfile) -> tuple[np.ndarray, tuple]:
     """Reconstruct, find the area centroid, return (u, center); for a
-    block, u holds one row per profile and center one (cx, cy) array pair.
-
-    The centroid is (integral of x^2 dy, -integral of y^2 dx) / 2A, with
-    dx = -sin w dtheta, dy = cos w dtheta and A the `parseval_area`."""
-    grid = kp.grid
-    w = kp.w
+    block, u holds one row per profile and center one (cx, cy) array pair."""
     x, y, _, _ = _nodes(kp)
-    cos, sin = grid.cos, grid.sin
-    twice_area = 2.0 * parseval_area(kp.W)
-    cx = integrate_values(x * x * cos * w) / twice_area
-    cy = integrate_values(y * y * sin * w) / twice_area
+    cx, cy = _centroid(kp, x, y)
+    cos, sin = kp.grid.cos, kp.grid.sin
     u = (x - np.expand_dims(cx, -1)) * cos + (y - np.expand_dims(cy, -1)) * sin
     return u, (cx, cy)
+
+
+def points_about_centroid(kp: CurvatureProfile) -> np.ndarray:
+    """`reconstruct_points` of a closed curve, moved so that its area
+    centroid is at the origin, from one reconstruction."""
+    _require_closed(kp, "points_about_centroid")
+    pts = reconstruct_points(kp)
+    return pts - np.asarray(_centroid(kp, pts[:-1, 0], pts[:-1, 1]))
 
 
 @lru_cache(maxsize=32)
@@ -186,9 +198,7 @@ def _area_weights(n: int) -> np.ndarray:
     solve = np.zeros(n // 2 + 1)
     solve[0] = 1.0
     solve[2:] = 1.0 / (1.0 - m[2:] * m[2:])
-    weight = np.full(n // 2 + 1, 2.0 / n)
-    weight[0] = weight[-1] = 1.0 / n
-    area = np.repeat(weight * solve, 2)
+    area = np.repeat(_derivative_weights(n // 2 + 1)[0] * solve, 2)
     area.setflags(write=False)
     return area
 

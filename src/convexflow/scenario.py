@@ -18,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import AUDIT_NAMES, DiagnosticsSeries, to_csv
+from .diagnostics import AUDIT_NAMES, check_audits, to_csv
 from .generators import Circle, CurveSpec, Ellipse, PerturbedCircle
-from .geometry import CurvatureProfile, area, reconstruct_points, support_about_centroid
+from .geometry import CurvatureProfile, area, points_about_centroid
 from .laws import FlowKind, FlowLaw
 from .spectral import TWO_PI
-from .stepping import StepControl
+from .stepping import RunResult, StepControl, check_cadence, check_t_end
 
 
 class ScenarioError(ValueError):
@@ -93,9 +93,7 @@ def snapshot_of(
         r = math.sqrt(A0 / math.pi)
     else:
         r = math.sqrt(area(kp) / math.pi)
-    _, center = support_about_centroid(kp)
-    points = reconstruct_points(kp) - np.asarray(center)
-    return Snapshot(index=index, t=t, limit_radius=r, points=points)
+    return Snapshot(index=index, t=t, limit_radius=r, points=points_about_centroid(kp))
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +130,15 @@ def _number(value, key: str, integral: bool = False):
         return int(value) if integral else float(value)
     except OverflowError:  # an integer beyond the float range
         raise ScenarioError(f"{key} must be a number, got {value!r}") from None
+
+
+def _checked(rule, *args) -> None:
+    """Apply one of the library's run-setting rules; its error, which
+    names the key, as a ScenarioError."""
+    try:
+        rule(*args)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def _parse_modes(value) -> tuple[tuple[int, float, float], ...]:
@@ -225,24 +232,17 @@ def parse_scenario(text: str) -> Scenario:
     })
 
     t_end = _number(doc["t_end"], "t_end")
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise ScenarioError(f"t_end must be positive and finite, got {t_end}")
+    _checked(check_t_end, t_end)
     # cadence: every sample_every steps (default 25), or every sample_dt
     # of flow time, which gives the equal spacing the rate audit needs
-    if "sample_every" in doc and "sample_dt" in doc:
-        raise ScenarioError("give sample_every or sample_dt, not both")
-    sample_dt = None
-    sample_every = None
-    if "sample_dt" in doc:
-        sample_dt = _number(doc["sample_dt"], "sample_dt")
-        if not (math.isfinite(sample_dt) and sample_dt > 0.0):
-            raise ScenarioError(
-                f"sample_dt must be positive and finite, got {sample_dt}"
-            )
-    else:
-        sample_every = _number(doc.get("sample_every", 25), "sample_every", True)
-        if sample_every < 1:
-            raise ScenarioError(f"sample_every must be >= 1, got {sample_every}")
+    sample_dt = _number(doc["sample_dt"], "sample_dt") if "sample_dt" in doc else None
+    sample_every = (
+        _number(doc["sample_every"], "sample_every", True)
+        if "sample_every" in doc else None
+    )
+    _checked(check_cadence, sample_dt, sample_every)
+    if sample_dt is None and sample_every is None:
+        sample_every = 25
     snapshot_every = _number(doc.get("snapshot_every", 0), "snapshot_every", True)
     if snapshot_every < 0:
         raise ScenarioError(f"snapshot_every must be >= 0, got {snapshot_every}")
@@ -251,12 +251,7 @@ def parse_scenario(text: str) -> Scenario:
     if not (isinstance(audits, list) and all(isinstance(a, str) for a in audits)):
         raise ScenarioError(f"audits must be a list of audit names, got {audits!r}")
     audits = tuple(audits)
-    unknown = sorted(set(audits) - set(AUDIT_NAMES))
-    if unknown:
-        raise ScenarioError(
-            f"unknown audit name(s): {', '.join(unknown)}; "
-            f"expected among {', '.join(AUDIT_NAMES)}"
-        )
+    _checked(check_audits, audits)
 
     output_dir = doc.get("output_dir", "out")
     if not isinstance(output_dir, str):
@@ -319,21 +314,18 @@ def scenario_to_document(scenario: Scenario) -> dict:
 
 
 def emit(
-    series: DiagnosticsSeries,
+    result: RunResult,
     snapshots: Sequence[Snapshot],
     out_dir: str | os.PathLike,
     *,
     scenario: Scenario,
-    status: str,
-    guard: str | None = None,
-    stepping: dict | None = None,
 ) -> dict:
     """Write one run's outputs into out_dir and return the manifest.
 
     Files: scenario.json (the echoed configuration), series.csv, one
     curve_NNNN.json plus curve_NNNN.svg per snapshot, and manifest.json
-    naming all of them with the final status, the guard that ended the
-    run (None when no guard did) and the step counters in `stepping`
+    naming all of them with the run's status, the guard that ended it
+    (None when no guard did) and its step counters under "stepping"
     (accepted steps, rejected attempts and the accepted dt range). Content
     depends only on the inputs, so identical runs emit byte-identical files.
     """
@@ -347,7 +339,7 @@ def emit(
     )
     files.append("scenario.json")
 
-    (out / "series.csv").write_text(to_csv(series))
+    (out / "series.csv").write_text(to_csv(result.series))
     files.append("series.csv")
 
     for snap in snapshots:
@@ -360,10 +352,14 @@ def emit(
 
     manifest = {
         "files": sorted(files),
-        "guard": guard,
+        "guard": result.guard,
         "scenario": echo,
-        "status": status,
-        "stepping": stepping,
+        "status": result.status.value,
+        "stepping": {
+            "steps": result.steps,
+            "rejected": result.rejected,
+            "dt_range": None if result.dt_range is None else list(result.dt_range),
+        },
     }
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"

@@ -1,16 +1,11 @@
-"""Adaptive time stepping for the curvature evolution.
+"""The run loop: sampling, convergence, and how a run ends.
 
-The scheme is exponential time differencing RK4 (Cox and Matthews) on
-the method-of-lines system for the radius of curvature 1/k: a constant
-diffusion sigma*(d^2 + 1) is integrated exactly mode by mode and the
-rest explicitly, so the step size is set by accuracy alone, through a
-step-doubling error estimate, and not by the grid. sigma is half the
-stiffest coefficient alpha*k_max^(alpha+1), refreshed within a 5% band,
-which is the least that keeps the explicit remainder stable; the whole
-coefficient would take 1.6 to 1.75 times the steps. One kernel state
-(`_kernels.Stepper`) carries the step size across sample intervals; each
-boundary is landed on exactly so that series from different resolutions
-or safety factors can be compared at matched times.
+`run()` drives one `_kernels.Stepper`, which steps the state (the scheme
+is documented there), counts its steps and names the guard that stopped
+it. run() lands on each sample boundary exactly, so that series from
+different resolutions or safety factors can be compared at matched
+times, hands each sample to the diagnostics collector, and reads the
+run's status off the stepper's guard.
 """
 
 from __future__ import annotations
@@ -64,6 +59,25 @@ class StepControl:
             raise ConfigurationError(f"blowup_k must be positive, got {self.blowup_k}")
 
 
+def check_t_end(t_end: float) -> None:
+    """The horizon t_end must be positive and finite."""
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
+
+
+def check_cadence(sample_dt: float | None, sample_every: int | None) -> None:
+    """At most one sample cadence: sample_dt positive and finite, or
+    sample_every >= 1."""
+    if sample_dt is not None and sample_every is not None:
+        raise ConfigurationError("give sample_dt or sample_every, not both")
+    if sample_every is not None and sample_every < 1:
+        raise ConfigurationError(f"sample_every must be >= 1, got {sample_every}")
+    if sample_dt is not None and not (math.isfinite(sample_dt) and sample_dt > 0.0):
+        raise ConfigurationError(
+            f"sample_dt must be positive and finite, got {sample_dt}"
+        )
+
+
 class RunStatus(Enum):
     CONVERGED = "Converged"
     TIME_LIMIT = "TimeLimit"
@@ -103,11 +117,12 @@ class RunResult:
     backend = "numpy"  # the one stepping lane; perfbench records still name it
 
 
-# kernel status -> (run status, the guard named in RunResult.guard)
+# the guard that stopped the stepper -> the run's status
 _GUARD_TRIPS = {
-    _kernels.STATUS_CONVEXITY: (RunStatus.CONVEXITY_LOST, "convexity"),
-    _kernels.STATUS_BLOWUP: (RunStatus.BLOW_UP, "blowup"),
-    _kernels.STATUS_NONFINITE: (RunStatus.BLOW_UP, "nonfinite"),
+    "convexity": RunStatus.CONVEXITY_LOST,
+    "blowup": RunStatus.BLOW_UP,
+    "nonfinite": RunStatus.BLOW_UP,
+    "step_limit": RunStatus.STEP_LIMIT,
 }
 
 
@@ -138,20 +153,12 @@ def run(
     block collection, and the last computes what is still queued.
     """
     ctl = StepControl() if ctl is None else ctl
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
-    if sample_dt is not None and sample_every is not None:
-        raise ConfigurationError("pass sample_dt or sample_every, not both")
-    if sample_every is not None and sample_every < 1:
-        raise ConfigurationError(f"sample_every must be >= 1, got {sample_every}")
-    if sample_dt is not None and not (math.isfinite(sample_dt) and sample_dt > 0.0):
-        raise ConfigurationError(f"sample_dt must be positive, got {sample_dt}")
+    check_t_end(t_end)
+    check_cadence(sample_dt, sample_every)
     if sample_dt is None and sample_every is None:
         sample_dt = t_end / 200.0
 
     _require_closed(kp0, "run")
-
-    grid = kp0.grid
 
     kernel_s = 0.0
     start = time.perf_counter()
@@ -162,64 +169,47 @@ def run(
     if on_sample is not None:
         on_sample(0.0, kp0, 0)
 
-    stepper = _kernels.Stepper(kp0.k, law.alpha, law.kind, ctl.safety, ctl.blowup_k)
+    stepper = _kernels.Stepper(
+        kp0.k, law.alpha, law.kind, ctl.safety, ctl.blowup_k, ctl.max_steps
+    )
     kp_cur = kp0
     held = (0.0, kp0, 0.0)  # the latest sample, not yet collected
-    t_cur = 0.0
-    steps_used = 0
     sample_idx = 0
     boundary = 0
-    # a start at or above blowup_k trips the stepper's entry guard
-    status: RunStatus | None = RunStatus.CONVERGED if converged else None
+    # a start at or above blowup_k trips the stepper's entry guard, which
+    # the first advance returns; a start that has converged takes none
     guard: str | None = None
 
-    while status is None and t_cur < t_end:
-        remaining = ctl.max_steps - steps_used
-        if remaining <= 0:
-            status = RunStatus.STEP_LIMIT
-            break
-        if sample_dt is not None:
-            boundary += 1
-            t_next = min(boundary * sample_dt, t_end)
-            budget = remaining
-        else:
-            t_next = t_end
-            budget = min(sample_every, remaining)
-
+    while guard is None and not converged and stepper.t < t_end:
         start = time.perf_counter()
-        n_steps, code = stepper.advance(t_next, budget)
+        if sample_dt is None:
+            guard = stepper.advance(t_end, sample_every)
+        else:
+            boundary += 1
+            guard = stepper.advance(min(boundary * sample_dt, t_end))
         kernel_s += time.perf_counter() - start
-        steps_used += n_steps
-        t_sample = stepper.t
-        if code in _GUARD_TRIPS:
-            status, guard = _GUARD_TRIPS[code]
-        elif code == _kernels.STATUS_BUDGET and steps_used >= ctl.max_steps:
-            status = RunStatus.STEP_LIMIT
 
-        if t_sample > t_cur:
-            t_cur = t_sample
-            kp_cur = CurvatureProfile(grid, stepper.k())
+        if stepper.t > held[0]:
+            kp_cur = CurvatureProfile(kp0.grid, stepper.k())
             start = time.perf_counter()
             collector.collect(*held, defer=True)
-            held = (t_cur, kp_cur, stepper.s)
+            held = (stepper.t, kp_cur, stepper.s)
             converged = check_convergence and oscillation(kp_cur) <= ctl.convergence_tol
             collect_s += time.perf_counter() - start
             sample_idx += 1
             if on_sample is not None:
-                on_sample(t_cur, kp_cur, sample_idx)
-            if status is None and converged:
-                status = RunStatus.CONVERGED
+                on_sample(stepper.t, kp_cur, sample_idx)
 
     start = time.perf_counter()
     collector.collect(*held)
     collect_s += time.perf_counter() - start
 
-    if status is None:
-        status = RunStatus.TIME_LIMIT if t_cur >= t_end else RunStatus.STEP_LIMIT
-    if status is RunStatus.STEP_LIMIT:
-        guard = "step_limit"
-    dt_range = (stepper.h_min, stepper.h_max) if steps_used else None
+    if guard is not None:  # a trip outranks a sample that converged
+        status = _GUARD_TRIPS[guard]
+    else:
+        status = RunStatus.CONVERGED if converged else RunStatus.TIME_LIMIT
+    dt_range = (stepper.h_min, stepper.h_max) if stepper.steps else None
     return RunResult(
-        status, kp_cur, collector.series, t_cur, steps_used, guard,
+        status, kp_cur, collector.series, stepper.t, stepper.steps, guard,
         stepper.rejected, dt_range, RunTimings(kernel_s, collect_s),
     )

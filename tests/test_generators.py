@@ -63,6 +63,21 @@ class TestPerturbedCircle:
         with pytest.raises(ValueError, match="must be >= 2, got 0"):
             PerturbedCircle(r0=1.0, modes=((0, 0.1, 0.0),))
 
+    @pytest.mark.parametrize("m", [2.7, 1.5, math.nan, math.inf])
+    def test_fractional_mode_named(self, m):
+        with pytest.raises(ValueError, match=f"mode {m} is not an integer"):
+            PerturbedCircle(r0=1.0, modes=((m, 0.05, 0.0),))
+
+    @pytest.mark.parametrize("m, n", [(130, 256), (128, 256), (32, 64)])
+    def test_mode_the_grid_cannot_hold(self, m, n):
+        # at n = 256, mode 130 samples as mode 126 and 128 as a cosine alone
+        with pytest.raises(ValueError, match=f"mode {m} needs grid_n > {2 * m}"):
+            PerturbedCircle(r0=1.0, modes=((m, 1e-6, 0.3),), grid_n=n)
+        top = n // 2 - 1  # the highest mode the grid holds
+        spec = PerturbedCircle(r0=1.0, modes=((float(top), 1e-6, 0.3),), grid_n=n)
+        assert spec.modes == ((top, 1e-6, 0.3),)
+        assert closure_defect(generate(spec)) < 1e-12
+
     def test_modes_are_amplitude_and_phase(self):
         # u = r0 + amp cos(m theta - phase), so 1/k = u'' + u is
         # r0 + (1 - m^2) amp cos(m theta - phase)

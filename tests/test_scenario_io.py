@@ -17,6 +17,8 @@ from convexflow import (
     FlowKind,
     FlowLaw,
     PerturbedCircle,
+    RunResult,
+    RunStatus,
     Scenario,
     ScenarioError,
     Snapshot,
@@ -223,19 +225,21 @@ class TestParse:
 
 class TestEmit:
     @staticmethod
-    def tiny_series(kp, law):
+    def tiny_result(kp, law, status=RunStatus.TIME_LIMIT):
         coll = DiagnosticsCollector(law, kp)
         coll.collect(0.0, kp, s_accum=0.0)
         coll.collect(0.1, kp, s_accum=0.05)
-        return coll.series
+        return RunResult(status, kp, coll.series, 0.1, 3, None, 1, (0.01, 0.05))
 
     def test_files_and_manifest(self, tmp_path):
         s = parse_scenario(MINIMAL)
         kp = generate(s.curve)
-        series = self.tiny_series(kp, s.law)
+        result = self.tiny_result(kp, s.law)
         snaps = [snapshot_of(0, 0.0, kp, s.law, length(kp), area(kp))]
-        manifest = emit(series, snaps, tmp_path / "o", scenario=s, status="TimeLimit")
+        manifest = emit(result, snaps, tmp_path / "o", scenario=s)
         assert manifest["status"] == "TimeLimit"
+        assert manifest["guard"] is None
+        assert manifest["stepping"] == {"steps": 3, "rejected": 1, "dt_range": [0.01, 0.05]}
         assert manifest["scenario"] == scenario_to_document(s)
         assert manifest["files"] == [
             "curve_0000.json", "curve_0000.svg", "scenario.json", "series.csv",
@@ -251,8 +255,8 @@ class TestEmit:
         s = parse_scenario(MINIMAL)
         kp = generate(s.curve)
         manifest = emit(
-            self.tiny_series(kp, s.law), [], tmp_path / "o",
-            scenario=s, status="Converged",
+            self.tiny_result(kp, s.law, RunStatus.CONVERGED), [], tmp_path / "o",
+            scenario=s,
         )
         assert manifest["files"] == ["scenario.json", "series.csv"]
 
@@ -260,9 +264,9 @@ class TestEmit:
         s = parse_scenario(MINIMAL)
         kp = generate(s.curve)
         for d in ("a", "b"):
-            series = self.tiny_series(kp, s.law)
+            result = self.tiny_result(kp, s.law)
             snaps = [snapshot_of(0, 0.0, kp, s.law, length(kp), area(kp))]
-            emit(series, snaps, tmp_path / d, scenario=s, status="TimeLimit")
+            emit(result, snaps, tmp_path / d, scenario=s)
         for name in (
             "scenario.json", "series.csv", "manifest.json",
             "curve_0000.json", "curve_0000.svg",
@@ -388,6 +392,40 @@ class TestCli:
         assert parse_scenario(json.dumps(echo)).control.blowup_k == (
             math.inf if control else 1e6
         )
+
+    @pytest.mark.parametrize(
+        "law, curve, control, guard",
+        [
+            # k = 1 >= blowup_k before the first step: the entry guard
+            ({"kind": "Contraction", "alpha": 1}, {"kind": "Circle", "r": 1},
+             {"blowup_k": 1.0}, "blowup"),
+            # sigma = alpha k^(alpha + 1) overflows far below blowup_k
+            # (audits off: Tso's initial bound overflows at alpha = 100)
+            ({"kind": "Contraction", "alpha": 100}, {"kind": "Circle", "r": 1e-3},
+             {}, "nonfinite"),
+        ],
+        ids=["blowup-at-entry", "nonfinite"],
+    )
+    def test_result_and_manifest_name_the_guard(
+        self, tmp_path, capsys, law, curve, control, guard
+    ):
+        path = small_scenario(tmp_path, law=law, curve={**curve, "grid_n": 64},
+                              t_end=1.0, control=control, audits=[])
+        with np.errstate(over="ignore", invalid="ignore"):
+            result, _ = _execute(parse_scenario(path.read_text()))
+            assert main(["run", str(path)]) == 1
+        assert (result.status.value, result.guard) == ("BlowUp", guard)
+        assert f"BlowUp: t={result.t_final:.6g} after {result.steps} steps" in (
+            capsys.readouterr().out
+        )
+        manifest = strict_json((tmp_path / "out" / "manifest.json").read_text())
+        assert (manifest["status"], manifest["guard"]) == ("BlowUp", guard)
+        assert manifest["stepping"] == {
+            "steps": result.steps,
+            "rejected": result.rejected,
+            "dt_range": None if result.dt_range is None else list(result.dt_range),
+        }
+        assert (result.steps == 0) == (guard == "blowup")
 
     def test_manifest_records_step_counters(self, tmp_path, capsys):
         path = small_scenario(tmp_path)

@@ -31,11 +31,11 @@ AREA_SPECS = [
 def forced_step(law, kp, dt):
     """One ETDRK4 step of exactly dt, with no error control
     (`_kernels.Stepper.force`); a guard trip raises."""
-    stepper = _kernels.Stepper(kp.k, law.alpha, law.kind, 1.0, math.inf)
+    stepper = _kernels.Stepper(kp.k, law.alpha, law.kind, 1.0, math.inf, 1)
     code = stepper.force(dt)
-    if code == _kernels.STATUS_CONVEXITY:
+    if code == "convexity":
         raise ConvexityError("curvature lost positivity during the step")
-    assert code == _kernels.STATUS_OK, code
+    assert code is None, code
     return CurvatureProfile(kp.grid, stepper.k())
 
 
@@ -283,11 +283,12 @@ class TestRunTargets:
 
 
 def advance(k, span=1.0, law=cf.FlowKind.LP, alpha=1.0, *, safety=0.25,
-            blowup_k=1e6, budget=100_000):
-    """One Stepper advance from t = 0: (k, s, t, steps, status)."""
-    stepper = _kernels.Stepper(np.array(k, dtype=float), alpha, law, safety, blowup_k)
-    steps, code = stepper.advance(span, budget)
-    return stepper.k(), stepper.s, stepper.t, steps, code
+            blowup_k=1e6, budget=100_000, max_steps=100_000):
+    """One Stepper advance from t = 0: (k, s, t, steps, guard)."""
+    stepper = _kernels.Stepper(np.array(k, dtype=float), alpha, law, safety, blowup_k,
+                               max_steps)
+    code = stepper.advance(span, budget)
+    return stepper.k(), stepper.s, stepper.t, stepper.steps, code
 
 
 def spectrum(w):
@@ -355,11 +356,11 @@ class TestKernel:
         assert np.array_equal(back, np.fft.irfft(spec[1], 64))
 
     @pytest.mark.parametrize("bad, status", [
-        (math.nan, _kernels.STATUS_NONFINITE),
-        (math.inf, _kernels.STATUS_NONFINITE),
-        (-math.inf, _kernels.STATUS_NONFINITE),
-        (0.0, _kernels.STATUS_CONVEXITY),
-        (-0.5, _kernels.STATUS_CONVEXITY),
+        (math.nan, "nonfinite"),
+        (math.inf, "nonfinite"),
+        (-math.inf, "nonfinite"),
+        (0.0, "convexity"),
+        (-0.5, "convexity"),
     ])
     def test_entry_guards(self, bad, status):
         k = circle_k(1.0)
@@ -370,21 +371,27 @@ class TestKernel:
 
     def test_entry_blowup(self):
         k = circle_k(0.5)
-        assert advance(k, blowup_k=2.0)[3:] == (0, _kernels.STATUS_BLOWUP)
+        assert advance(k, blowup_k=2.0)[3:] == (0, "blowup")
 
     def test_budget(self):
         # the ellipse is not an equilibrium, so the span takes many steps
         k0 = cf.generate(cf.Ellipse(2.0, 1.0, grid_n=64)).k
         _, _, t, steps, code = advance(k0, budget=3)
-        assert (steps, code) == (3, _kernels.STATUS_BUDGET)
+        assert (steps, code) == (3, None)
         assert 0.0 < t < 1.0
+        # the step cap, unlike a budget, is a guard that holds for good
+        stepper = _kernels.Stepper(k0, 1.0, cf.FlowKind.LP, 0.25, 1e6, 3)
+        assert stepper.advance(1.0, 5) == "step_limit"
+        assert (stepper.steps, stepper.guard, stepper.advance(1.0)) == (
+            3, "step_limit", "step_limit"
+        )
 
     def test_blowup_during_run(self):
         # the contracting circle crosses k = 1.01 in its second step
         k0 = circle_k(1.0)
         out, _, t, steps, code = advance(k0, law=cf.FlowKind.CONTRACTION,
                                          blowup_k=1.01)
-        assert code == _kernels.STATUS_BLOWUP
+        assert code == "blowup"
         assert steps > 0 and t > 0.0
         assert 1.0 < out.max() < 1.01
 
@@ -392,9 +399,9 @@ class TestKernel:
         # a forced step far past what the error control would take: a
         # stage leaves w > 0, and the held state is kept
         k0 = cf.generate(cf.Ellipse(6.0, 1.0, grid_n=64)).k
-        stepper = _kernels.Stepper(k0, 2.0, cf.FlowKind.AP, 0.25, 1e6)
+        stepper = _kernels.Stepper(k0, 2.0, cf.FlowKind.AP, 0.25, 1e6, 1)
         held = stepper.k()
-        assert stepper.force(0.1) == _kernels.STATUS_CONVEXITY
+        assert stepper.force(0.1) == "convexity"
         assert np.array_equal(stepper.k(), held)
 
     def test_positivity_cut_recovers(self, monkeypatch):
@@ -408,17 +415,17 @@ class TestKernel:
         def logged(self, h):
             entry = self.h
             out = attempt(self, h)
-            log.append((entry, h, out[0] is None and math.isinf(out[1])))
+            log.append((entry, h, out[1] is None and math.isinf(out[0])))
             return out
 
         monkeypatch.setattr(_kernels.Stepper, "_attempt", logged)
-        plain = _kernels.Stepper(k0, 2.0, cf.FlowKind.AP, 0.25, 1e6)
-        assert plain.advance(0.05, 100_000)[1] == _kernels.STATUS_OK
+        plain = _kernels.Stepper(k0, 2.0, cf.FlowKind.AP, 0.25, 1e6, 100_000)
+        assert plain.advance(0.05, 100_000) is None
         assert not any(inf for _, _, inf in log)
         log.clear()
-        stepper = _kernels.Stepper(k0, 2.0, cf.FlowKind.AP, 0.25, 1e6)
+        stepper = _kernels.Stepper(k0, 2.0, cf.FlowKind.AP, 0.25, 1e6, 100_000)
         stepper.h = 0.1
-        assert stepper.advance(0.05, 100_000)[1] == _kernels.STATUS_OK
+        assert stepper.advance(0.05, 100_000) is None
         cut = [i for i, (_, _, inf) in enumerate(log) if inf]
         assert cut
         for i in cut:
@@ -435,7 +442,7 @@ class TestKernel:
                 circle_k(1.0), span=0.6, law=cf.FlowKind.CONTRACTION,
                 blowup_k=math.inf,
             )
-        assert code == _kernels.STATUS_CONVEXITY
+        assert code == "convexity"
         assert steps > 0 and t == pytest.approx(0.5, abs=1e-9)
         assert np.all(np.isfinite(out)) and out.min() > 1e6
 
@@ -446,7 +453,7 @@ class TestKernel:
             out, _, _, steps, code = advance(
                 circle_k(1e-3), law=cf.FlowKind.CONTRACTION, alpha=100.0
             )
-        assert code == _kernels.STATUS_NONFINITE
+        assert code == "nonfinite"
         assert steps > 0
         assert np.all(np.isfinite(out)) and out.max() < 1e6
 
@@ -563,6 +570,43 @@ class TestGuardNames:
         res = cf.run(cf.FlowLaw("LP", 1.0), ellipse21,
                      cf.StepControl(max_steps=5), 1.0, audits=())
         assert (res.status, res.guard) == (cf.RunStatus.STEP_LIMIT, "step_limit")
+
+    @pytest.mark.parametrize("cap", [25, 20])
+    def test_step_limit_under_sample_every(self, cap):
+        # the cap between two samples of the cadence, or on one: the run
+        # stops at it and records that state as its last sample
+        kp = cf.generate(cf.Ellipse(2.0, 1.0, grid_n=64))
+        res = cf.run(cf.FlowLaw("LP", 1.0), kp, cf.StepControl(max_steps=cap),
+                     1.0, sample_every=10, audits=())
+        assert (res.status, res.guard, res.steps) == (
+            cf.RunStatus.STEP_LIMIT, "step_limit", cap
+        )
+        t = res.series.column("t")
+        assert len(t) == 1 + math.ceil(cap / 10)
+        assert 0.0 < t[-1] == res.t_final < 1.0
+
+    def test_step_limit_on_a_sample_boundary(self):
+        # a cap whose last step lands on a sample_dt boundary stops the run
+        # there, unless that sample converged; on t_end it is a time limit
+        kp = cf.generate(cf.Ellipse(2.0, 1.0, grid_n=64))
+        law = cf.FlowLaw("LP", 1.0)
+        cap = cf.run(law, kp, None, 0.01, sample_dt=0.01, audits=()).steps
+        ctl = cf.StepControl(max_steps=cap)
+        res = cf.run(law, kp, ctl, 0.05, sample_dt=0.01, audits=())
+        assert (res.status, res.guard, res.steps, res.t_final) == (
+            cf.RunStatus.STEP_LIMIT, "step_limit", cap, 0.01
+        )
+        assert res.series.column("t").tolist() == [0.0, 0.01]
+        osc = res.series.column("oscillation")
+        assert osc[1] < osc[0]
+        ctl = dataclasses.replace(ctl, convergence_tol=0.5 * (osc[0] + osc[1]))
+        res = cf.run(law, kp, ctl, 0.05, sample_dt=0.01, audits=())
+        assert (res.status, res.guard, res.steps, res.t_final) == (
+            cf.RunStatus.CONVERGED, None, cap, 0.01
+        )
+        res = cf.run(law, kp, cf.StepControl(max_steps=cap), 0.01, sample_dt=0.01,
+                     audits=())
+        assert (res.status, res.guard, res.steps) == (cf.RunStatus.TIME_LIMIT, None, cap)
 
     def test_convexity(self):
         # with the blowup guard off, a contraction past extinction shrinks
