@@ -39,10 +39,14 @@ are invariants to round-off.
 
 The step size comes from step doubling: one step of h against two of
 h/2, with the local error of the pair measured as max |w2 - w1| / (15 w2)
-and the extrapolated w2 + (w2 - w1)/15 kept. Within a span the steps are
-equal, span / ceil(span / h), which lands its end exactly and lets the
-coefficients repeat. `Stepper` holds one run's state, spectrum, step
-size and sigma across `advance` calls, and how the run stopped.
+and the extrapolated w2 + (w2 - w1)/15 kept. The h step and the first
+h/2 step start from the same state, so they are the two rows of one
+pass (`Derivative` evaluates rows, each with the bits it would get
+alone): an attempt makes 8 sequential evaluations, not 11. Within a
+span the steps are equal, span / ceil(span / h), which lands its end
+exactly and lets the coefficients repeat. `Stepper` holds one run's
+state, spectrum, step size and sigma across `advance` calls, and how the
+run stopped.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import parseval_area
+from .geometry import _area_weights
 from .laws import FlowKind, nonlocal_lambda, power
 from .spectral import TWO_PI
 
@@ -137,7 +141,8 @@ def phi_functions(z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _etd_coefficients(c: np.ndarray, h: float) -> np.ndarray:
     """Cox-Matthews coefficients of one step h and of one step h/2 for the
-    linear part c: shape (2, 6, len(c)), the rows E, E2, Q, f1, f2, f3.
+    linear part c: shape (6, 2, len(c)), the rows E, E2, Q, f1, f2, f3,
+    each with the h step in row 0 and the h/2 step in row 1.
 
     With z = h c: E = e^z, E2 = e^(z/2), Q = (h/2) phi_1(z/2), and the
     final weights f1 = h (phi_1 - 3 phi_2 + 4 phi_3), f2 = 2 h (phi_2 -
@@ -148,66 +153,74 @@ def _etd_coefficients(c: np.ndarray, h: float) -> np.ndarray:
     zz = np.stack((z, 0.5 * z, 0.25 * z))
     p1, p2, p3 = phi_functions(zz)
     ez = np.exp(zz)
-    out = np.empty((2, 6, c.size))
-    for half in (0, 1):
-        step = h * 0.5**half
-        out[half, 0] = ez[half]
-        out[half, 1] = ez[half + 1]
-        out[half, 2] = (0.5 * step) * p1[half + 1]
-        out[half, 3] = step * (p1[half] - 3.0 * p2[half] + 4.0 * p3[half])
-        out[half, 4] = (2.0 * step) * (p2[half] - 2.0 * p3[half])
-        out[half, 5] = step * (4.0 * p3[half] - p2[half])
+    step = np.array([[h], [0.5 * h]])
+    out = np.empty((6, 2, c.size))
+    out[0] = ez[:2]
+    out[1] = ez[1:]
+    np.multiply(0.5 * step, p1[1:], out=out[2])
+    out[3] = step * (p1[:2] - 3.0 * p2[:2] + 4.0 * p3[:2])
+    out[4] = (2.0 * step) * (p2[:2] - 2.0 * p3[:2])
+    out[5] = step * (4.0 * p3[:2] - p2[:2])
     return out
 
 
 class Derivative:
-    """Right-hand side of one law on an n-point grid, with its own buffers.
+    """Right-hand side of one law on an n-point grid, for up to `rows`
+    states at once, with its own buffers.
 
-    Calling it on the spectrum S of a state w (as the float view of its
-    rfft bins) writes w into `w_out` and the spectrum of w_t into `out`,
-    and returns the quadrature of k^alpha; it returns None, writing
-    nothing into `out`, when w is not positive. Buffers are per instance,
-    so concurrent runs never share one.
+    Calling it on the spectra S of B <= rows states w, shape (B, pairs)
+    as the float view of their rfft bins, writes the w into `w_out`
+    (B, n) and the spectra of their w_t into `out` (B, pairs), and returns
+    the quadratures of k^alpha, one per row; it returns None, writing
+    nothing into `out`, when some w is not positive. Each row gets the bits
+    it would get alone. Buffers are per instance, so concurrent runs never
+    share one.
     """
 
-    def __init__(self, n: int, alpha: float, kind: FlowKind):
+    def __init__(self, n: int, alpha: float, kind: FlowKind, rows: int = 1):
         self.n = n
         self.inv_n = 1.0 / n
         self.dtheta = TWO_PI / n
+        self.half_dtheta = 0.5 * self.dtheta
+        self.area_weights = _area_weights(n)
         self.alpha = alpha
         self.lin = _symbol(n)
         self.kind = kind
         # the quadratures lambda reads beyond that of v (see nonlocal_lambda):
-        # AP the length, G1 and G2 the length and the area, AP and G2 of v w
-        self.reads_L = kind is FlowKind.AP
+        # AP, G1 and G2 the length, G1 and G2 the area, AP and G2 of v w
+        self.reads_L = kind in (FlowKind.AP, FlowKind.G1, FlowKind.G2)
         self.reads_A = kind in (FlowKind.G1, FlowKind.G2)
         self.reads_vw = kind in (FlowKind.AP, FlowKind.G2)
-        self.v = np.empty(n)
-        self.V = np.empty(n // 2 + 1, dtype=complex)
-        self.Vf = self.V.view(np.float64)
-
-    def length_area(self, S: np.ndarray) -> tuple[float, float]:
-        """(L, A) of the curve whose w has the spectrum S."""
-        return self.dtheta * S[0], parseval_area(S)
+        self._nans = (math.nan,) * rows
+        v = np.empty((rows, n))
+        V = np.empty((rows, n // 2 + 1), dtype=complex)
+        # (v, V, V as floats) for B rows at index B
+        self._buffers = [None] + [(v[:b], V[:b], V[:b].view(np.float64))
+                                  for b in range(1, rows + 1)]
 
     def __call__(self, S: np.ndarray, w_out: np.ndarray, out: np.ndarray):
+        v, V, Vf = self._buffers[S.shape[0]]
         _irfft(S.view(complex), self.inv_n, out=w_out)
-        if _min(w_out) <= 0.0:
+        if _min(w_out, None) <= 0.0:
             return None
-        v = power(w_out, self.alpha, self.v)
-        _rfft(v, 1.0, out=self.V)
-        L = A = vw = math.nan
-        if self.reads_A:
-            L, A = self.length_area(S)
-        elif self.reads_L:
-            L = self.dtheta * S[0]
-        if self.reads_vw:
-            vw = self.dtheta * float(np.dot(v, w_out))
-        q = self.dtheta * self.Vf[0]
-        lam = nonlocal_lambda(self.kind, q, vw, L, A)
-        # lambda - (d^2 + 1) v
-        np.multiply(self.Vf, self.lin, out=out)
-        out[0] += self.n * lam
+        power(w_out, self.alpha, v)
+        _rfft(v, 1.0, out=V)
+        # lambda - (d^2 + 1) v, lambda from the integrals it reads, as
+        # Python floats: the few scalar operations of a law cost less on
+        # floats than on small arrays. The quadrature of v is dtheta V_0,
+        # the length dtheta W_0, the area `geometry.parseval_area` of W.
+        np.multiply(Vf, self.lin, out=out)
+        q = Vf[:, 0].tolist()
+        L = S[:, 0].tolist() if self.reads_L else self._nans
+        A = np.vecdot(S * S, self.area_weights).tolist() if self.reads_A else self._nans
+        vw = np.vecdot(v, w_out).tolist() if self.reads_vw else self._nans
+        dtheta = self.dtheta
+        for i, qi in enumerate(q):
+            q[i] = qi = dtheta * qi
+            lam = nonlocal_lambda(
+                self.kind, qi, dtheta * vw[i], dtheta * L[i], self.half_dtheta * A[i]
+            )
+            out[i, 0] += self.n * lam
         return q
 
 
@@ -240,7 +253,7 @@ class Stepper:
 
     def __init__(self, k, alpha, kind, safety, blowup_k, max_steps):
         n = k.shape[0]
-        self.rhs = Derivative(n, alpha, kind)
+        self.rhs = Derivative(n, alpha, kind, rows=2)
         self.alpha = alpha
         self.tol = TOL_PER_SAFETY * safety
         self.blowup_k = blowup_k
@@ -255,24 +268,32 @@ class Stepper:
         self._coef_key = None
         pairs = 2 * (n // 2 + 1)
         # held state (spectrum S, rate spectrum R, samples w, quadrature q)
-        # and the candidate of the step being tried, swapped on acceptance
-        self.S, self.R, self._S_new, self._R_new = np.empty((4, pairs))
-        self.w, self._w_new = np.empty((2, n))
-        # Cox-Matthews work buffers, and the other states of one attempt
-        (self._Nu, self._Na, self._Nb, self._Nc, self._a, self._b, self._cs,
-         self._ES, self._tmp, self._stage_R, self._S1, self._mid, self._mid_R,
-         self._dS) = np.empty((14, pairs))
-        self._stage_w, self._w2, self._d = np.empty((3, n))
+        # and the candidate of the step being tried, swapped on acceptance;
+        # each state is one row
+        self.S, self.R, self._S_new, self._R_new = np.empty((4, 1, pairs))
+        self.w, self._w_new = np.empty((2, 1, n))
+        # the other states of one attempt: the held state twice, its h and
+        # first h/2 steps as the rows of one pass from it, the h/2 state's
+        # rate and samples, and the two results' difference and samples
+        self._S0, self._R0, pair = np.empty((3, 2, pairs))
+        self._pair, self._S1, self._mid = pair, pair[:1], pair[1:]
+        self._mid_R, self._dS = np.empty((2, 1, pairs))
+        self._mid_w, self._w2, self._d = np.empty((3, 1, n))
+        # Cox-Matthews work buffers of a pass on B rows, at index B
+        work = np.empty((10, 2, pairs))
+        stage_w = np.empty((2, n))
+        self._work = [None] + [(stage_w[:b], *work[:, :b]) for b in (1, 2)]
         self.guard = _guard(k.min(), k.max(), blowup_k)
         with np.errstate(divide="ignore"):
-            self.w[:] = 1.0 / k
+            self.w[0] = 1.0 / k
         if self.guard is not None:
             return
         _rfft(self.w, 1.0, out=self.S.view(complex))
-        self.q = self.rhs(self.S, self.w, self.R)
-        if self.q is None:  # round-off of the transform pair
+        q = self.rhs(self.S, self.w, self.R)
+        if q is None:  # round-off of the transform pair
             self.guard = "convexity"
             return
+        self.q = q[0]
         # first step from the state's own time scale: half the step that
         # changes w by tol^(1/5) relative at its largest relative rate
         rate = np.fft.irfft(self.R.view(complex), n)
@@ -282,12 +303,12 @@ class Stepper:
     def k(self) -> np.ndarray:
         """Curvature samples of the held state (a new array)."""
         with np.errstate(divide="ignore"):
-            return 1.0 / self.w
+            return 1.0 / self.w[0]
 
     def _refresh_sigma(self) -> bool:
         """Refresh sigma and c once the stiffest coefficient has drifted;
         False if it is not finite."""
-        a = self.alpha * (1.0 / _min(self.w)) ** (self.alpha + 1.0)
+        a = self.alpha * (1.0 / _min(self.w, None)) ** (self.alpha + 1.0)
         if abs(a - self.a_sigma) <= SIGMA_DRIFT * self.a_sigma:
             return True
         if not math.isfinite(a):
@@ -296,7 +317,8 @@ class Stepper:
         self.sigma = sigma = 0.5 * (1.0 + SIGMA_DRIFT) * a
         c = -sigma * self.rhs.lin
         c[:2] = 0.0  # mode 0 is explicit; the symbol already zeroes mode 1
-        self.c = c
+        # one row of c per row of a pass: ufuncs broadcast a row slowly
+        self.c = np.stack((c, c))
         self._coef_key = None
         return True
 
@@ -305,20 +327,22 @@ class Stepper:
         return max(1, math.ceil(rem / self.h * (1.0 - 1e-12)))
 
     def _coefficients(self, h: float) -> np.ndarray:
-        """Coefficients of steps h and h/2; only the latest set is kept."""
+        """Coefficients of steps h and h/2 (`_etd_coefficients`); only the
+        latest set is kept."""
         if self._coef_key != h:
-            self._coef = _etd_coefficients(self.c, h)
+            self._coef = _etd_coefficients(self.c[0], h)
             self._coef_key = h
         return self._coef
 
     def _etd(self, co, S, R, out) -> bool:
-        """One ETDRK4 step with coefficients `co` from spectrum S, whose
-        rate spectrum is R, into `out`; False when a stage leaves w > 0."""
+        """One ETDRK4 pass on B rows: row i steps from the state with
+        spectrum S[i], whose rate spectrum is R[i], with the coefficients
+        co[:, i] into out[i], so the rows may be steps of different sizes.
+        False when a stage leaves w > 0."""
         E, E2, Q, f1, f2, f3 = co
-        c, rhs, w, Rs, tmp = self.c, self.rhs, self._stage_w, self._stage_R, self._tmp
-        Nu, Na, Nb, Nc, a, b, cs, ES = (
-            self._Nu, self._Na, self._Nb, self._Nc, self._a, self._b, self._cs, self._ES
-        )
+        B = co.shape[1]
+        c, rhs = self.c[:B], self.rhs
+        w, Rs, Nu, Na, Nb, Nc, a, b, cs, ES, tmp = self._work[B]
         np.multiply(c, S, out=Nu)
         np.subtract(R, Nu, out=Nu)
         np.multiply(E2, S, out=ES)
@@ -369,38 +393,40 @@ class Stepper:
 
     def _candidate_guard(self) -> str | None:
         """The guard the candidate just evaluated (w > 0) trips, or None."""
-        wmin = _min(self._w_new)
-        guard = _guard(wmin, _max(self._w_new), math.inf)
+        wmin = _min(self._w_new, None)
+        guard = _guard(wmin, _max(self._w_new, None), math.inf)
         if guard is None and 1.0 / wmin >= self.blowup_k:
             guard = "blowup"
         return guard
 
     def _attempt(self, h: float):
         """Step doubling from the held state into the candidate buffers:
-        (err, q_new, q_mid). q_new is None for a rejection, with err = inf
+        (err, q_new, q_mid). The h step and the first h/2 step are the two
+        rows of one pass. q_new is None for a rejection, with err = inf
         when it was a stage or the result that left w > 0; a candidate
         that trips a guard, or a nonfinite err, sets `guard`."""
         rejected = math.inf, None, None
-        full, half = self._coefficients(h)
-        if not self._etd(full, self.S, self.R, self._S1):
+        co = self._coefficients(h)
+        S0, R0 = self._S0, self._R0
+        np.copyto(S0, self.S)
+        np.copyto(R0, self.R)
+        if not self._etd(co, S0, R0, self._pair):
             return rejected
-        if not self._etd(half, self.S, self.R, self._mid):
-            return rejected
-        q_mid = self.rhs(self._mid, self._stage_w, self._mid_R)
+        q_mid = self.rhs(self._mid, self._mid_w, self._mid_R)
         if q_mid is None:
             return rejected
         S2, dS = self._S_new, self._dS
-        if not self._etd(half, self._mid, self._mid_R, S2):
+        if not self._etd(co[:, 1:], self._mid, self._mid_R, S2):
             return rejected
         np.subtract(S2, self._S1, out=dS)
         inv_n = self.rhs.inv_n
         _irfft(S2.view(complex), inv_n, out=self._w2)
         _irfft(dS.view(complex), inv_n, out=self._d)
-        if _min(self._w2) <= 0.0:
+        if _min(self._w2, None) <= 0.0:
             return rejected
         d = np.abs(self._d, out=self._d)
         d /= self._w2
-        err = float(_max(d)) / 15.0
+        err = float(_max(d, None)) / 15.0
         if not math.isfinite(err):
             self.guard = "nonfinite"
             return err, None, None
@@ -413,7 +439,7 @@ class Stepper:
         if q_new is None:
             return rejected
         self.guard = self._candidate_guard()
-        return err, q_new, q_mid
+        return err, q_new[0], q_mid[0]
 
     def advance(self, t_end: float, budget: float = math.inf) -> str | None:
         """Advance the held state from `t` towards `t_end`, taking at most
@@ -474,12 +500,12 @@ class Stepper:
             return self.guard
         if not self._refresh_sigma():
             return self._trip("nonfinite")
-        if not self._etd(self._coefficients(h)[0], self.S, self.R, self._S_new):
+        if not self._etd(self._coefficients(h)[:, :1], self.S, self.R, self._S_new):
             return self._trip("convexity")
         q_new = self.rhs(self._S_new, self._w_new, self._R_new)
         if q_new is None:
             return self._trip("convexity")
         self.guard = self._candidate_guard()
         if self.guard is None:
-            self._accept(h, q_new)
+            self._accept(h, q_new[0])
         return self.guard

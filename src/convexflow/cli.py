@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 from .diagnostics import audit_series, failed_margins, fit_decay_rate, inequality_audit
@@ -56,17 +57,23 @@ def _execute(scenario: Scenario) -> tuple[RunResult, list[Snapshot]]:
     return result, snapshots
 
 
-def _finish(scenario: Scenario, result: RunResult, snapshots) -> tuple[bool, list[str]]:
+def _finish(
+    scenario: Scenario, result: RunResult, snapshots
+) -> tuple[bool, list[str], float]:
+    """Emit the run's files and audit its series: (ok, problems, seconds
+    spent emitting)."""
+    start = time.perf_counter()
     emit(result, snapshots, scenario.output_dir, scenario=scenario)
+    emit_s = time.perf_counter() - start
     problems = audit_series(result.series)
     ok = result.status in CLEAN and not problems
-    return ok, problems
+    return ok, problems, emit_s
 
 
 def _cmd_run(args) -> int:
     scenario = parse_scenario(Path(args.scenario).read_text())
     result, snapshots = _execute(scenario)
-    ok, problems = _finish(scenario, result, snapshots)
+    ok, problems, emit_s = _finish(scenario, result, snapshots)
     dt = "none" if result.dt_range is None else "{:.3g}..{:.3g}".format(*result.dt_range)
     print(
         f"{result.status.value}: t={result.t_final:.6g} after {result.steps} "
@@ -74,7 +81,7 @@ def _cmd_run(args) -> int:
         f"(guard: {result.guard or 'none'}), {len(result.series)} samples, "
         f"{len(snapshots)} snapshots -> {scenario.output_dir} "
         f"(kernel {result.timings.kernel_s:.3g} s, "
-        f"collect {result.timings.collect_s:.3g} s)"
+        f"collect {result.timings.collect_s:.3g} s, emit {emit_s:.3g} s)"
     )
     for msg in problems:
         print(f"audit: {msg}")
@@ -100,7 +107,7 @@ def _cmd_audit(args) -> int:
 
 def _sweep_one(scenario: Scenario) -> tuple[bool, dict]:
     result, snapshots = _execute(scenario)
-    ok, _ = _finish(scenario, result, snapshots)
+    ok, _, _ = _finish(scenario, result, snapshots)
     series = result.series
     return ok, {
         "alpha": scenario.law.alpha,

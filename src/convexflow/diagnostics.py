@@ -87,6 +87,16 @@ class AuditError(ValueError):
     pass
 
 
+def _float_power(base: float, exponent: float) -> float:
+    """base ** exponent of Python floats, +inf where the result passes the
+    float range: float ** raises OverflowError there, and an audit bound
+    that large is no bound."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Margin:
     """One audited inequality: value = large side - small side.
@@ -124,8 +134,11 @@ class TsoContext:
         sigma = geometry.bonnesen_sigma(I0)
         root = math.sqrt(A0 / math.pi) / sigma
         beta = 0.5 ** ((2.0 + alpha) / (1.0 + alpha)) * root
-        T1 = root ** (1.0 + alpha) / (2.0 + 2.0 * alpha)
-        Q0 = (2.0 * (alpha + 1.0) / (alpha * beta ** (1.0 + 1.0 / alpha))) ** alpha
+        T1 = _float_power(root, 1.0 + alpha) / (2.0 + 2.0 * alpha)
+        # a denominator that underflows to 0 stands for a Q0 past the range
+        scaled = alpha * beta ** (1.0 + 1.0 / alpha)
+        ratio = math.inf if scaled == 0.0 else 2.0 * (alpha + 1.0) / scaled
+        Q0 = _float_power(ratio, alpha)
         return cls(alpha=alpha, beta=beta, sigma=sigma, T1=T1, Q0=Q0)
 
     def bound_at(self, t: float) -> float:
@@ -835,7 +848,7 @@ def psi_violations(series: DiagnosticsSeries) -> list[str]:
     run_psi = -math.inf
     run_v2 = -math.inf
     for tj, psi_j, k_j in zip(t, psi, k_max):
-        run_v2 = max(run_v2, k_j ** (2.0 * alpha))
+        run_v2 = max(run_v2, _float_power(k_j, 2.0 * alpha))
         run_psi = max(run_psi, psi_j)
         bound = max(psi0, run_v2) * (1.0 + PSI_RTOL)
         if run_psi > bound:

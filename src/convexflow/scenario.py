@@ -65,8 +65,22 @@ class Snapshot:
             "index": self.index,
             "t": self.t,
             "limit_radius": self.limit_radius,
-            "points": [[float(x), float(y)] for x, y in self.points],
+            "points": self.points.tolist(),
         }
+
+    def to_json(self) -> str:
+        """The text of the snapshot's curve_NNNN.json: byte for byte
+        `json.dumps(self.to_document(), indent=2) + "\n"`, with the header
+        keys passed to json.dumps and the points formatted in bulk (%r
+        is the float repr json writes for a finite float)."""
+        points = _checked_points(self)
+        head = json.dumps(
+            {"index": self.index, "t": self.t, "limit_radius": self.limit_radius},
+            indent=2,
+        )
+        point = "    [\n      %r,\n      %r\n    ]"
+        body = ",\n".join([point] * len(points)) % tuple(points.ravel().tolist())
+        return f'{head[:-2]},\n  "points": [\n{body}\n  ]\n}}\n'
 
     @classmethod
     def from_document(cls, doc: Mapping) -> "Snapshot":
@@ -76,6 +90,17 @@ class Snapshot:
             limit_radius=float(doc["limit_radius"]),
             points=np.asarray(doc["points"], dtype=float),
         )
+
+
+def _checked_points(snapshot: Snapshot) -> np.ndarray:
+    """The snapshot's points as floats; a ScenarioError when there are
+    none or one is not finite."""
+    points = np.asarray(snapshot.points, dtype=float)
+    if points.size == 0:
+        raise ScenarioError("snapshot has no points to render")
+    if not np.isfinite(points).all():
+        raise ScenarioError("snapshot points must be finite")
+    return points
 
 
 def snapshot_of(
@@ -344,9 +369,7 @@ def emit(
 
     for snap in snapshots:
         name = f"curve_{snap.index:04d}"
-        (out / f"{name}.json").write_text(
-            json.dumps(snap.to_document(), indent=2) + "\n"
-        )
+        (out / f"{name}.json").write_text(snap.to_json())
         render_snapshot(snap, out / f"{name}.svg")
         files += [f"{name}.json", f"{name}.svg"]
 
@@ -373,13 +396,12 @@ def render_snapshot(snapshot: Snapshot, path: str | os.PathLike) -> None:
     Written through a temporary file and os.replace, so a failure never
     leaves a partial SVG at the destination.
     """
-    points = np.asarray(snapshot.points, dtype=float)
-    if points.size == 0:
-        raise ScenarioError("snapshot has no points to render")
+    points = _checked_points(snapshot)
     r = snapshot.limit_radius
     m = 1.15 * max(float(np.abs(points).max()), r)
     # SVG y runs downward; negate it so the plane reads normally
-    d = "M " + " L ".join(f"{x:.10g},{-y:.10g}" for x, y in points) + " Z"
+    flipped = (points * (1.0, -1.0)).ravel().tolist()
+    d = "M " + " L ".join(["%.10g,%.10g"] * len(points)) % tuple(flipped) + " Z"
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{-m:.6g} {-m:.6g} {2 * m:.6g} {2 * m:.6g}" '

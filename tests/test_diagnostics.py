@@ -131,6 +131,16 @@ class TestTsoContext:
         assert ctx.T1 == pytest.approx(8.0 / 6.0, rel=1e-6)
         assert ctx.Q0 == pytest.approx(18.0, rel=1e-6)
 
+    @pytest.mark.parametrize("r, alpha, infinite", [
+        (1e4, 100.0, "T1"),  # root ** (1 + alpha) passes the float range
+        (1e-3, 100.0, "Q0"),  # Q0 passes it
+        (1e-4, 0.01, "Q0"),  # beta ** (1 + 1/alpha) underflows to 0
+    ])
+    def test_out_of_range_constants_are_infinite(self, r, alpha, infinite):
+        ctx = TsoContext.from_initial(generate(Circle(r=r, grid_n=64)), alpha)
+        assert getattr(ctx, infinite) == math.inf
+        assert math.isfinite(ctx.beta) and ctx.beta > 0.0
+
     def test_bound_plateau_and_spike(self, ellipse21):
         ctx = TsoContext.from_initial(ellipse21, 1.0)
         assert ctx.bound_at(0.0) == math.inf
@@ -1054,6 +1064,13 @@ class TestSeriesAudits:
         s = series_of(FlowKind.LP, 1.0)
         s.extend(record(0.0, Psi_max=4.0, k_max=2.0))
         s.extend(record(0.1, Psi_max=8.9, k_max=3.0))
+        assert psi_violations(s) == []
+
+    def test_psi_allowance_past_the_float_range(self):
+        # k_max ** (2 alpha) overflows a float: the allowance is infinite
+        s = series_of(FlowKind.CONTRACTION, 100.0)
+        s.extend(record(0.0, Psi_max=4.0, k_max=1e3))
+        s.extend(record(0.1, Psi_max=1e300, k_max=1e4))
         assert psi_violations(s) == []
 
     def test_psi_skipped_when_disabled(self):

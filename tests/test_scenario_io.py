@@ -285,6 +285,61 @@ class TestEmit:
         assert snap.limit_radius == pytest.approx(math.sqrt(2.0), rel=1e-10)
 
 
+# floats whose repr and %.10g forms are easy to get wrong: a signed zero,
+# the smallest subnormal, an exponent form, a value just past 1e15 and a
+# sum that is not its decimal
+CRAFTED_POINTS = np.array([
+    [-0.0, 5e-324], [1e16, 1e-7], [0.1 + 0.2, -0.0], [-1e16, -5e-324],
+    [1.0, 0.0], [-0.0, 5e-324],
+])
+
+
+def writer_snapshots():
+    kp = generate(PerturbedCircle(r0=1.3, modes=((2, 0.05, 0.4), (5, 0.004, 1.0)),
+                                  grid_n=64))
+    law = FlowLaw(FlowKind.G1, 2.0)
+    real = snapshot_of(7, 0.1 + 0.2, kp, law, length(kp), area(kp))
+    crafted = Snapshot(index=12, t=1e-7, limit_radius=0.1 + 0.2, points=CRAFTED_POINTS)
+    return {"real": real, "crafted": crafted}
+
+
+@pytest.mark.parametrize("which", ["real", "crafted"])
+class TestSnapshotWriters:
+    """The bulk writers against json.dumps and the per-point formatting
+    they replaced."""
+
+    def test_json_is_json_dumps(self, which):
+        snap = writer_snapshots()[which]
+        per_point = {
+            "index": snap.index,
+            "t": snap.t,
+            "limit_radius": snap.limit_radius,
+            "points": [[float(x), float(y)] for x, y in snap.points],
+        }
+        text = snap.to_json()
+        assert text == json.dumps(per_point, indent=2) + "\n"
+        assert text == json.dumps(snap.to_document(), indent=2) + "\n"
+
+    def test_svg_path_is_the_per_point_format(self, which, tmp_path):
+        snap = writer_snapshots()[which]
+        render_snapshot(snap, tmp_path / "c.svg")
+        d = re.search(r'<path d="([^"]+)"', (tmp_path / "c.svg").read_text()).group(1)
+        per_point = " L ".join(f"{x:.10g},{-y:.10g}" for x, y in snap.points)
+        assert d == f"M {per_point} Z"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_writers_refuse_nonfinite_points(bad, tmp_path):
+    points = CRAFTED_POINTS.copy()
+    points[2, 1] = bad
+    snap = Snapshot(index=0, t=0.0, limit_radius=1.0, points=points)
+    with pytest.raises(ScenarioError, match="finite"):
+        snap.to_json()
+    with pytest.raises(ScenarioError, match="finite"):
+        render_snapshot(snap, tmp_path / "x.svg")
+    assert list(tmp_path.iterdir()) == []
+
+
 def svg_geometry(path):
     text = path.read_text()
     r = float(re.search(r'<circle[^>]* r="([^"]+)"', text).group(1))
@@ -440,16 +495,43 @@ class TestCli:
             "dt_range": list(result.dt_range),
         }
 
+    @pytest.mark.parametrize("r, audits", [
+        (1e-3, None),  # the Tso plateau Q0 passes the float range
+        (1e4, None),  # the Tso horizon T1 does
+        (1e-3, ["psi"]),  # the Psi allowance k_max ** (2 alpha) does
+    ])
+    def test_float_overflow_ends_without_a_traceback(self, tmp_path, capsys, r, audits):
+        doc = {
+            "law": {"kind": "Contraction", "alpha": 100},
+            "curve": {"kind": "Circle", "r": r, "grid_n": 64},
+            "t_end": 1e-6 if r < 1.0 else 1.0,
+            "sample_dt": 1e-7 if r < 1.0 else 0.1,
+            "output_dir": str(tmp_path / "out"),
+        }
+        if audits is not None:
+            doc["audits"] = audits
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):  # the stiff start overflows numpy too
+            code = main(["run", str(path)])
+        assert code in (0, 1, 2)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "status" in json.loads((tmp_path / "out" / "manifest.json").read_text())
+
     def test_summary_prints_timings_that_no_file_records(self, tmp_path, capsys):
         # wall times differ from run to run: the summary line shows them,
         # and the byte-identical outputs must not contain them
         path = small_scenario(tmp_path)
         assert main(["run", str(path)]) == 0
         out = capsys.readouterr().out
-        assert re.search(r"\(kernel [0-9.e+-]+ s, collect [0-9.e+-]+ s\)", out)
+        assert re.search(
+            r"\(kernel [0-9.e+-]+ s, collect [0-9.e+-]+ s, emit [0-9.e+-]+ s\)", out
+        )
         for name in ("manifest.json", "series.csv", "scenario.json"):
             text = (tmp_path / "out" / name).read_text()
             assert "kernel_s" not in text and "collect_s" not in text
+            assert "emit" not in text
 
     def test_run_rerun_is_byte_identical(self, tmp_path):
         path = small_scenario(tmp_path, snapshot_every=2)

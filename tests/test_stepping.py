@@ -292,8 +292,34 @@ def advance(k, span=1.0, law=cf.FlowKind.LP, alpha=1.0, *, safety=0.25,
 
 
 def spectrum(w):
-    """rfft of w as the float view of its (re, im) pairs the kernel reads."""
-    return np.fft.rfft(w).view(np.float64)
+    """rfft of w as the float view of its (re, im) pairs the kernel reads,
+    one row per state."""
+    return np.atleast_2d(np.fft.rfft(w).view(np.float64))
+
+
+def rate(kind, alpha, S):
+    """(R, w, q) of the kernel's right-hand side on the rows S."""
+    B, pairs = S.shape
+    n = pairs - 2
+    w, R = np.empty((B, n)), np.empty((B, pairs))
+    q = _kernels.Derivative(n, alpha, cf.FlowKind(kind), rows=B)(S, w, R)
+    return R, w, q
+
+
+def kernel_lambda(kind, S):
+    """The lambda the kernel forms at alpha = 1 for one state, from mode 0
+    of its rate, n (lambda - mean v), and q = dtheta V_0."""
+    n = S.shape[-1] - 2
+    R, _, [q] = rate(kind, 1.0, S)
+    return (R[0, 0] + q * n / (2.0 * np.pi)) / n, q
+
+
+def kernel_length_area(S):
+    """(L, A) the kernel reads off one state's spectrum at alpha = 1: AP's
+    lambda is (integral of v w)/L with v w = 1, and G1's 2 A q / L^2."""
+    L = 2.0 * np.pi / kernel_lambda("AP", S)[0]
+    lam, q = kernel_lambda("G1", S)
+    return L, lam * L * L / (2.0 * q)
 
 
 def circle_k(r, n=64):
@@ -307,13 +333,10 @@ class TestKernel:
     def test_stage_matches_curvature_rhs(self, kind, alpha, n):
         kp = cf.random_convex(1, grid_n=n)
         law = cf.FlowLaw(kind, alpha)
-        rhs = _kernels.Derivative(n, alpha, law.kind)
-        w = np.empty(n)
-        R = np.empty(n + 2)
-        q = rhs(spectrum(kp.w), w, R)
-        assert np.abs(w - kp.w).max() <= 1e-14 * kp.w.max()
+        R, w, [q] = rate(kind, alpha, spectrum(kp.w))
+        assert np.abs(w[0] - kp.w).max() <= 1e-14 * kp.w.max()
         # w_t = -k_t / k^2, returned as its spectrum
-        f = np.fft.irfft(R.view(complex), n)
+        f = np.fft.irfft(R[0].view(complex), n)
         expect = -oracles.curvature_rhs(law, kp) * kp.w * kp.w
         assert np.abs(f - expect).max() <= 1e-12 * np.abs(expect).max()
         v = kp.k ** alpha
@@ -324,8 +347,7 @@ class TestKernel:
         r0, modes = AREA_SPECS[case]
         for n in (128, 256):
             kp = cf.generate(cf.PerturbedCircle(r0=r0, modes=modes, grid_n=n))
-            rhs = _kernels.Derivative(n, 1.0, cf.FlowKind.G1)
-            L, A = rhs.length_area(spectrum(kp.w))
+            L, A = kernel_length_area(spectrum(kp.w))
             # u = r0 + modes has perimeter 2 pi r0 (the modes integrate to 0)
             assert L == pytest.approx(2.0 * np.pi * r0, rel=1e-12)
             # the kernel and geometry.area share one formula; hold both
@@ -340,11 +362,62 @@ class TestKernel:
         g = AngularGrid(64)
         w = (1.0 + 0.3 * np.cos(2 * g.theta) + 0.05 * np.sin(4 * g.theta)
              + 0.2 * np.cos(g.theta))
-        rhs = _kernels.Derivative(64, 1.0, cf.FlowKind.G1)
-        L, A = rhs.length_area(spectrum(w))
+        L, A = kernel_length_area(spectrum(w))
         assert L == pytest.approx(2.0 * np.pi, rel=1e-14)
         u_dot_w = 2.0 * np.pi - np.pi * 0.3 * 0.1 - np.pi * 0.05 * 0.05 / 15.0
         assert A == pytest.approx(0.5 * u_dot_w, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", LAWS)
+    def test_rows_have_the_bits_of_single_rows(self, kind):
+        S = np.concatenate([spectrum(cf.random_convex(seed, grid_n=128).w)
+                            for seed in (1, 2)])
+        R, w, q = rate(kind, 2.0, S)
+        for i in (0, 1):
+            R1, w1, q1 = rate(kind, 2.0, S[i:i + 1])
+            assert R1.tobytes() == R[i].tobytes()
+            assert w1.tobytes() == w[i].tobytes()
+            assert q1 == [q[i]]
+
+    @pytest.mark.parametrize("kind", LAWS)
+    def test_doubling_pair_rows_are_single_steps(self, kind):
+        # step doubling takes its h step and its first h/2 step from the
+        # held state as the two rows of one pass; each row has the bits of
+        # a pass on that row alone
+        kp = cf.random_convex(2, grid_n=128)
+        stepper = _kernels.Stepper(kp.k, 2.0, cf.FlowKind(kind), 0.25, math.inf, 10)
+        assert stepper._refresh_sigma()
+        co = stepper._coefficients(4.0 * stepper.h)
+        S0, R0 = (np.repeat(x, 2, axis=0) for x in (stepper.S, stepper.R))
+        pair = np.empty_like(S0)
+        assert stepper._etd(co, S0, R0, pair)
+        for i in (0, 1):
+            one = np.empty_like(stepper.S)
+            assert stepper._etd(co[:, i:i + 1], stepper.S, stepper.R, one)
+            assert one.tobytes() == pair[i].tobytes()
+        # and an attempt of that step makes the same pass
+        stepper._attempt(4.0 * stepper.h)
+        assert stepper._pair.tobytes() == pair.tobytes()
+
+    def test_coefficients_match_the_per_step_formulas(self):
+        # the h and h/2 sets are built in one vectorised pass; this is the
+        # loop over the two steps they replaced
+        c = -np.linspace(0.0, 4e4, 130)
+        h = 1.7e-4
+        z = h * c
+        zz = np.stack((z, 0.5 * z, 0.25 * z))
+        p1, p2, p3 = _kernels.phi_functions(zz)
+        ez = np.exp(zz)
+        want = np.empty((2, 6, c.size))
+        for half in (0, 1):
+            step = h * 0.5**half
+            want[half, 0] = ez[half]
+            want[half, 1] = ez[half + 1]
+            want[half, 2] = (0.5 * step) * p1[half + 1]
+            want[half, 3] = step * (p1[half] - 3.0 * p2[half] + 4.0 * p3[half])
+            want[half, 4] = (2.0 * step) * (p2[half] - 2.0 * p3[half])
+            want[half, 5] = step * (4.0 * p3[half] - p2[half])
+        got = _kernels._etd_coefficients(c, h)
+        assert got.tobytes() == want.transpose(1, 0, 2).tobytes()
 
     def test_transforms_match_numpy(self):
         x = np.random.default_rng(0).random((2, 64))
