@@ -75,10 +75,15 @@ def _cmd_run(args) -> int:
     result, snapshots = _execute(scenario)
     ok, problems, emit_s = _finish(scenario, result, snapshots)
     dt = "none" if result.dt_range is None else "{:.3g}..{:.3g}".format(*result.dt_range)
+    series = result.series
+    samples = f"{len(series)} samples"
+    if "radii" in scenario.audits:
+        radii = series.column("r_in") + series.column("r_out")
+        samples += f" ({sum(map(math.isnan, radii))} without certified radii)"
     print(
         f"{result.status.value}: t={result.t_final:.6g} after {result.steps} "
         f"steps, {result.rejected} rejected, dt {dt} "
-        f"(guard: {result.guard or 'none'}), {len(result.series)} samples, "
+        f"(guard: {result.guard or 'none'}), {samples}, "
         f"{len(snapshots)} snapshots -> {scenario.output_dir} "
         f"(kernel {result.timings.kernel_s:.3g} s, "
         f"collect {result.timings.collect_s:.3g} s, emit {emit_s:.3g} s)"
@@ -100,7 +105,7 @@ def _cmd_audit(args) -> int:
     print(f"{'margin':<16} {'value':>14} {'scale':>12}  status")
     for name in sorted(margins):
         m = margins[name]
-        flag = "ok" if m.ok() else "FAIL"
+        flag = "not checked" if math.isnan(m.value) else "ok" if m.ok() else "FAIL"
         print(f"{name:<16} {m.value:>14.6e} {m.scale:>12.3e}  {flag}")
     return 0 if not failed_margins(margins) else 1
 

@@ -102,14 +102,15 @@ class Margin:
     """One audited inequality: value = large side - small side.
 
     For a block of profiles, value and scale hold one entry per row, and
-    so does `ok()`.
+    so does `ok()`. A NaN value, as when k^alpha overflows, is not
+    judged: it is not checked rather than failed.
     """
 
     value: float
     scale: float
 
     def ok(self):
-        return self.value >= -MARGIN_RTOL * self.scale
+        return np.logical_not(self.value < -MARGIN_RTOL * self.scale)
 
 
 @dataclass(frozen=True)
@@ -680,8 +681,8 @@ class DiagnosticsCollector:
     k^alpha come from `laws.integrals`, with no closure check, so a run
     that drifts open is recorded (closure_defect) rather than stopped.
     The radii of a block are solved in one `geometry.inradius_outradius`
-    call, every row from the contacts of the certified inscribed and
-    circumscribed circles of the previous block's last sample, which the
+    call, every row from the contacts of the inscribed and circumscribed
+    circles of the last sample certified before the block, which the
     collector carries; it is one run's state, so each run needs its own
     collector.
     """
@@ -724,12 +725,16 @@ class DiagnosticsCollector:
             self.series._trim()
 
     def _radii(self, block: CurvatureProfile, u: np.ndarray) -> np.ndarray:
-        """(r_in, r_out) rows of a block, whose last circles start the next
-        block; the other rows' circles are freed on return, before the
-        rest of the block is computed."""
+        """(r_in, r_out) rows of a block, NaN where no certificate was
+        found. The block's last certified pair, if it has one, starts the
+        next block; the other rows' circles are freed on return, before
+        the rest of the block is computed."""
         pairs = geometry.inradius_outradius(block, u=u, start=self._circles)
-        self._circles = pairs[-1]
-        return np.array([[circle.radius for circle in pair] for pair in pairs]).T
+        radii = np.array([[circle.radius for circle in pair] for pair in pairs])
+        certified = np.flatnonzero(~np.isnan(radii).any(axis=-1))
+        if certified.size:
+            self._circles = pairs[certified[-1]]
+        return radii.T
 
     def _compute(self, queue: list[tuple[float, CurvatureProfile, float | None]]):
         law = self.law

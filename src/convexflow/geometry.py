@@ -260,7 +260,8 @@ class TouchingCircle:
     center is the circle's offset from the centroid. The circle touches
     the curve at the normal angles theta, whose weights are >= 0, sum to
     1 and balance: sum(weights * N(theta)) = 0, so no shift of the center
-    can enlarge an inscribed (or shrink a circumscribed) circle.
+    can enlarge an inscribed (or shrink a circumscribed) circle. A circle
+    with no certificate has a NaN radius and center and no contacts.
     """
 
     radius: float
@@ -309,13 +310,14 @@ def _flat(u2_fine: np.ndarray, center: np.ndarray, tol: np.ndarray) -> np.ndarra
 
 def _exchange(
     v: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Discrete max-min over the samples by a three-point exchange.
 
     A dual simplex on max r s.t. r + c.N_j <= v_j: the basis is three
     samples whose normals hold the origin in their convex hull (weights
     lam >= 0), and the most violated sample enters in place of the one
-    the ratio test removes. Returns (basis, lam, (r, cx, cy)).
+    the ratio test removes. Returns (basis, lam, (r, cx, cy)), or None if
+    it does not settle in _MAX_PIVOTS pivots.
     """
     m = v.size
     cols = _fine_columns(m)
@@ -333,7 +335,7 @@ def _exchange(
         up = step > 0.0
         ratio[up] = lam[up] / step[up]
         basis[int(ratio.argmin())] = j
-    raise RuntimeError(f"exchange did not settle in {_MAX_PIVOTS} pivots")
+    return None
 
 
 def _contacts(
@@ -384,11 +386,10 @@ def _kkt_polish(
     and its stationary point is ill-determined. A row that passes is
     frozen, so its iterates do not depend on the other rows.
 
-    The rows' systems are stacked into one `np.linalg.solve`, which
-    raises for the whole stack if one is singular: then the unfinished
-    rows of a block are left undone, and a single row takes least
-    squares. Returns the new (c, r, theta, lam) and `done`, the rows that
-    passed the test.
+    The rows' systems are stacked into one `np.linalg.solve`; a row whose
+    system is singular or whose step is not finite is left undone, and
+    the others step on. Returns the new (c, r, theta, lam) and `done`,
+    the rows that passed the test.
     """
     rows, k = theta.shape
     c, r, theta, lam = c.copy(), r.copy(), theta.copy(), lam.copy()
@@ -438,9 +439,13 @@ def _kkt_polish(
         try:
             step = np.linalg.solve(J, -F[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            if rows > 1:
-                break
-            step = np.linalg.lstsq(J[0], -F[0], rcond=None)[0][None]
+            # LU meets the same zero pivot when it counts the determinant
+            keep = np.linalg.slogdet(J)[0] != 0.0
+            todo, J, F = todo[keep], J[keep], F[keep]
+            step = np.linalg.solve(J, -F[..., None])[..., 0]
+        if not np.isfinite(step).all():
+            keep = np.isfinite(step).all(-1)
+            todo, step = todo[keep], step[keep]
         c[todo] += step[:, :2]
         r[todo] += step[:, 2]
         theta[todo] += step[:, 3 : 3 + k]
@@ -448,111 +453,134 @@ def _kkt_polish(
     return c, r, theta, lam, done
 
 
-def _active_set(
-    coef: np.ndarray,
-    sign: float,
-    u_fine: np.ndarray,
-    tol: float,
-    c: np.ndarray,
-    r: float,
-    theta: np.ndarray,
-    lam: np.ndarray,
-) -> TouchingCircle:
-    """Polish the contacts of one row; drop a contact whose weight turns
-    negative, or add the resample point furthest across the circle, and
-    polish again, until the answer is certified. coef and u_fine are
-    the row's as (1, modes) and (1, n_fine), c and r are v's."""
-    c, r, theta, lam = c[None], np.array([r]), theta[None], lam[None]
-    tols = np.array([tol])
-    for _ in range(_MAX_ROUNDS):
-        c, r, theta, lam, done = _kkt_polish(coef, sign, c, r, theta, lam, tols)
-        if not done[0]:
-            raise RuntimeError(f"KKT polish did not converge in {_MAX_NEWTON} steps")
-        slack = _slack(u_fine, sign, r, c)[0]
-        j = int(slack.argmin())
-        if lam.min() < 0.0:
-            keep = np.arange(lam.size) != lam.argmin()
-            theta, lam = theta[:, keep], lam[:, keep]
-        elif slack[j] < -tol:
-            theta = np.append(theta, AngularGrid(slack.size).theta[j])[None]
-            lam = np.append(lam, 0.0)[None]
-        else:
-            return TouchingCircle(sign * float(r[0]), sign * c[0], theta[0], lam[0])
-    raise RuntimeError(
-        f"no certificate after {_MAX_ROUNDS} active-set rounds (weights "
-        f"{np.array2string(lam[0], precision=3)}, a resample point "
-        f"{-slack[j]:.3e} across the circle)"
-    )
-
-
-def _max_min(
-    coef: np.ndarray,
-    sign: float,
-    u_fine: np.ndarray,
-    u2_fine: np.ndarray,
-    tol: float,
-    start: TouchingCircle | None,
-) -> TouchingCircle:
-    """The circle of max over c of min over theta of the interpolant of
-    v minus c.N, for v = sign * u on one row.
-
-    coef is the rfft of the row's u (see `_kkt_polish`); u_fine and
-    u2_fine are its u and u'' on the resample, each as one row. A start
-    is the same circle of a nearby u: its contacts replace the exchange,
-    and if they lead to no certificate the exchange runs after all.
-    """
-    tols = np.array([tol])
-    if start is not None and not _flat(u2_fine, start.center, tols)[0]:
-        try:
-            return _active_set(
-                coef, sign, u_fine, tol,
-                sign * start.center, sign * start.radius, start.theta, start.weights,
-            )
-        except (RuntimeError, np.linalg.LinAlgError):
-            pass  # the start led to no certificate: solve without it
-    basis, lam, y = _exchange(sign * u_fine[0], tol)
-    center, radius = sign * y[1:], sign * float(y[0])
-    if _flat(u2_fine, center, tols)[0]:
-        held = lam > 0.0
-        theta = AngularGrid(u_fine.shape[-1]).theta
-        return TouchingCircle(radius, center, theta[basis[held]], lam[held])
-    theta, lam = _contacts(basis, lam, u_fine.shape[-1])
-    return _active_set(coef, sign, u_fine, tol, y[1:], float(y[0]), theta, lam)
-
-
-def _polish_from(
-    coef: np.ndarray, sign: float, tol: np.ndarray, start: TouchingCircle
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of coef polished at once from one circle of u: v's (c, r,
-    theta, lam, done), one row each (see `_kkt_polish`)."""
-    b = coef.shape[0]
-    return _kkt_polish(
-        coef,
-        sign,
-        np.tile(sign * start.center, (b, 1)),
-        np.full(b, sign * float(start.radius)),
-        np.tile(start.theta, (b, 1)),
-        np.tile(start.weights, (b, 1)),
-        tol,
-    )
-
-
-def _certified(
-    u_fine: np.ndarray,
-    sign: float,
+def _circles(
+    U: np.ndarray,
+    U2: np.ndarray,
     tol: np.ndarray,
-    polished: tuple[np.ndarray, ...],
-) -> list[TouchingCircle | None]:
-    """The polished rows whose weights are >= 0 and whose circle no
-    resample point crosses, as circles of u; None for the others."""
-    c, r, theta, lam, done = polished
-    ok = done & (lam.min(axis=-1) >= 0.0)
-    ok &= _slack(u_fine, sign, r, c).min(axis=-1) >= -tol
-    radius, center = (sign * r).tolist(), sign * c
-    return [
-        TouchingCircle(radius[i], center[i], theta[i], lam[i]) if ok[i] else None
-        for i in range(len(ok))
-    ]
+    start: tuple[TouchingCircle, TouchingCircle] | None,
+) -> tuple[list[TouchingCircle], list[TouchingCircle]]:
+    """The inscribed and the circumscribed circle of each row of u: for
+    each sign in _SIGNS, the circle of max over c of min over theta of the
+    interpolant of v minus c.N, v = sign * u, as a circle of u.
+
+    U and U2 are the rfft of the rows of u and u'' (rows, modes), tol the
+    rows' radius tolerances, start the two circles of a nearby u. A row
+    not flat at a start circle's center (see `_flat`) starts Newton at
+    its contacts; any other starts from the exchange, whose answer is
+    final where it is flat. Each round, the rows of one circle and
+    contact count take one stacked `_kkt_polish`: a row whose weights
+    turn negative drops its lightest contact, a row that a resample point
+    crosses adds that point, and the others are certified. A row whose
+    polish fails, or with no certificate after _MAX_ROUNDS rounds, falls
+    back a stage: from the start to the start without its lightest
+    contact, if it has more than two, then to the exchange. A row with no
+    stage left, or whose exchange does not settle, is a NaN circle.
+    """
+    b = U.shape[0]
+    n = 2 * (U.shape[-1] - 1)
+    n_fine = _OVERSAMPLE * n
+    # entry e = side * b + row is a row's circle, side 0 the inscribed one
+    circles: list[TouchingCircle | None] = [None] * (2 * b)
+    # entries in Newton as parts (entries, c, r, theta, lam, stages left,
+    # rounds left) of one side and contact count, with v's c and r
+    live = []
+    cold = np.full(2 * b, True)
+
+    def begin(side: int, rows: np.ndarray, circle: TouchingCircle, stages: int):
+        g, sign = rows.size, _SIGNS[side]
+        c, theta, lam = (
+            np.tile(a, (g, 1))
+            for a in (sign * circle.center, circle.theta, circle.weights)
+        )
+        return (side * b + rows, c, np.full(g, sign * circle.radius), theta, lam,
+                np.full(g, stages), np.full(g, _MAX_ROUNDS))
+
+    if start is not None:
+        u2_fine = resample_spectrum(U2, n, n_fine)
+        for side, s in enumerate(start):
+            if math.isfinite(s.radius):
+                cold[side * b : side * b + b] = flat = _flat(u2_fine, s.center, tol)
+                if not flat.all():
+                    stages = 1 + (s.theta.size > 2)
+                    live.append(begin(side, np.flatnonzero(~flat), s, stages))
+        del u2_fine
+    cold = np.flatnonzero(cold)
+    while True:
+        if cold.size:
+            u_fine = resample_spectrum(U[cold % b], n, n_fine)
+            u2_fine = resample_spectrum(U2[cold % b], n, n_fine)
+            for i, e in enumerate(cold.tolist()):
+                side, row = divmod(e, b)
+                sign = _SIGNS[side]
+                solved = _exchange(sign * u_fine[i], tol[row])
+                if solved is None:
+                    continue
+                basis, lam, y = solved
+                center, radius = sign * y[1:], sign * float(y[0])
+                if _flat(u2_fine[i : i + 1], center, tol[row : row + 1])[0]:
+                    held = lam > 0.0
+                    theta = AngularGrid(n_fine).theta[basis[held]]
+                    circles[e] = TouchingCircle(radius, center, theta, lam[held])
+                else:
+                    contacts = _contacts(basis, lam, n_fine)
+                    circle = TouchingCircle(radius, center, *contacts)
+                    live.append(begin(side, np.array([row]), circle, 0))
+            del u_fine, u2_fine
+        if not live:
+            break
+        groups = {}
+        for part in live:
+            groups.setdefault((part[0][0] // b, part[3].shape[1]), []).append(part)
+        polished = []
+        for (side, k), parts in sorted(groups.items()):
+            e, c, r, theta, lam, stages, rounds = (
+                np.concatenate(a) if len(a) > 1 else a[0] for a in zip(*parts)
+            )
+            rows = e % b
+            polished.append((side, e, rows, stages, rounds - 1, *_kkt_polish(
+                U[rows], _SIGNS[side], c, r, theta, lam, tol[rows]
+            )))
+        live, cold = [], [np.arange(0)]
+        u_fine = resample_spectrum(U, n, n_fine)  # for the certificates
+        for side, e, rows, stages, rounds, c, r, theta, lam, done in polished:
+            sign, k = _SIGNS[side], theta.shape[1]
+            slack = _slack(u_fine[rows], sign, r, c)
+            at = slack.argmin(axis=-1)
+            crossed = slack[np.arange(e.size), at] < -tol[rows]
+            del slack
+            negative = lam.min(axis=-1) < 0.0
+            ok = done & ~negative & ~crossed
+            radius, center = (sign * r).tolist(), sign * c
+            for j in np.flatnonzero(ok).tolist():
+                circles[e[j]] = TouchingCircle(radius[j], center[j], theta[j], lam[j])
+            if ok.all():
+                continue
+            failed = ~done | (~ok & (rounds == 0))
+            drop = np.flatnonzero(negative & ~failed)
+            heavy = np.arange(k) != lam[drop].argmin(axis=-1)[:, None]
+            add = np.flatnonzero(crossed & ~negative & ~failed)
+            at = AngularGrid(n_fine).theta[at[add]]
+            for j, th, lm in (
+                (drop, theta[drop][heavy].reshape(drop.size, k - 1),
+                 lam[drop][heavy].reshape(drop.size, k - 1)),
+                (add, np.column_stack([theta[add], at]),
+                 np.column_stack([lam[add], np.zeros(add.size)])),
+            ):
+                if j.size:
+                    live.append((e[j], c[j], r[j], th, lm, stages[j], rounds[j]))
+            retry = failed & (stages == 2)
+            if retry.any():
+                s = start[side]
+                keep = np.arange(s.theta.size) != s.weights.argmin()
+                s = TouchingCircle(s.radius, s.center, s.theta[keep], s.weights[keep])
+                live.append(begin(side, rows[retry], s, 1))
+            cold.append(e[failed & (stages == 1)])
+        del u_fine
+        cold = np.concatenate(cold)
+    if any(circle is None for circle in circles):
+        nan = TouchingCircle(math.nan, np.full(2, math.nan), np.empty(0), np.empty(0))
+        circles = [nan if circle is None else circle for circle in circles]
+    return circles[:b], circles[b:]
 
 
 def inradius_outradius(
@@ -570,7 +598,8 @@ def inradius_outradius(
     and Newton on the optimality conditions moves them onto the true
     contacts. Each answer is certified (nonnegative contact weights
     whose normals balance, no resample point inside the inscribed circle
-    or outside the circumscribed one); an uncertified answer raises.
+    or outside the circumscribed one); a circle for which no certificate
+    is found has a NaN radius and center and no contacts.
 
     Callers that already hold the centroid support samples pass them as
     `u`: one profile's (n,) samples give one (inner, outer) pair, and a
@@ -579,67 +608,28 @@ def inradius_outradius(
     such as the previous sample of a run, and every row of a block starts
     Newton at its contacts: all rows at once, with one rfft for the
     block and one stacked solve per Newton iteration. Without a start the
-    first row is solved cold and starts the others. A row that is flat
-    at the start's center, or whose polish does not converge or is not
-    certified, is solved alone from the row before it, where the exchange
-    runs if that start yields no certificate.
+    first row is solved cold and starts the others. All rows are solved
+    in one batched active-set loop, `_circles`, which also says what a
+    row does when its start leads to no certificate.
     """
     if u is None:
         u, _ = support_about_centroid(kp)
     rows = np.atleast_2d(u)
-    b, n = rows.shape
-    n_fine = _OVERSAMPLE * n
+    n = rows.shape[-1]
     U = np.fft.rfft(rows)
     U2 = deriv_spectrum(U, 2)
     # u on the resample sets the tolerance now and the certificates after
-    # the polish. Neither it nor u'' is held through the polish, whose
+    # each polish. Neither it nor u'' is held through a polish, whose
     # temporaries come on top: a (B, n_fine) array is four times a
     # block's (B, n) rows, and the collector's block memory is pinned
-    u_fine = resample_spectrum(U, n, n_fine)
+    u_fine = resample_spectrum(U, n, _OVERSAMPLE * n)
     tol = _RADIUS_RTOL * np.maximum(u_fine.max(axis=-1), -u_fine.min(axis=-1))
     del u_fine
-
-    def alone(i: int, sign: float, start: TouchingCircle | None) -> TouchingCircle:
-        row = slice(i, i + 1)
-        u_fine = resample_spectrum(U[row], n, n_fine)
-        u2_fine = resample_spectrum(U2[row], n, n_fine)
-        try:
-            return _max_min(U[row], sign, u_fine, u2_fine, tol[i], start)
-        except RuntimeError as exc:
-            label = "inradius" if sign > 0.0 else "outradius"
-            raise RuntimeError(f"{label}: {exc}") from exc
-
-    first = 0
+    first = int(start is None)
     if start is None:
-        start = tuple(alone(0, sign, None) for sign in _SIGNS)
-        if b == 1:
-            return [start] if np.ndim(u) == 2 else start
-        first = 1
-    # the rows still to solve, but for those flat at a start's center
-    # (see `_flat`), are polished from it at once and certified
-    rest = slice(first, b)
-    u2_fine = resample_spectrum(U2[rest], n, n_fine)
-    tried = [
-        first + np.flatnonzero(~_flat(u2_fine, s.center, tol[rest])) for s in start
-    ]
-    del u2_fine
-    polished = [
-        _polish_from(U[ix], sign, tol[ix], s) if ix.size else None
-        for sign, s, ix in zip(_SIGNS, start, tried)
-    ]
-    u_fine = resample_spectrum(U[rest], n, n_fine)
-    solved = []
-    for sign, s, ix, p in zip(_SIGNS, start, tried, polished):
-        circles = [s] * first + [None] * (b - first)
-        if p is not None:
-            certified = _certified(u_fine[ix - first], sign, tol[ix], p)
-            for row, circle in zip(ix.tolist(), certified):
-                circles[row] = circle
-        for row in range(first, b):
-            if circles[row] is None:
-                circles[row] = alone(row, sign, circles[row - 1] if row else s)
-        solved.append(circles)
-    pairs = list(zip(*solved))
+        start = tuple(side[0] for side in _circles(U[:1], U2[:1], tol[:1], None))
+    rest = _circles(U[first:], U2[first:], tol[first:], start)
+    pairs = [start] * first + list(zip(*rest))
     return pairs if np.ndim(u) == 2 else pairs[0]
 
 

@@ -563,6 +563,39 @@ class TestWarmRadii:
             assert r_in == pytest.approx(inner.radius, rel=1e-13, abs=0.0)
             assert r_out == pytest.approx(outer.radius, rel=1e-13, abs=0.0)
 
+    def test_block_after_an_uncertified_row_starts_from_the_last_certified(
+        self, monkeypatch
+    ):
+        # two blocks of 8 rows at n=512; the first block's last pair is
+        # made uncertified, so the second starts from the pair before it
+        profiles = []
+        run(FlowLaw(FlowKind.LP, 1.0), generate(Ellipse(a=2.0, b=1.0, grid_n=512)),
+            t_end=0.15, sample_dt=0.01, audits=(),
+            on_sample=lambda t, kp, index: profiles.append(kp))
+        calls = []
+        radii = geometry.inradius_outradius
+        nan = geometry.TouchingCircle(
+            math.nan, np.full(2, math.nan), np.empty(0), np.empty(0)
+        )
+
+        def last_uncertified(block, u, start):
+            pairs = radii(block, u=u, start=start)
+            calls.append((start, pairs))
+            return pairs[:-1] + [(nan, nan)] if len(calls) == 1 else pairs
+
+        monkeypatch.setattr(geometry, "inradius_outradius", last_uncertified)
+        coll = DiagnosticsCollector(FlowLaw(FlowKind.LP, 1.0), profiles[0], ("radii",))
+        assert coll.block_rows == 8
+        for j, kp in enumerate(profiles):
+            coll.collect(0.01 * j, kp, defer=True)
+        coll.collect(0.16, profiles[-1])
+        (first, pairs), (second, _), _ = calls
+        assert first is None
+        assert second is pairs[-2]
+        r_in = coll.series.column("r_in")
+        assert np.isnan(r_in[7]) and not np.isnan(r_in[:7]).any()
+        assert not np.isnan(r_in[8:]).any()
+
 
 class TestBlocks:
     @pytest.mark.parametrize(

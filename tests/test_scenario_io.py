@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -519,6 +520,31 @@ class TestCli:
         assert "Traceback" not in captured.out + captured.err
         assert "status" in json.loads((tmp_path / "out" / "manifest.json").read_text())
 
+    def test_nan_margin_is_not_checked(self, tmp_path, capsys):
+        # k^alpha overflows on this circle, so two margins are NaN from the
+        # start: neither the run's audit nor `audit` may call them failed
+        doc = {
+            "law": {"kind": "Contraction", "alpha": 100},
+            "curve": {"kind": "Circle", "r": 1e-3, "grid_n": 64},
+            "t_end": 1e-6,
+            "sample_dt": 1e-7,
+            "audits": ["margins"],
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):  # the stiff start overflows numpy too
+            assert main(["run", str(path)]) == 1  # the nonfinite guard
+            out = capsys.readouterr().out
+            assert "(guard: nonfinite)" in out
+            assert "audit:" not in out and "= nan" not in out
+            assert main(["audit", str(path)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in rows if row.endswith("not checked")] == [
+            "mink1_ap", "mink2_ap"
+        ]
+        assert not any(row.endswith("FAIL") for row in rows)
+
     def test_summary_prints_timings_that_no_file_records(self, tmp_path, capsys):
         # wall times differ from run to run: the summary line shows them,
         # and the byte-identical outputs must not contain them
@@ -686,3 +712,64 @@ class TestCli:
         )
         assert out.stdout.splitlines()[-1] == "[0, 0, 0, 2]"
         assert "invalid choice: 'oracle'" in out.stderr
+
+
+# the ROADMAP's near-circle whose inradius has no certificate at any r0
+REPRODUCER_MODES = (
+    (14, 0.001021446754621413, 0.5995203619863351),
+    (19, 0.0005257548495545336, 4.158438873041206),
+    (22, 4.199331613702206e-05, 6.086551639502771),
+)
+
+
+def generated_scenarios(count, seed=11):
+    """Scenario documents over every law, alpha up to 100, scales 1e-4 to
+    1e4 and n from 16 to 128, of circles, ellipses and near-circles with
+    high modes; the first is the reproducer above."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = ("LP", "AP", "G1", "G2", "Contraction")[i % 5]
+        alpha = rng.choice((0.5, 1.0, 2.0, 3.0, 10.0, 100.0))
+        if kind in ("G1", "G2"):
+            alpha = max(alpha, 1.0)
+        n = rng.choice((16, 32, 64, 128))
+        r = 10.0 ** rng.uniform(-4.0, 4.0)
+        if i == 0:
+            curve = {"kind": "PerturbedCircle", "r0": r, "grid_n": 64,
+                     "modes": [[m, r * a, p] for m, a, p in REPRODUCER_MODES]}
+        elif i % 3 == 0:
+            curve = {"kind": "Circle", "r": r, "grid_n": n}
+        elif i % 3 == 1:
+            curve = {"kind": "Ellipse", "a": r * rng.uniform(1.0, 3.0), "b": r,
+                     "grid_n": n}
+        else:
+            k = rng.randint(1, 3)
+            modes = []
+            for _ in range(k):
+                m = rng.randint(2, n // 2 - 1)
+                amp = r * rng.uniform(0.05, 0.95) / k / (m * m - 1)
+                modes.append([m, amp, rng.uniform(0.0, 2.0 * math.pi)])
+            curve = {"kind": "PerturbedCircle", "r0": r, "grid_n": n, "modes": modes}
+        t_end = 10.0 ** rng.uniform(-4.0, 0.0)
+        yield {
+            "law": {"kind": kind, "alpha": alpha},
+            "curve": curve,
+            "t_end": t_end,
+            "sample_dt": t_end / 8,
+            "control": {"max_steps": 200},
+        }
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_generated_scenarios_end_without_a_traceback(case, tmp_path, capfd):
+    doc = list(generated_scenarios(case + 1))[case]
+    doc["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):  # steep starts overflow numpy
+        assert main(["run", str(path)]) in (0, 1, 2)
+    # LAPACK writes its errors to the process's stdout, not to sys.stdout
+    out, err = capfd.readouterr()
+    assert "Traceback" not in out + err and "DLASCL" not in out + err
+    for emitted in tmp_path.glob("out/**/*.json"):
+        strict_json(emitted.read_text())
