@@ -57,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import _area_weights
-from .laws import FlowKind, nonlocal_lambda, power
+from .laws import FlowKind, _float_power, nonlocal_lambda, power
 from .spectral import TWO_PI
 
 # The gufuncs behind np.fft.rfft and np.fft.irfft, called as (x, fct, out=)
@@ -307,14 +307,18 @@ class Stepper:
 
     def _refresh_sigma(self) -> bool:
         """Refresh sigma and c once the stiffest coefficient has drifted;
-        False if it is not finite."""
-        a = self.alpha * (1.0 / _min(self.w, None)) ** (self.alpha + 1.0)
+        False if sigma times the largest symbol is not finite. Python
+        floats carry the coefficient up to that test, so an overflow reads
+        as inf rather than warning."""
+        k_max = 1.0 / float(_min(self.w, None))
+        a = self.alpha * _float_power(k_max, self.alpha + 1.0)
         if abs(a - self.a_sigma) <= SIGMA_DRIFT * self.a_sigma:
             return True
-        if not math.isfinite(a):
+        sigma = 0.5 * (1.0 + SIGMA_DRIFT) * a
+        if not math.isfinite(sigma * float(self.rhs.lin[-1])):
             return False
         self.a_sigma = a
-        self.sigma = sigma = 0.5 * (1.0 + SIGMA_DRIFT) * a
+        self.sigma = sigma
         c = -sigma * self.rhs.lin
         c[:2] = 0.0  # mode 0 is explicit; the symbol already zeroes mode 1
         # one row of c per row of a pass: ufuncs broadcast a row slowly

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import ConvexityError, CurvatureProfile
-from .spectral import TWO_PI, AngularGrid
+from .spectral import TWO_PI, AngularGrid, _interpolant_max
 
 DEFAULT_GRID_N = 256
 
@@ -103,16 +103,18 @@ def generate(spec: CurveSpec) -> CurvatureProfile:
     if isinstance(spec, Ellipse):
         return CurvatureProfile(grid, ellipse_curvature(spec.a, spec.b, grid.theta))
 
-    # convexity check on a refined grid so dips between samples are caught
-    fine = np.arange(8 * grid.n) * (TWO_PI / (8 * grid.n))
-    rho_fine = _rho_values(spec, fine)
-    j = int(rho_fine.argmin())
-    if rho_fine[j] <= 0.0:
+    # rho's modes lie below n/2, so its samples give its exact spectrum,
+    # and the minimum of its interpolant is the minimum of rho, dips
+    # between the samples included
+    rho = _rho_values(spec, grid.theta)[None]
+    neg_max, at = _interpolant_max(-rho, np.fft.rfft(-rho))
+    rho_min = -neg_max[0]
+    if not rho_min > 0.0:
         raise ConvexityError(
             f"support spec is not convex: radius of curvature "
-            f"{rho_fine[j]:.6g} at theta={fine[j]:.6f}"
+            f"{rho_min:.6g} at theta={at[0]:.6f}"
         )
-    return CurvatureProfile(grid, 1.0 / _rho_values(spec, grid.theta))
+    return CurvatureProfile(grid, 1.0 / rho[0])
 
 
 def random_convex(

@@ -25,7 +25,10 @@ import numpy as np
 from .spectral import (
     TWO_PI,
     AngularGrid,
+    _cell_bound,
     _derivative_weights,
+    _mode_sums,
+    _refined_max,
     antiderivative_values,
     deriv_spectrum,
     first_harmonics_values,
@@ -240,8 +243,10 @@ def support_about_centroid(
 # v = sign * u, on u itself rather than a negated copy, and a
 # TouchingCircle always holds the circle of u: radius and center are
 # sign times those of v's. Each is seeded by an exchange on the
-# _OVERSAMPLE-fold resample, or by the contacts of a nearby curve, and
-# polished by Newton on the KKT system of the trigonometric interpolant.
+# _OVERSAMPLE-fold resample, the only resample left, or by the contacts
+# of a nearby curve, polished by Newton on the KKT system of the
+# trigonometric interpolant, and certified by that interpolant's exact
+# extremum (`_crossing`).
 _OVERSAMPLE = 4
 _MAX_PIVOTS = 100
 _MAX_NEWTON = 30
@@ -270,42 +275,58 @@ class TouchingCircle:
     weights: np.ndarray
 
 
-@lru_cache(maxsize=8)
-def _fine_columns(n_fine: int) -> np.ndarray:
-    """[1, cos, sin] on the resample grid as (3, n_fine) rows (read-only)."""
-    fine = AngularGrid(n_fine)
-    cols = np.stack([np.ones(n_fine), fine.cos, fine.sin])
-    cols.setflags(write=False)
-    return cols
+def _with_center(coef: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """The rfft of the interpolant with rfft `coef` (rows, modes) plus
+    center.N, center (2,) or one per row (a new array): over n samples,
+    cos and sin have n/2 and -i n/2 in bin 1."""
+    out = coef.copy()
+    out[:, 1] += (coef.shape[-1] - 1) * (center[..., 0] - 1j * center[..., 1])
+    return out
 
 
-def _slack(
-    u_fine: np.ndarray, sign: float, r: np.ndarray, c: np.ndarray
-) -> np.ndarray:
-    """v - r - c.N on the resample for v = sign * u, one row per circle."""
-    slack = np.column_stack([r, c]) @ _fine_columns(u_fine.shape[-1])
-    if sign > 0.0:
-        np.subtract(u_fine, slack, out=slack)
-    else:
-        np.add(u_fine, slack, out=slack)
-        np.negative(slack, out=slack)
-    return slack
-
-
-def _flat(u2_fine: np.ndarray, center: np.ndarray, tol: np.ndarray) -> np.ndarray:
+def _flat(U2: np.ndarray, center: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """Rows on which u - center.N is flat up to tol between resample
-    points, from u'' on the resample, one row each.
+    points, from the rfft U2 of u'', one row each.
 
-    Between samples f = v - c.N dips at most max|f''| h^2/8 below them,
-    and the optimum lies within that dip of the discrete one. Where it is
-    below tol (near-circles, whose f is flat up to round-off) the
+    Between resample points f = v - c.N dips at most max|f''| h^2/8 below
+    them, and the optimum lies within that dip of the discrete one. Where
+    it is below tol (near-circles, whose f is flat up to round-off) the
     discrete answer is exact and there is no well-posed contact to
-    polish. |f''| = |u'' + center.N| for either sign, with center = sign c.
+    polish. |f''| = |u'' + center.N| for either sign, with center = sign
+    c, and the mode sum of its spectrum bounds it.
     """
-    n_fine = u2_fine.shape[-1]
-    dip = u2_fine + center @ _fine_columns(n_fine)[1:]
-    np.abs(dip, out=dip)
-    return dip.max(axis=-1) * (TWO_PI / n_fine) ** 2 / 8.0 <= tol
+    n_fine = _OVERSAMPLE * 2 * (U2.shape[-1] - 1)
+    dip = _mode_sums(_with_center(U2, center), 0)
+    return dip * (TWO_PI / n_fine) ** 2 / 8.0 <= tol
+
+
+def _crossing(U, sign, c, r, theta, tol) -> tuple[np.ndarray, np.ndarray]:
+    """(crossed, angle): the rows whose circle (r, c) of v = sign * u the
+    interpolant of v, with rfft U, crosses by more than tol, and where it
+    crosses most: where g = c.N - v exceeds tol - r, by its exact maximum
+    (`spectral._refined_max`). That leaves out the cells whose
+    `_cell_bound` stays below tol - r, and the two cells next to the node
+    nearest each contact theta: a settled contact is the maximum of the
+    cell that holds it, within tol, and with one extremum to a cell, as
+    `_refined_max` reads a resolved interpolant, the other cell's maximum
+    is at its end next to the contact, and no higher."""
+    rows, modes = U.shape
+    n = 2 * (modes - 1)
+    G = _with_center(U * -sign, c)
+    spectra = np.stack([G, deriv_spectrum(G, 1), deriv_spectrum(G, 2)])
+    g, *slopes = np.fft.irfft(spectra, n)
+    level = tol - r
+    excess = _cell_bound(g, *slopes, _mode_sums(G, 3))
+    excess -= level[:, None]
+    node = np.rint(np.mod(theta, TWO_PI) * (n / TWO_PI)).astype(np.intp)
+    excess[np.arange(rows)[:, None], node - 1] = -np.inf
+    excess[np.arange(rows)[:, None], node % n] = -np.inf
+    if not (excess > 0.0).any():
+        return np.zeros(rows, dtype=bool), np.zeros(rows)
+    top, at = _refined_max(
+        g, slopes, excess, lambda i, th: interpolant_derivatives(G, th, i)
+    )
+    return top > level, at
 
 
 def _exchange(
@@ -320,7 +341,8 @@ def _exchange(
     it does not settle in _MAX_PIVOTS pivots.
     """
     m = v.size
-    cols = _fine_columns(m)
+    fine = AngularGrid(m)
+    cols = np.stack([np.ones(m), fine.cos, fine.sin])
     basis = np.array([0, m // 3, 2 * m // 3])
     for _ in range(_MAX_PIVOTS):
         inv = np.linalg.inv(cols[:, basis])
@@ -336,6 +358,34 @@ def _exchange(
         ratio[up] = lam[up] / step[up]
         basis[int(ratio.argmin())] = j
     return None
+
+
+def _enter(
+    theta: np.ndarray, lam: np.ndarray, at: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The contacts (theta, lam) of each row once the angle `at` enters.
+    Among three, it takes the place of the one the ratio test of
+    `_exchange` picks, and the weights move with that pivot, so they stay
+    >= 0 and balanced. Otherwise, or with two contacts at one angle, it
+    is added with weight 0."""
+    if theta.shape[1] == 3:
+        def columns(th):
+            return np.stack([np.ones_like(th), np.cos(th), np.sin(th)], -2)
+        try:
+            # some step is positive: the first row of the basis is ones
+            step = np.linalg.solve(columns(theta), columns(at[:, None]))[..., 0]
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            ratio = np.full_like(lam, np.inf)
+            np.divide(lam, step, out=ratio, where=step > 0.0)
+            out = ratio.argmin(-1)[:, None]
+            t = np.take_along_axis(ratio, out, -1)
+            lam, theta = lam - t * step, theta.copy()
+            np.put_along_axis(lam, out, t, -1)
+            np.put_along_axis(theta, out, at[:, None], -1)
+            return theta, lam
+    return np.column_stack([theta, at]), np.column_stack([lam, np.zeros(at.size)])
 
 
 def _contacts(
@@ -469,8 +519,9 @@ def _circles(
     its contacts; any other starts from the exchange, whose answer is
     final where it is flat. Each round, the rows of one circle and
     contact count take one stacked `_kkt_polish`: a row whose weights
-    turn negative drops its lightest contact, a row that a resample point
-    crosses adds that point, and the others are certified. A row whose
+    turn negative drops its lightest contact, a row that the interpolant
+    crosses (`_crossing`) takes the angle where it crosses most as a
+    contact (`_enter`), and the others are certified. A row whose
     polish fails, or with no certificate after _MAX_ROUNDS rounds, falls
     back a stage: from the start to the start without its lightest
     contact, if it has more than two, then to the exchange. A row with no
@@ -496,19 +547,16 @@ def _circles(
                 np.full(g, stages), np.full(g, _MAX_ROUNDS))
 
     if start is not None:
-        u2_fine = resample_spectrum(U2, n, n_fine)
         for side, s in enumerate(start):
             if math.isfinite(s.radius):
-                cold[side * b : side * b + b] = flat = _flat(u2_fine, s.center, tol)
+                cold[side * b : side * b + b] = flat = _flat(U2, s.center, tol)
                 if not flat.all():
                     stages = 1 + (s.theta.size > 2)
                     live.append(begin(side, np.flatnonzero(~flat), s, stages))
-        del u2_fine
     cold = np.flatnonzero(cold)
     while True:
         if cold.size:
             u_fine = resample_spectrum(U[cold % b], n, n_fine)
-            u2_fine = resample_spectrum(U2[cold % b], n, n_fine)
             for i, e in enumerate(cold.tolist()):
                 side, row = divmod(e, b)
                 sign = _SIGNS[side]
@@ -517,7 +565,7 @@ def _circles(
                     continue
                 basis, lam, y = solved
                 center, radius = sign * y[1:], sign * float(y[0])
-                if _flat(u2_fine[i : i + 1], center, tol[row : row + 1])[0]:
+                if _flat(U2[row : row + 1], center, tol[row : row + 1])[0]:
                     held = lam > 0.0
                     theta = AngularGrid(n_fine).theta[basis[held]]
                     circles[e] = TouchingCircle(radius, center, theta, lam[held])
@@ -525,7 +573,7 @@ def _circles(
                     contacts = _contacts(basis, lam, n_fine)
                     circle = TouchingCircle(radius, center, *contacts)
                     live.append(begin(side, np.array([row]), circle, 0))
-            del u_fine, u2_fine
+            del u_fine
         if not live:
             break
         groups = {}
@@ -541,14 +589,15 @@ def _circles(
                 U[rows], _SIGNS[side], c, r, theta, lam, tol[rows]
             )))
         live, cold = [], [np.arange(0)]
-        u_fine = resample_spectrum(U, n, n_fine)  # for the certificates
         for side, e, rows, stages, rounds, c, r, theta, lam, done in polished:
             sign, k = _SIGNS[side], theta.shape[1]
-            slack = _slack(u_fine[rows], sign, r, c)
-            at = slack.argmin(axis=-1)
-            crossed = slack[np.arange(e.size), at] < -tol[rows]
-            del slack
             negative = lam.min(axis=-1) < 0.0
+            crossed, at = np.zeros(e.size, dtype=bool), np.zeros(e.size)
+            held = np.flatnonzero(done & ~negative)
+            if held.size:
+                crossed[held], at[held] = _crossing(
+                    U[rows[held]], sign, c[held], r[held], theta[held], tol[rows[held]]
+                )
             ok = done & ~negative & ~crossed
             radius, center = (sign * r).tolist(), sign * c
             for j in np.flatnonzero(ok).tolist():
@@ -559,12 +608,10 @@ def _circles(
             drop = np.flatnonzero(negative & ~failed)
             heavy = np.arange(k) != lam[drop].argmin(axis=-1)[:, None]
             add = np.flatnonzero(crossed & ~negative & ~failed)
-            at = AngularGrid(n_fine).theta[at[add]]
             for j, th, lm in (
                 (drop, theta[drop][heavy].reshape(drop.size, k - 1),
                  lam[drop][heavy].reshape(drop.size, k - 1)),
-                (add, np.column_stack([theta[add], at]),
-                 np.column_stack([lam[add], np.zeros(add.size)])),
+                (add, *_enter(theta[add], lam[add], at[add])),
             ):
                 if j.size:
                     live.append((e[j], c[j], r[j], th, lm, stages[j], rounds[j]))
@@ -575,7 +622,6 @@ def _circles(
                 s = TouchingCircle(s.radius, s.center, s.theta[keep], s.weights[keep])
                 live.append(begin(side, rows[retry], s, 1))
             cold.append(e[failed & (stages == 1)])
-        del u_fine
         cold = np.concatenate(cold)
     if any(circle is None for circle in circles):
         nan = TouchingCircle(math.nan, np.full(2, math.nan), np.empty(0), np.empty(0))
@@ -596,10 +642,12 @@ def inradius_outradius(
     Both are exact for the trigonometric interpolant of the support
     function: an exchange on a 4x resample finds the touching samples,
     and Newton on the optimality conditions moves them onto the true
-    contacts. Each answer is certified (nonnegative contact weights
-    whose normals balance, no resample point inside the inscribed circle
-    or outside the circumscribed one); a circle for which no certificate
-    is found has a NaN radius and center and no contacts.
+    contacts. Each answer is certified: its contact weights are
+    nonnegative and their normals balance, and the exact extremum of the
+    interpolant, found between the samples too, lies nowhere inside the
+    inscribed circle or outside the circumscribed one by more than the
+    radius tolerance. A circle for which no certificate is found has a
+    NaN radius and center and no contacts.
 
     Callers that already hold the centroid support samples pass them as
     `u`: one profile's (n,) samples give one (inner, outer) pair, and a
@@ -615,16 +663,9 @@ def inradius_outradius(
     if u is None:
         u, _ = support_about_centroid(kp)
     rows = np.atleast_2d(u)
-    n = rows.shape[-1]
     U = np.fft.rfft(rows)
     U2 = deriv_spectrum(U, 2)
-    # u on the resample sets the tolerance now and the certificates after
-    # each polish. Neither it nor u'' is held through a polish, whose
-    # temporaries come on top: a (B, n_fine) array is four times a
-    # block's (B, n) rows, and the collector's block memory is pinned
-    u_fine = resample_spectrum(U, n, _OVERSAMPLE * n)
-    tol = _RADIUS_RTOL * np.maximum(u_fine.max(axis=-1), -u_fine.min(axis=-1))
-    del u_fine
+    tol = _RADIUS_RTOL * np.maximum(rows.max(axis=-1), -rows.min(axis=-1))
     first = int(start is None)
     if start is None:
         start = tuple(side[0] for side in _circles(U[:1], U2[:1], tol[:1], None))

@@ -50,6 +50,16 @@ class FlowLaw:
             raise LawError("alpha must be >= 1 for G1/G2")
 
 
+def _float_power(base: float, exponent: float) -> float:
+    """base ** exponent of Python floats, +inf where the result passes the
+    float range: float ** raises OverflowError there, and a bound or a
+    coefficient that large is no finite one."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def power(w: np.ndarray, alpha, out=None) -> np.ndarray:
     """k^alpha from the radius of curvature w = 1/k > 0: 1/w at alpha = 1,
     exp(-alpha log w) otherwise. The one k^alpha of the kernel's stages and

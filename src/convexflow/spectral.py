@@ -25,6 +25,16 @@ TWO_PI = 2.0 * math.pi
 # terms, angles times modes, that `interpolant_derivatives` forms at once
 # (64 KiB of complex values)
 _TERMS = 1 << 12
+# a candidate cell whose bound reaches this far above the largest node
+# value, relative, is searched for the interpolant's maximum; a row
+# without one keeps its largest node value
+_RIVAL_RTOL = 1e-12
+# the search in a cell ends once the cubic Taylor term at the Newton
+# point, the error of the quadratic model's maximum, is below this,
+# relative to the value
+_NEWTON_RTOL = np.finfo(float).eps
+# most evaluations per cell: bisection halves a cell 20 times
+_MAX_NEWTON = 20
 
 
 class GridError(ValueError):
@@ -171,6 +181,138 @@ def _derivative_weights(modes: int) -> np.ndarray:
     table = weight * np.arange(modes, dtype=np.float64) ** np.arange(4)[:, None]
     table.setflags(write=False)
     return table
+
+
+def _mode_sums(coef: np.ndarray, power: int):
+    """Sum of m^power |c_m| over the interpolant with rfft `coef` (of
+    2 (len - 1) samples), one per row: a bound on |f^(power)| of that
+    interpolant f everywhere (power at most 3)."""
+    return np.vecdot(np.abs(coef), _derivative_weights(coef.shape[-1])[power])
+
+
+def _slopes(coef: np.ndarray, n: int) -> np.ndarray:
+    """(first, second) derivative of the interpolant with rfft `coef` at
+    the nodes of the n grid (its own grid or every other node of it)."""
+    size = 2 * (coef.shape[-1] - 1)
+    spectra = np.stack([deriv_spectrum(coef, 1), deriv_spectrum(coef, 2)])
+    return np.ascontiguousarray(np.fft.irfft(spectra, size)[..., :: size // n])
+
+
+def _cell_bound(g, slope, curv, third):
+    """An upper bound of a smooth periodic g over each cell [theta_j,
+    theta_j+1], from its value, slope and curvature at the nodes and a
+    bound `third` on |g'''| (one per row).
+
+    Over the half cell next to a node, g stays below its Taylor
+    polynomial with the positive parts of the slope (towards the cell)
+    and curvature, plus the cubic term at its bound.
+    """
+    half = TWO_PI / g.shape[-1] / 2.0
+    # in place where it can be: a block's collection peaks here
+    lift = np.maximum(curv, 0.0)
+    lift *= 0.5 * half * half
+    lift += g
+    ahead = np.maximum(slope, 0.0)
+    ahead *= half
+    ahead += lift
+    behind = np.minimum(slope, 0.0)
+    behind *= -half
+    behind += lift
+    del lift
+    np.maximum(ahead, np.concatenate([behind[:, 1:], behind[:, :1]], -1), out=ahead)
+    ahead += (half ** 3 / 6.0) * third[:, None]
+    return ahead
+
+
+def _refined_max(F, slopes, excess, derivs):
+    """(maximum, angle): the maximum over each row of a smooth periodic
+    function, exact to round-off where it lies between the nodes, and
+    the angle in [0, 2 pi) where it lies, to round-off once Newton
+    converges there.
+
+    F (rows, n) holds the function at the nodes and slopes its first and
+    second derivatives there. excess (rows, n) bounds over each cell a
+    function that is positive exactly where the function exceeds a
+    level, on the scale of F minus that level (`_cell_bound`): the row's
+    largest node value for the maximum itself, or a higher threshold
+    where only a maximum past it matters. A cell whose excess is -inf is
+    left out. derivs(rows, theta) gives the function and its first three
+    derivatives, (4, angles), at one angle per entry of rows.
+
+    The cells searched are those whose excess reaches more than
+    `_RIVAL_RTOL` times the row's largest node value, in magnitude, and
+    whose end slopes bracket a maximum; a maximum above both ends of a cell with
+    end slopes of one sign would need a minimum next to it in the same
+    cell, which a resolved interpolant does not have. In each, the root
+    of f' is found by Newton safeguarded by bisection inside the
+    bracket ("rtsafe", Numerical Recipes 9.4), from the root of the
+    cubic Hermite interpolant of the inverse of f' on the cell, and a
+    cell's value is the maximum of the quadratic Taylor polynomial at
+    the last point evaluated.
+    """
+    n = F.shape[-1]
+    h = TWO_PI / n
+    top = F.max(-1)
+    where = F.argmax(-1) * h
+    slope, curv = slopes
+    rows, j = np.nonzero(excess > _RIVAL_RTOL * np.abs(top)[:, None])
+    s0, s1 = slope[rows, j], slope[rows, (j + 1) % n]
+    bracket = (s0 >= 0.0) & (s1 <= 0.0)
+    if not bracket.any():
+        return top, where
+    rows, j, s0, s1 = rows[bracket], j[bracket], s0[bracket], s1[bracket]
+    c0, c1 = curv[rows, j], curv[rows, (j + 1) % n]
+    tau = np.divide(s0, s0 - s1, out=np.full(rows.size, 0.5), where=s0 > s1)
+    # the inverse x(f') on [0, h] through (s0, 0) and (s1, h) with the
+    # slopes 1/f'' of the two ends, at f' = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = tau * tau * (3.0 - 2.0 * tau) * h + tau * (1.0 - tau) * (s1 - s0) * (
+            (1.0 - tau) / c0 - tau / c1
+        )
+    x = np.where((x > 0.0) & (x < h), x, tau * h)
+    lo, hi = np.zeros(rows.size), np.full(rows.size, h)
+    value = np.full(rows.size, -np.inf)
+    todo = np.arange(rows.size)
+    for _ in range(_MAX_NEWTON):
+        at = x[todo]
+        f, f1, f2, f3 = derivs(rows[todo], j[todo] * h + at)
+        value[todo] = np.maximum(value[todo], f)
+        rising = f1 > 0.0
+        lo[todo] = np.where(rising, at, lo[todo])
+        hi[todo] = np.where(rising, hi[todo], at)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -f1 / f2
+        newton = (f2 < 0.0) & (at + step >= lo[todo]) & (at + step <= hi[todo])
+        # converged where the cubic Taylor term is round-off, and the
+        # quadratic model's maximum lies in the bracket or gains round-off
+        tiny = _NEWTON_RTOL * np.abs(f)
+        done = np.abs(f3 * step**3) <= 6.0 * tiny
+        done &= newton | (np.abs(f1 * step) <= 2.0 * tiny)
+        value[todo[done]] = np.maximum(value[todo[done]], (f + 0.5 * f1 * step)[done])
+        # the next point; a cell that ends keeps the point of its value
+        ahead = np.where(newton, at + step, 0.5 * (lo[todo] + hi[todo]))
+        x[todo] = np.where(done & ~newton, at, ahead)
+        todo = todo[~done]
+        if not todo.size:
+            break
+    np.maximum.at(top, rows, value)
+    # x is where each cell's maximum lies, or, where the search ran out of
+    # evaluations, the next point inside its bracket
+    won = value == top[rows]
+    where[rows[won]] = (j[won] * h + x[won]) % TWO_PI
+    return top, where
+
+
+def _interpolant_max(F: np.ndarray, coef: np.ndarray, slopes=None):
+    """`_refined_max` of the interpolant with rfft `coef` (rows, modes),
+    F its values at the nodes (and `slopes` its `_slopes`)."""
+    if slopes is None:
+        slopes = _slopes(coef, F.shape[-1])
+    excess = _cell_bound(F, *slopes, _mode_sums(coef, 3))
+    excess -= F.max(-1)[:, None]
+    return _refined_max(
+        F, slopes, excess, lambda rows, th: interpolant_derivatives(coef, th, rows)
+    )
 
 
 def antiderivative_values(values: np.ndarray) -> tuple[np.ndarray, float]:

@@ -33,7 +33,7 @@ from convexflow import (
     to_csv,
     tso_quantity,
 )
-from convexflow import diagnostics, geometry
+from convexflow import diagnostics, geometry, spectral
 from convexflow.diagnostics import (
     COLUMNS,
     AuditError,
@@ -872,8 +872,8 @@ class TestExactExtrema:
             coef *= n * np.exp(-m / rng.uniform(1.0, 60.0))
             coef[:, [0, -1]] = coef[:, [0, -1]].real
             g = np.fft.irfft(coef, n)
-            slope, curv = diagnostics._slopes(coef, n)
-            bound = diagnostics._cell_bound(g, slope, curv, diagnostics._mode_sums(coef, 3))
+            slope, curv = spectral._slopes(coef, n)
+            bound = spectral._cell_bound(g, slope, curv, spectral._mode_sums(coef, 3))
             cells = resample_spectrum(coef, n, 256 * n).reshape(4, n, 256).max(-1)
             assert (cells <= bound + 1e-13 * np.abs(g).max()).all()
 

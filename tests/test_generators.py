@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,19 @@ class TestPerturbedCircle:
     def test_rejected_amplitude_reports_theta(self):
         with pytest.raises(ConvexityError, match="theta=0.000000"):
             generate(PerturbedCircle(r0=1.0, modes=((2, 0.4, 0.0),)))
+
+    def test_dip_between_every_sample_is_caught(self):
+        # rho = 1 - 1.002 cos(16 theta - pi/32) dips to -0.002 at
+        # theta = pi/512 (and every 2 pi/16 on), between the samples of
+        # n = 64 and of its 8x grid alike, where it stays above 0.0028
+        modes = ((16, 1.002 / 255, math.pi / 32),)
+        with pytest.raises(ConvexityError, match="not convex") as excinfo:
+            generate(PerturbedCircle(r0=1.0, grid_n=64, modes=modes))
+        found = re.search(r"curvature (\S+) at theta=(\S+)", str(excinfo.value))
+        rho, theta = found.groups()
+        assert float(rho) == pytest.approx(-0.002, rel=1e-5)
+        period = 2.0 * math.pi / 16
+        assert float(theta) % period == pytest.approx(math.pi / 512, abs=1e-6)
 
     def test_mode_one_forbidden(self):
         with pytest.raises(ValueError, match="translation"):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -224,12 +225,58 @@ def contraction_curve():
     return res.final
 
 
+# near-circles with high modes, which a resample-based certificate got
+# wrong: the ROADMAP's reproducer, whose inradius had no certificate; one
+# whose Newton met a singular system with a fourth contact, and whose
+# certified outradius lay 3.3e-6 below a peak between the points of the
+# 4x resample; one whose Newton steps, with a fourth contact too, grew
+# past the float range; and the worst of the seeded near-circles below,
+# whose certified inradius the curve crossed by 4.3e-4
+NEAR_CIRCLES = {
+    "reproducer": PerturbedCircle(r0=1.0, grid_n=64, modes=(
+        (14, 0.001021446754621413, 0.5995203619863351),
+        (19, 0.0005257548495545336, 4.158438873041206),
+        (22, 4.199331613702206e-05, 6.086551639502771),
+    )),
+    "singular Newton": PerturbedCircle(r0=1.0, grid_n=64, modes=(
+        (8, 0.0037326386319756133, 2.1644256963491113),
+        (15, 0.00018175054992182512, 4.173759303971676),
+    )),
+    "divergent Newton": PerturbedCircle(r0=1.0, grid_n=32, modes=(
+        (5, 0.001931522866148831, 2.352522565855929),
+        (8, 0.0033528185318546315, 5.833386804218813),
+        (4, 0.018707813118794357, 6.059950113741607),
+    )),
+    "crossed by 4.3e-4": PerturbedCircle(r0=1.0, grid_n=32, modes=(
+        (15, 0.0019015013809841324, 1.0153483493544975),
+        (12, 0.002095209518977209, 6.011931245384083),
+    )),
+}
+
+
+def near_circles(count):
+    """Seeded near-circles with high modes: n from 32 to 256, one to
+    three modes m from 2 to n/2 - 1, each of amplitude b/k/(m^2 - 1) for
+    k modes and b uniform in [0.05, 0.95], so rho stays above 0.05."""
+    rng = random.Random(7)
+    for _ in range(count):
+        n = rng.choice((32, 64, 128, 256))
+        k = rng.randint(1, 3)
+        modes = []
+        for _ in range(k):
+            m = rng.randint(2, n // 2 - 1)
+            amp = rng.uniform(0.05, 0.95) / k / (m * m - 1)
+            modes.append((m, amp, rng.uniform(0.0, TWO_PI)))
+        yield PerturbedCircle(r0=1.0, grid_n=n, modes=tuple(modes))
+
+
 CERTIFIED_CURVES = {
     "circle": lambda: generate(Circle(r=2.0)),
     "ellipse n=128": lambda: generate(Ellipse(a=2.0, b=1.0, grid_n=128)),
     "ellipse n=512": lambda: generate(Ellipse(a=2.0, b=1.0, grid_n=512)),
     **{f"random_convex({s})": (lambda s=s: random_convex(s)) for s in range(8)},
     "contraction": contraction_curve,
+    **{name: (lambda spec=spec: generate(spec)) for name, spec in NEAR_CIRCLES.items()},
 }
 
 
@@ -261,6 +308,17 @@ class TestRadiusCertificate:
     @pytest.mark.parametrize("name", sorted(CERTIFIED_CURVES))
     def test_contact_weights_balance(self, name):
         assert_weights_balance(inradius_outradius(CERTIFIED_CURVES[name]()))
+
+    def test_seeded_near_circles_are_certified(self):
+        # the certificate holds where the curve peaks between resample
+        # points; against the 4x resample, 25 of these 200 circles were
+        # crossed and 2 had no certificate
+        for spec in near_circles(100):
+            kp = generate(spec)
+            u, _ = support_about_centroid(kp)
+            circles = inradius_outradius(kp, u)
+            assert_hold_on_a_dense_resample(u, *circles)
+            assert_weights_balance(circles)
 
     def test_ellipse_touches_at_the_axis_ends(self, ellipse21):
         inner, outer = inradius_outradius(ellipse21)
@@ -296,38 +354,48 @@ def assert_no_certificate(circle):
     assert circle.theta.size == circle.weights.size == 0
 
 
-# near-circles with a circle that has no certificate, and which one: the
-# ROADMAP's reproducer; one whose Newton meets a singular system, which
-# must not reach a least-squares solve, as LAPACK prints its DLASCL error
-# on stdout; and one whose Newton steps grow past the float range
-UNCERTIFIED = {
-    "reproducer": (PerturbedCircle(r0=1.0, grid_n=64, modes=(
-        (14, 0.001021446754621413, 0.5995203619863351),
-        (19, 0.0005257548495545336, 4.158438873041206),
-        (22, 4.199331613702206e-05, 6.086551639502771),
-    )), 0),
-    "singular Newton": (PerturbedCircle(r0=1.0, grid_n=64, modes=(
-        (8, 0.0037326386319756133, 2.1644256963491113),
-        (15, 0.00018175054992182512, 4.173759303971676),
-    )), 0),
-    "divergent Newton": (PerturbedCircle(r0=1.0, grid_n=32, modes=(
-        (5, 0.001931522866148831, 2.352522565855929),
-        (8, 0.0033528185318546315, 5.833386804218813),
-        (4, 0.018707813118794357, 6.059950113741607),
-    )), 1),
-}
+# the near-circles that had a circle without a certificate; each now has
+# both, so Newton is cut to one step to take that path
+UNCERTIFIED = ("reproducer", "singular Newton", "divergent Newton")
 
 
-@pytest.mark.parametrize("name", sorted(UNCERTIFIED))
+@pytest.mark.parametrize("name", UNCERTIFIED)
 class TestNoCertificate:
-    def test_reads_nan_not_a_raise(self, name):
-        spec, side = UNCERTIFIED[name]
-        pair = inradius_outradius(generate(spec))
-        assert_no_certificate(pair[side])
-        assert_weights_balance([pair[1 - side]])
+    def test_reads_nan_not_a_raise(self, name, monkeypatch):
+        monkeypatch.setattr(geometry, "_MAX_NEWTON", 1)
+        for circle in inradius_outradius(generate(NEAR_CIRCLES[name])):
+            assert_no_certificate(circle)
 
-    def test_prints_nothing(self, name, capfd):
-        inradius_outradius(generate(UNCERTIFIED[name][0]))
+    def test_prints_nothing(self, name, capfd, monkeypatch):
+        monkeypatch.setattr(geometry, "_MAX_NEWTON", 1)
+        inradius_outradius(generate(NEAR_CIRCLES[name]))
+        assert capfd.readouterr() == ("", "")
+
+
+class TestKktPolish:
+    """Newton on the contact conditions, for rows of one contact count."""
+
+    kp = generate(Ellipse(a=2.0, b=1.0, grid_n=64))
+
+    def polish(self, theta, lam):
+        U = np.fft.rfft(support_about_centroid(self.kp)[0])[None].repeat(len(theta), 0)
+        rows = len(theta)
+        return geometry._kkt_polish(
+            U, 1.0, np.zeros((rows, 2)), np.ones(rows), np.array(theta),
+            np.array(lam), np.full(rows, 1e-13),
+        )
+
+    def test_singular_row_is_left_undone(self, capfd):
+        # two contacts at one angle make the Newton system singular; that
+        # row stays where it is, the other settles at the axis ends, and
+        # no least-squares solve prints LAPACK's DLASCL error on stdout
+        theta = [[1.5, 4.7], [2.0, 2.0]]
+        c, r, th, lam, done = self.polish(theta, [[0.5, 0.5], [0.5, 0.5]])
+        assert done.tolist() == [True, False]
+        assert np.array_equal(th[1], theta[1]) and r[1] == 1.0
+        inner = inradius_outradius(self.kp)[0]
+        assert np.sort(th[0]) == pytest.approx(np.sort(inner.theta), abs=1e-12)
+        assert r[0] == pytest.approx(inner.radius, rel=1e-13)
         assert capfd.readouterr() == ("", "")
 
 

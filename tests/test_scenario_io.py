@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -519,6 +520,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert "status" in json.loads((tmp_path / "out" / "manifest.json").read_text())
+
+    def test_kernel_warns_nothing_on_a_steep_start(self, tmp_path, capsys):
+        # the collector's functionals still overflow on this circle, but
+        # the kernel trips the nonfinite guard without a warning
+        doc = {
+            "law": {"kind": "Contraction", "alpha": 100},
+            "curve": {"kind": "Circle", "r": 1e-3, "grid_n": 64},
+            "t_end": 1e-6,
+            "sample_dt": 1e-7,
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings("error", module=r"convexflow\._kernels")
+            assert main(["run", str(path)]) == 1
+        assert "(guard: nonfinite)" in capsys.readouterr().out
 
     def test_nan_margin_is_not_checked(self, tmp_path, capsys):
         # k^alpha overflows on this circle, so two margins are NaN from the

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -529,6 +530,17 @@ class TestKernel:
         assert code == "nonfinite"
         assert steps > 0
         assert np.all(np.isfinite(out)) and out.max() < 1e6
+
+    def test_nonfinite_sigma_warns_nothing(self):
+        # the same run with every warning an error: sigma (n/2)^2 passes
+        # the float range before any coefficient or stage overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, t, steps, code = advance(
+                circle_k(1e-3), span=1e-6, law=cf.FlowKind.CONTRACTION, alpha=100.0
+            )
+        assert code == "nonfinite"
+        assert steps > 0 and 0.0 < t < 1e-6
 
     @pytest.mark.parametrize("kind", LAWS)
     def test_step_is_rk4_of_curvature_rhs(self, kind):
