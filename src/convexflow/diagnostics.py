@@ -29,9 +29,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import CurvatureProfile
-from .laws import (
-    FlowKind, FlowLaw, _float_power, integrals, lambda_value, nonlocal_lambda, power
-)
+from .laws import FlowKind, FlowLaw, _float_power, integrals, nonlocal_lambda, power
 from .spectral import (
     TWO_PI,
     _cell_bound,
@@ -166,10 +164,9 @@ class DiagnosticsSeries:
     without copying it.
     """
 
-    def __init__(self, law: FlowLaw, tso: TsoContext | None, phi_enabled: bool):
+    def __init__(self, law: FlowLaw, tso: TsoContext | None):
         self.law = law
         self.tso = tso
-        self.phi_enabled = phi_enabled
         self._n = 0
         self._table = np.empty((len(COLUMNS), 0))
         self._rows = {name: i for i, name in enumerate(COLUMNS)}
@@ -350,6 +347,7 @@ def tso_quantity(
     return q_max.reshape(shape)[()], ok.reshape(shape)[()]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gradient_functional(
     kp: CurvatureProfile,
     alpha: float,
@@ -362,6 +360,8 @@ def gradient_functional(
     degree n, so its 2n samples give its exact spectrum, and its maximum
     is that interpolant's, exact to round-off (`_refined_max`). Callers
     that already hold the rows of the rfft of k^alpha pass them as `V`.
+    On a steep start the square overflows, and the maximum reads inf or
+    NaN without a warning.
     """
     shape = kp.k.shape[:-1]
     n = kp.grid.n
@@ -380,8 +380,8 @@ def lower_bound_functional(s_accum, kp: CurvatureProfile):
 
     s_accum is the integrator's running time integral of the curvature
     power quadrature (for a block, one per row, NaN where there is
-    none); None (no accumulator available) yields NaN and the series
-    flags the diagnostic as disabled. The max of 1/k is that of its
+    none); None (no accumulator available) yields NaN, which the
+    monotonicity audit does not check. The max of 1/k is that of its
     trigonometric interpolant, exact to round-off (`_refined_max`).
     """
     shape = kp.k.shape[:-1]
@@ -444,6 +444,7 @@ def _named_phi_margins(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def inequality_audit(kp: CurvatureProfile, alpha: float = 1.0) -> dict[str, Margin]:
     """Every audited inequality as named margins (large - small side).
 
@@ -452,7 +453,9 @@ def inequality_audit(kp: CurvatureProfile, alpha: float = 1.0) -> dict[str, Marg
     minus the length- resp. area-stabilizing nonlocal term), for which
     one side vanishes identically. Margins comparing the four nonlocal
     terms appear only for alpha >= 1, their domain of validity. For a
-    block, each Margin holds one value and scale per row.
+    block, each Margin holds one value and scale per row. A margin that
+    overflows reads inf or NaN, without a warning, and a NaN margin is
+    not checked.
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise AuditError(f"alpha must be finite and positive, got {alpha}")
@@ -532,9 +535,10 @@ class DiagnosticsCollector:
 
     Per block, the support pipeline (reconstruction and centroid) runs
     once and is shared by everything that needs it, as is one rfft of
-    k^alpha per row, which the Tso quotient and Psi share. L, A and
-    k^alpha come from `laws.integrals`, with no closure check, so a run
-    that drifts open is recorded (closure_defect) rather than stopped.
+    k^alpha per row, which the Tso quotient and Psi share. L, A, lambda
+    and k^alpha come from one `laws.integrals` call, with no closure
+    check, so a run that drifts open is recorded (closure_defect) rather
+    than stopped.
     The radii of a block are solved in one `geometry.inradius_outradius`
     call, every row from the contacts of the inscribed and circumscribed
     circles of the last sample certified before the block, which the
@@ -552,7 +556,7 @@ class DiagnosticsCollector:
         self.law = law
         self.audits = frozenset(audits)
         tso = TsoContext.from_initial(kp0, law.alpha) if "tso" in self.audits else None
-        self.series = DiagnosticsSeries(law, tso, phi_enabled="phi" in self.audits)
+        self.series = DiagnosticsSeries(law, tso)
         self.block_rows = max(1, _BLOCK_POINTS // kp0.grid.n)
         self._queue: list[tuple[float, CurvatureProfile, float | None]] = []
         self._circles: tuple[geometry.TouchingCircle, ...] | None = None
@@ -608,7 +612,7 @@ class DiagnosticsCollector:
         if "rates" in self.audits:
             dA_dt, dL_dt = rate_formulas(law, block)
 
-        v, _, _, L, A = integrals(block, law.alpha)
+        v, q, qw, L, A = integrals(block, law.alpha)
         V = None
         if tso is not None or "psi" in self.audits:
             V = np.fft.rfft(v)
@@ -623,7 +627,7 @@ class DiagnosticsCollector:
             psi = gradient_functional(block, law.alpha, V=V)
 
         phi = nan
-        if self.series.phi_enabled:
+        if "phi" in self.audits:
             s_accum = np.array([math.nan if s is None else s for _, _, s in queue])
             phi = lower_bound_functional(s_accum, block)
 
@@ -641,7 +645,7 @@ class DiagnosticsCollector:
             "I": L * L / (2.0 * TWO_PI * A),
             "k_min": k.min(axis=-1),
             "k_max": k.max(axis=-1),
-            "lambda": lambda_value(law, block),
+            "lambda": nonlocal_lambda(law.kind, q, qw, L, A),
             "closure_defect": geometry.closure_defect(block),
             "r_in": r_in,
             "r_out": r_out,
@@ -678,7 +682,9 @@ def _mono_violations(
 
 
 def monotonicity_violations(series: DiagnosticsSeries) -> list[str]:
-    """Per-sample monotonicity checks appropriate to the series' law."""
+    """Per-sample monotonicity checks appropriate to the series' law. A
+    NaN sample, as in the column of an audit that is switched off, is not
+    checked."""
     law = series.law
     t = series.column("t")
     out: list[str] = []
@@ -690,8 +696,7 @@ def monotonicity_violations(series: DiagnosticsSeries) -> list[str]:
     direction = entropy_direction(law)
     if direction:
         out += _mono_violations(t, series.column("entropy"), direction, "entropy")
-    if series.phi_enabled:
-        out += _mono_violations(t, series.column("Phi_max"), -1, "Phi_max")
+    out += _mono_violations(t, series.column("Phi_max"), -1, "Phi_max")
     return out
 
 

@@ -237,12 +237,11 @@ def support_about_centroid(
     return u, center
 
 
-# The inradius is the linear program max r subject to u(theta) - c.N(theta)
-# >= r for every theta, over the center offset c from the centroid; the
-# outradius is the same program for -u. Both are solved as the program for
-# v = sign * u, on u itself rather than a negated copy, and a
-# TouchingCircle always holds the circle of u: radius and center are
-# sign times those of v's. Each is seeded by an exchange on the
+# The inradius is the linear program max r subject to v(theta) - c.N(theta)
+# >= r for every theta, over the center offset c from the centroid, for
+# v = u: the inscribed circle of v, which `_circles` solves. The outradius
+# is the same program for v = -u, whose inscribed circle (r, c) is the
+# circumscribed circle (-r, -c) of u. Each is seeded by an exchange on the
 # _OVERSAMPLE-fold resample, the only resample left, or by the contacts
 # of a nearby curve, polished by Newton on the KKT system of the
 # trigonometric interpolant, and certified by that interpolant's exact
@@ -254,8 +253,6 @@ _MAX_ROUNDS = 10
 # radius tolerance relative to max |u|, and that of the weight equations
 _RADIUS_RTOL = 1e-13
 _WEIGHT_TOL = 1e-13
-# the inscribed circle, then the circumscribed one
-_SIGNS = (1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -284,25 +281,25 @@ def _with_center(coef: np.ndarray, center: np.ndarray) -> np.ndarray:
     return out
 
 
-def _flat(U2: np.ndarray, center: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """Rows on which u - center.N is flat up to tol between resample
-    points, from the rfft U2 of u'', one row each.
+def _flat(V2: np.ndarray, center: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Rows on which v - center.N is flat up to tol between resample
+    points, from the rfft V2 of v'', one row each.
 
     Between resample points f = v - c.N dips at most max|f''| h^2/8 below
     them, and the optimum lies within that dip of the discrete one. Where
     it is below tol (near-circles, whose f is flat up to round-off) the
     discrete answer is exact and there is no well-posed contact to
-    polish. |f''| = |u'' + center.N| for either sign, with center = sign
-    c, and the mode sum of its spectrum bounds it.
+    polish. |f''| = |v'' + c.N|, and the mode sum of its spectrum bounds
+    it.
     """
-    n_fine = _OVERSAMPLE * 2 * (U2.shape[-1] - 1)
-    dip = _mode_sums(_with_center(U2, center), 0)
+    n_fine = _OVERSAMPLE * 2 * (V2.shape[-1] - 1)
+    dip = _mode_sums(_with_center(V2, center), 0)
     return dip * (TWO_PI / n_fine) ** 2 / 8.0 <= tol
 
 
-def _crossing(U, sign, c, r, theta, tol) -> tuple[np.ndarray, np.ndarray]:
-    """(crossed, angle): the rows whose circle (r, c) of v = sign * u the
-    interpolant of v, with rfft U, crosses by more than tol, and where it
+def _crossing(V, c, r, theta, tol) -> tuple[np.ndarray, np.ndarray]:
+    """(crossed, angle): the rows whose inscribed circle (r, c) the
+    interpolant of v, with rfft V, crosses by more than tol, and where it
     crosses most: where g = c.N - v exceeds tol - r, by its exact maximum
     (`spectral._refined_max`). That leaves out the cells whose
     `_cell_bound` stays below tol - r, and the two cells next to the node
@@ -310,9 +307,9 @@ def _crossing(U, sign, c, r, theta, tol) -> tuple[np.ndarray, np.ndarray]:
     cell that holds it, within tol, and with one extremum to a cell, as
     `_refined_max` reads a resolved interpolant, the other cell's maximum
     is at its end next to the contact, and no higher."""
-    rows, modes = U.shape
+    rows, modes = V.shape
     n = 2 * (modes - 1)
-    G = _with_center(U * -sign, c)
+    G = _with_center(-V, c)
     spectra = np.stack([G, deriv_spectrum(G, 1), deriv_spectrum(G, 2)])
     g, *slopes = np.fft.irfft(spectra, n)
     level = tol - r
@@ -329,6 +326,16 @@ def _crossing(U, sign, c, r, theta, tol) -> tuple[np.ndarray, np.ndarray]:
     return top > level, at
 
 
+def _ratio_test(lam: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The ratios of a simplex pivot along the last axis: lam / step where
+    step > 0, inf elsewhere. As the entering contact gains weight t, the
+    weights lam - t step stay >= 0 up to the least ratio, where the one
+    at its index reaches 0 and leaves."""
+    ratio = np.full(lam.shape, np.inf)
+    np.divide(lam, step, out=ratio, where=step > 0.0)
+    return ratio
+
+
 def _exchange(
     v: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -337,7 +344,7 @@ def _exchange(
     A dual simplex on max r s.t. r + c.N_j <= v_j: the basis is three
     samples whose normals hold the origin in their convex hull (weights
     lam >= 0), and the most violated sample enters in place of the one
-    the ratio test removes. Returns (basis, lam, (r, cx, cy)), or None if
+    `_ratio_test` removes. Returns (basis, lam, (r, cx, cy)), or None if
     it does not settle in _MAX_PIVOTS pivots.
     """
     m = v.size
@@ -352,11 +359,7 @@ def _exchange(
         lam = inv[:, 0]
         if slack[j] >= -tol:
             return basis, lam, y
-        step = inv @ cols[:, j]
-        ratio = np.full(3, np.inf)
-        up = step > 0.0
-        ratio[up] = lam[up] / step[up]
-        basis[int(ratio.argmin())] = j
+        basis[_ratio_test(lam, inv @ cols[:, j]).argmin()] = j
     return None
 
 
@@ -364,10 +367,10 @@ def _enter(
     theta: np.ndarray, lam: np.ndarray, at: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The contacts (theta, lam) of each row once the angle `at` enters.
-    Among three, it takes the place of the one the ratio test of
-    `_exchange` picks, and the weights move with that pivot, so they stay
-    >= 0 and balanced. Otherwise, or with two contacts at one angle, it
-    is added with weight 0."""
+    Among three, it takes the place of the one `_ratio_test` picks, as in
+    `_exchange`, and the weights move with that pivot, so they stay >= 0
+    and balanced. Otherwise, or with two contacts at one angle, it is
+    added with weight 0."""
     if theta.shape[1] == 3:
         def columns(th):
             return np.stack([np.ones_like(th), np.cos(th), np.sin(th)], -2)
@@ -377,8 +380,7 @@ def _enter(
         except np.linalg.LinAlgError:
             pass
         else:
-            ratio = np.full_like(lam, np.inf)
-            np.divide(lam, step, out=ratio, where=step > 0.0)
+            ratio = _ratio_test(lam, step)
             out = ratio.argmin(-1)[:, None]
             t = np.take_along_axis(ratio, out, -1)
             lam, theta = lam - t * step, theta.copy()
@@ -415,7 +417,6 @@ def _contacts(
 
 def _kkt_polish(
     coef: np.ndarray,
-    sign: float,
     c: np.ndarray,
     r: np.ndarray,
     theta: np.ndarray,
@@ -425,16 +426,16 @@ def _kkt_polish(
     """Newton on the KKT system of max-min of the interpolant f_c = v - c.N,
     for rows of one contact count at once.
 
-    coef holds the rfft of each row of u (rows, modes), whose interpolant
-    `spectral.interpolant_derivatives` evaluates, and v = sign * u. Per
-    row the unknowns are c (rows, 2), r (rows,), and theta_i and lam_i
-    (rows, k); the equations f_c(theta_i) = r, f_c'(theta_i) = 0,
-    sum lam_i N(theta_i) = 0 and sum lam_i = 1 are square for any number
-    of contacts. A contact counts
-    as settled once the quadratic model leaves less than tol of descent,
-    f'^2 <= 2 tol |f''|, which also holds where the interpolant is flat
-    and its stationary point is ill-determined. A row that passes is
-    frozen, so its iterates do not depend on the other rows.
+    coef holds the rfft of each row of v (rows, modes), whose interpolant
+    `spectral.interpolant_derivatives` evaluates. Per row the unknowns
+    are c (rows, 2), r (rows,), and theta_i and lam_i (rows, k); the
+    equations f_c(theta_i) = r, f_c'(theta_i) = 0, sum lam_i N(theta_i)
+    = 0 and sum lam_i = 1 are square for any number of contacts. A
+    contact counts as settled once the quadratic model leaves less than
+    tol of descent, f'^2 <= 2 tol |f''|, which also holds where the
+    interpolant is flat and its stationary point is ill-determined. A
+    row that passes is frozen, so its iterates do not depend on the
+    other rows.
 
     The rows' systems are stacked into one `np.linalg.solve`; a row whose
     system is singular or whose step is not finite is left undone, and
@@ -450,13 +451,13 @@ def _kkt_polish(
     for _ in range(_MAX_NEWTON):
         th, lm, tl = theta[todo], lam[todo], tol[todo]
         cx, cy, rr = c[todo, :1], c[todo, 1:], r[todo, None]
-        u0, u1, u2, _ = interpolant_derivatives(
+        v0, v1, v2, _ = interpolant_derivatives(
             coef, th.ravel(), np.repeat(todo, k)
         ).reshape(4, todo.size, k)
         cos, sin = np.cos(th), np.sin(th)
-        gap = sign * u0 - cx * cos - cy * sin - rr
-        f1 = sign * u1 + cx * sin - cy * cos
-        f2 = sign * u2 + cx * cos + cy * sin
+        gap = v0 - cx * cos - cy * sin - rr
+        f1 = v1 + cx * sin - cy * cos
+        f2 = v2 + cx * cos + cy * sin
         balance = np.stack(
             [(lm * cos).sum(-1), (lm * sin).sum(-1), lm.sum(-1) - 1.0], -1
         )
@@ -504,104 +505,94 @@ def _kkt_polish(
 
 
 def _circles(
-    U: np.ndarray,
-    U2: np.ndarray,
-    tol: np.ndarray,
-    start: tuple[TouchingCircle, TouchingCircle] | None,
-) -> tuple[list[TouchingCircle], list[TouchingCircle]]:
-    """The inscribed and the circumscribed circle of each row of u: for
-    each sign in _SIGNS, the circle of max over c of min over theta of the
-    interpolant of v minus c.N, v = sign * u, as a circle of u.
+    V: np.ndarray, tol: np.ndarray, start: TouchingCircle | None
+) -> list[TouchingCircle]:
+    """The inscribed circle of each row of v: the circle of max over c of
+    min over theta of the interpolant of v minus c.N.
 
-    U and U2 are the rfft of the rows of u and u'' (rows, modes), tol the
-    rows' radius tolerances, start the two circles of a nearby u. A row
-    not flat at a start circle's center (see `_flat`) starts Newton at
-    its contacts; any other starts from the exchange, whose answer is
-    final where it is flat. Each round, the rows of one circle and
-    contact count take one stacked `_kkt_polish`: a row whose weights
-    turn negative drops its lightest contact, a row that the interpolant
-    crosses (`_crossing`) takes the angle where it crosses most as a
-    contact (`_enter`), and the others are certified. A row whose
-    polish fails, or with no certificate after _MAX_ROUNDS rounds, falls
-    back a stage: from the start to the start without its lightest
-    contact, if it has more than two, then to the exchange. A row with no
-    stage left, or whose exchange does not settle, is a NaN circle.
+    V is the rfft of the rows of v (rows, modes), tol the rows' radius
+    tolerances, start the circle of a nearby v; without one, row 0 is
+    solved from the exchange and starts the others. A row not flat at the
+    start's center (see `_flat`) starts Newton at its contacts; any other
+    starts from the exchange, whose answer is final where it is flat.
+    Each round, the rows of one contact count take one stacked
+    `_kkt_polish`: a row whose weights turn negative drops its lightest
+    contact, a row that the interpolant crosses (`_crossing`) takes the
+    angle where it crosses most as a contact (`_enter`), and the others
+    are certified. A row whose polish fails, or with no certificate after
+    _MAX_ROUNDS rounds, falls back a stage: from the start to the start
+    without its lightest contact, if it has more than two, then to the
+    exchange. A row with no stage left, or whose exchange does not
+    settle, is a NaN circle.
     """
-    b = U.shape[0]
-    n = 2 * (U.shape[-1] - 1)
+    b = V.shape[0]
+    if start is None and b > 1:
+        first = _circles(V[:1], tol[:1], None)
+        return first + _circles(V[1:], tol[1:], first[0])
+    n = 2 * (V.shape[-1] - 1)
     n_fine = _OVERSAMPLE * n
-    # entry e = side * b + row is a row's circle, side 0 the inscribed one
-    circles: list[TouchingCircle | None] = [None] * (2 * b)
-    # entries in Newton as parts (entries, c, r, theta, lam, stages left,
-    # rounds left) of one side and contact count, with v's c and r
+    V2 = deriv_spectrum(V, 2)
+    circles: list[TouchingCircle | None] = [None] * b
+    # rows in Newton as parts (rows, c, r, theta, lam, stages left, rounds
+    # left) of one contact count
     live = []
-    cold = np.full(2 * b, True)
 
-    def begin(side: int, rows: np.ndarray, circle: TouchingCircle, stages: int):
-        g, sign = rows.size, _SIGNS[side]
+    def begin(rows: np.ndarray, circle: TouchingCircle, stages: int):
+        g = rows.size
         c, theta, lam = (
-            np.tile(a, (g, 1))
-            for a in (sign * circle.center, circle.theta, circle.weights)
+            np.tile(a, (g, 1)) for a in (circle.center, circle.theta, circle.weights)
         )
-        return (side * b + rows, c, np.full(g, sign * circle.radius), theta, lam,
+        return (rows, c, np.full(g, circle.radius), theta, lam,
                 np.full(g, stages), np.full(g, _MAX_ROUNDS))
 
-    if start is not None:
-        for side, s in enumerate(start):
-            if math.isfinite(s.radius):
-                cold[side * b : side * b + b] = flat = _flat(U2, s.center, tol)
-                if not flat.all():
-                    stages = 1 + (s.theta.size > 2)
-                    live.append(begin(side, np.flatnonzero(~flat), s, stages))
-    cold = np.flatnonzero(cold)
+    cold = np.arange(b)
+    if start is not None and math.isfinite(start.radius):
+        flat = _flat(V2, start.center, tol)
+        cold = np.flatnonzero(flat)
+        if not flat.all():
+            stages = 1 + (start.theta.size > 2)
+            live.append(begin(np.flatnonzero(~flat), start, stages))
     while True:
         if cold.size:
-            u_fine = resample_spectrum(U[cold % b], n, n_fine)
-            for i, e in enumerate(cold.tolist()):
-                side, row = divmod(e, b)
-                sign = _SIGNS[side]
-                solved = _exchange(sign * u_fine[i], tol[row])
+            v_fine = resample_spectrum(V[cold], n, n_fine)
+            for row, v in zip(cold.tolist(), v_fine):
+                solved = _exchange(v, tol[row])
                 if solved is None:
                     continue
                 basis, lam, y = solved
-                center, radius = sign * y[1:], sign * float(y[0])
-                if _flat(U2[row : row + 1], center, tol[row : row + 1])[0]:
+                center, radius = y[1:], float(y[0])
+                if _flat(V2[row : row + 1], center, tol[row : row + 1])[0]:
                     held = lam > 0.0
                     theta = AngularGrid(n_fine).theta[basis[held]]
-                    circles[e] = TouchingCircle(radius, center, theta, lam[held])
+                    circles[row] = TouchingCircle(radius, center, theta, lam[held])
                 else:
                     contacts = _contacts(basis, lam, n_fine)
                     circle = TouchingCircle(radius, center, *contacts)
-                    live.append(begin(side, np.array([row]), circle, 0))
-            del u_fine
+                    live.append(begin(np.array([row]), circle, 0))
+            del v_fine
         if not live:
             break
         groups = {}
         for part in live:
-            groups.setdefault((part[0][0] // b, part[3].shape[1]), []).append(part)
-        polished = []
-        for (side, k), parts in sorted(groups.items()):
-            e, c, r, theta, lam, stages, rounds = (
+            groups.setdefault(part[3].shape[1], []).append(part)
+        live, cold = [], [np.arange(0)]
+        for k, parts in sorted(groups.items()):
+            rows, c, r, theta, lam, stages, rounds = (
                 np.concatenate(a) if len(a) > 1 else a[0] for a in zip(*parts)
             )
-            rows = e % b
-            polished.append((side, e, rows, stages, rounds - 1, *_kkt_polish(
-                U[rows], _SIGNS[side], c, r, theta, lam, tol[rows]
-            )))
-        live, cold = [], [np.arange(0)]
-        for side, e, rows, stages, rounds, c, r, theta, lam, done in polished:
-            sign, k = _SIGNS[side], theta.shape[1]
+            rounds = rounds - 1
+            c, r, theta, lam, done = _kkt_polish(V[rows], c, r, theta, lam, tol[rows])
             negative = lam.min(axis=-1) < 0.0
-            crossed, at = np.zeros(e.size, dtype=bool), np.zeros(e.size)
+            crossed, at = np.zeros(rows.size, dtype=bool), np.zeros(rows.size)
             held = np.flatnonzero(done & ~negative)
             if held.size:
                 crossed[held], at[held] = _crossing(
-                    U[rows[held]], sign, c[held], r[held], theta[held], tol[rows[held]]
+                    V[rows[held]], c[held], r[held], theta[held], tol[rows[held]]
                 )
             ok = done & ~negative & ~crossed
-            radius, center = (sign * r).tolist(), sign * c
+            radius = r.tolist()
             for j in np.flatnonzero(ok).tolist():
-                circles[e[j]] = TouchingCircle(radius[j], center[j], theta[j], lam[j])
+                circles[rows[j]] = TouchingCircle(radius[j], c[j], theta[j], lam[j])
             if ok.all():
                 continue
             failed = ~done | (~ok & (rounds == 0))
@@ -614,19 +605,18 @@ def _circles(
                 (add, *_enter(theta[add], lam[add], at[add])),
             ):
                 if j.size:
-                    live.append((e[j], c[j], r[j], th, lm, stages[j], rounds[j]))
+                    live.append((rows[j], c[j], r[j], th, lm, stages[j], rounds[j]))
             retry = failed & (stages == 2)
             if retry.any():
-                s = start[side]
-                keep = np.arange(s.theta.size) != s.weights.argmin()
-                s = TouchingCircle(s.radius, s.center, s.theta[keep], s.weights[keep])
-                live.append(begin(side, rows[retry], s, 1))
-            cold.append(e[failed & (stages == 1)])
+                keep = np.arange(start.theta.size) != start.weights.argmin()
+                lighter = TouchingCircle(
+                    start.radius, start.center, start.theta[keep], start.weights[keep]
+                )
+                live.append(begin(rows[retry], lighter, 1))
+            cold.append(rows[failed & (stages == 1)])
         cold = np.concatenate(cold)
-    if any(circle is None for circle in circles):
-        nan = TouchingCircle(math.nan, np.full(2, math.nan), np.empty(0), np.empty(0))
-        circles = [nan if circle is None else circle for circle in circles]
-    return circles[:b], circles[b:]
+    nan = TouchingCircle(math.nan, np.full(2, math.nan), np.empty(0), np.empty(0))
+    return [nan if circle is None else circle for circle in circles]
 
 
 def inradius_outradius(
@@ -656,21 +646,24 @@ def inradius_outradius(
     such as the previous sample of a run, and every row of a block starts
     Newton at its contacts: all rows at once, with one rfft for the
     block and one stacked solve per Newton iteration. Without a start the
-    first row is solved cold and starts the others. All rows are solved
-    in one batched active-set loop, `_circles`, which also says what a
-    row does when its start leads to no certificate.
+    first row is solved cold and starts the others. Each circle is one
+    batched active-set loop over all rows, `_circles`, which also says
+    what a row does when its start leads to no certificate. It solves
+    inscribed circles: of u for the inradius, and of -u for the
+    outradius, whose radius and center are negated here.
     """
     if u is None:
         u, _ = support_about_centroid(kp)
     rows = np.atleast_2d(u)
     U = np.fft.rfft(rows)
-    U2 = deriv_spectrum(U, 2)
     tol = _RADIUS_RTOL * np.maximum(rows.max(axis=-1), -rows.min(axis=-1))
-    first = int(start is None)
-    if start is None:
-        start = tuple(side[0] for side in _circles(U[:1], U2[:1], tol[:1], None))
-    rest = _circles(U[first:], U2[first:], tol[first:], start)
-    pairs = [start] * first + list(zip(*rest))
+
+    def negated(c: TouchingCircle) -> TouchingCircle:
+        return TouchingCircle(-c.radius, -c.center, c.theta, c.weights)
+
+    inner = _circles(U, tol, None if start is None else start[0])
+    outer = _circles(-U, tol, None if start is None else negated(start[1]))
+    pairs = [(i, negated(o)) for i, o in zip(inner, outer)]
     return pairs if np.ndim(u) == 2 else pairs[0]
 
 

@@ -76,8 +76,8 @@ ELLIPSE21_PSI = 5.234684284149571
 NONLOCAL = (FlowKind.LP, FlowKind.AP, FlowKind.G1, FlowKind.G2)
 
 
-def series_of(kind=FlowKind.LP, alpha=1.0, tso=None, phi_enabled=False):
-    return DiagnosticsSeries(FlowLaw(kind, alpha), tso, phi_enabled)
+def series_of(kind=FlowKind.LP, alpha=1.0, tso=None):
+    return DiagnosticsSeries(FlowLaw(kind, alpha), tso)
 
 
 def record(t, **overrides):
@@ -1077,10 +1077,12 @@ class TestSeriesAudits:
         assert monotonicity_violations(s) == []
 
     def test_phi_checked_only_when_enabled(self):
-        for enabled, expect in ((True, 1), (False, 0)):
-            s = series_of(FlowKind.LP, 1.0, phi_enabled=enabled)
-            s.extend(record(0.0, Phi_max=0.5))
-            s.extend(record(0.1, Phi_max=0.6))
+        # with the phi audit off, the collector records a NaN Phi column,
+        # which is not checked
+        for phi, expect in (((0.5, 0.6), 1), ((math.nan, math.nan), 0)):
+            s = series_of(FlowKind.LP, 1.0)
+            s.extend(record(0.0, Phi_max=phi[0]))
+            s.extend(record(0.1, Phi_max=phi[1]))
             assert len(monotonicity_violations(s)) == expect
 
     def test_psi_running_max(self):

@@ -381,8 +381,8 @@ class TestKktPolish:
         U = np.fft.rfft(support_about_centroid(self.kp)[0])[None].repeat(len(theta), 0)
         rows = len(theta)
         return geometry._kkt_polish(
-            U, 1.0, np.zeros((rows, 2)), np.ones(rows), np.array(theta),
-            np.array(lam), np.full(rows, 1e-13),
+            U, np.zeros((rows, 2)), np.ones(rows), np.array(theta), np.array(lam),
+            np.full(rows, 1e-13),
         )
 
     def test_singular_row_is_left_undone(self, capfd):
@@ -446,6 +446,25 @@ class TestWarmStart:
         for w, c in zip(warm, cold):
             assert w.radius == pytest.approx(c.radius, rel=1e-13, abs=0.0)
 
+    def test_each_circle_follows_its_own_start(self, solver_calls):
+        # a start with one circle uncertified: that circle alone is solved
+        # from the exchange, and the other from its start's contacts
+        kp0 = random_convex(2)
+        kp1 = one_sample_later(kp0)
+        u, _ = support_about_centroid(kp1)
+        cold = inradius_outradius(kp1, u)
+        start = inradius_outradius(kp0)
+        nan = geometry.TouchingCircle(
+            math.nan, np.full(2, math.nan), np.empty(0), np.empty(0)
+        )
+        for mixed in ((nan, start[1]), (start[0], nan)):
+            solver_calls.update(exchanges=0)
+            warm = inradius_outradius(kp1, u, start=mixed)
+            assert solver_calls["exchanges"] == 1
+            for w, c in zip(warm, cold):
+                assert w.radius == pytest.approx(c.radius, rel=1e-13, abs=0.0)
+                assert w.center == pytest.approx(c.center, rel=0.0, abs=1e-13)
+
     @pytest.mark.parametrize("name", ["circle", "contraction"])
     def test_near_circle_takes_the_discrete_branch(self, name):
         kp = CERTIFIED_CURVES[name]()
@@ -497,9 +516,9 @@ def solver_calls(monkeypatch):
         calls["exchanges"] += 1
         return exchange(*args)
 
-    def polished(*args):
-        calls["polished"] += len(args[4])
-        return polish(*args)
+    def polished(coef, c, r, theta, lam, tol):
+        calls["polished"] += len(r)
+        return polish(coef, c, r, theta, lam, tol)
 
     monkeypatch.setattr(geometry, "_exchange", exchanged)
     monkeypatch.setattr(geometry, "_kkt_polish", polished)
