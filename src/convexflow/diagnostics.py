@@ -29,7 +29,8 @@ import numpy as np
 
 from . import geometry
 from .geometry import CurvatureProfile
-from .laws import FlowKind, FlowLaw, _float_power, integrals, nonlocal_lambda, power
+from .laws import FlowKind, FlowLaw, _float_power, integrals, nonlocal_lambda
+from .laws import power, power_spectrum
 from .spectral import (
     TWO_PI,
     _cell_bound,
@@ -277,16 +278,7 @@ def rate_formulas(law: FlowLaw, kp: CurvatureProfile):
     return dA_dt, dL_dt
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    return a.reshape(-1, a.shape[-1])
-
-
-def tso_quantity(
-    kp: CurvatureProfile,
-    ctx: TsoContext,
-    u: np.ndarray | None = None,
-    V: np.ndarray | None = None,
-):
+def tso_quantity(kp: CurvatureProfile, ctx: TsoContext):
     """(Q_max, precondition_ok) for Q = k^alpha/(u - beta).
 
     Q_max is NaN when u dips to beta or below (the quotient loses
@@ -294,19 +286,15 @@ def tso_quantity(
     beta under which the a-priori bound is proved. Both extrema are those
     of the trigonometric interpolants of k^alpha and u, exact to
     round-off (`_refined_max`), so the value does not depend on where the
-    grid happens to land. Callers that already hold the centroid support
-    samples pass them as `u` (required for a block), and the rows of the
-    rfft of k^alpha as `V`.
+    grid happens to land. k^alpha, u and their rffts are those kept on
+    the profile; one profile must be closed, a block is read unchecked.
     """
-    if u is None:
-        u, _ = geometry.support_about_centroid(kp)
     shape = kp.k.shape[:-1]
     n = kp.grid.n
     beta = ctx.beta
-    v = _rows(power(kp.w, ctx.alpha))
-    V = np.fft.rfft(v) if V is None else _rows(V)
-    u = _rows(u)
-    U = np.fft.rfft(u)
+    v, V = np.atleast_2d(*power_spectrum(kp, ctx.alpha))
+    u, _, U = kp.support
+    u, U = np.atleast_2d(u, U)
     slopes = _slopes(np.stack([V, U]), n)
     dv, du = slopes[:, 0], slopes[:, 1]
     u_min = -_interpolant_max(-u, -U, (-du[0], -du[1]))[0]
@@ -341,31 +329,27 @@ def tso_quantity(
         excess[crossed] = -np.inf
         q1 = (dv[0] - q * du[0]) / (u - beta)
         q2 = (dv[1] - 2.0 * q1 * du[0] - q * du[1]) / (u - beta)
-        del slopes, dv, du, U
+        del slopes, dv, du
         q_max = _refined_max(q, (q1, q2), excess, derivs)[0]
     q_max = np.where(crossed, math.nan, q_max)
     return q_max.reshape(shape)[()], ok.reshape(shape)[()]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def gradient_functional(
-    kp: CurvatureProfile,
-    alpha: float,
-    V: np.ndarray | None = None,
-):
+def gradient_functional(kp: CurvatureProfile, alpha: float):
     """max of k^(2 alpha) + ((k^alpha)')^2, grid-independent.
 
     The maximizer generally falls between nodes. The square sum of the
     trigonometric interpolants of k^alpha and of its derivative has
     degree n, so its 2n samples give its exact spectrum, and its maximum
-    is that interpolant's, exact to round-off (`_refined_max`). Callers
-    that already hold the rows of the rfft of k^alpha pass them as `V`.
+    is that interpolant's, exact to round-off (`_refined_max`); the rfft
+    of k^alpha is the one kept on the profile (`laws.power_spectrum`).
     On a steep start the square overflows, and the maximum reads inf or
     NaN without a warning.
     """
     shape = kp.k.shape[:-1]
     n = kp.grid.n
-    V = np.fft.rfft(_rows(power(kp.w, alpha))) if V is None else _rows(V)
+    V = np.atleast_2d(power_spectrum(kp, alpha)[1])
     square = resample_spectrum(deriv_spectrum(V, 1), n, 2 * n)
     square *= square
     square += resample_spectrum(V, n, 2 * n) ** 2
@@ -387,7 +371,7 @@ def lower_bound_functional(s_accum, kp: CurvatureProfile):
     shape = kp.k.shape[:-1]
     if s_accum is None:
         return np.full(shape, math.nan)[()]
-    w_max = _interpolant_max(_rows(kp.w), _rows(kp.W))[0].reshape(shape)[()]
+    w_max = _interpolant_max(*np.atleast_2d(kp.w, kp.W))[0].reshape(shape)[()]
     return w_max - (geometry.length(kp) + s_accum) / TWO_PI
 
 
@@ -533,12 +517,12 @@ class DiagnosticsCollector:
     their interpolants only at the Newton points of the cells that can
     hold a maximum (`_refined_max`).
 
-    Per block, the support pipeline (reconstruction and centroid) runs
-    once and is shared by everything that needs it, as is one rfft of
-    k^alpha per row, which the Tso quotient and Psi share. L, A, lambda
-    and k^alpha come from one `laws.integrals` call, with no closure
-    check, so a run that drifts open is recorded (closure_defect) rather
-    than stopped.
+    The block is its audits' context: each functional reads what the
+    `CurvatureProfile` keeps, formed by the first that asks for it, so a
+    block's support function (reconstruction and centroid) and its rfft,
+    k^alpha and its rfft, and the integrals q, qw, L and A are each
+    formed once. None is checked for closure, so a run that drifts open
+    is recorded (closure_defect) rather than stopped.
     The radii of a block are solved in one `geometry.inradius_outradius`
     call, every row from the contacts of the inscribed and circumscribed
     circles of the last sample certified before the block, which the
@@ -583,12 +567,12 @@ class DiagnosticsCollector:
         if not defer:
             self.series._trim()
 
-    def _radii(self, block: CurvatureProfile, u: np.ndarray) -> np.ndarray:
+    def _radii(self, block: CurvatureProfile) -> np.ndarray:
         """(r_in, r_out) rows of a block, NaN where no certificate was
         found. The block's last certified pair, if it has one, starts the
         next block; the other rows' circles are freed on return, before
         the rest of the block is computed."""
-        pairs = geometry.inradius_outradius(block, u=u, start=self._circles)
+        pairs = geometry.inradius_outradius(block, start=self._circles)
         radii = np.array([[circle.radius for circle in pair] for pair in pairs])
         certified = np.flatnonzero(~np.isnan(radii).any(axis=-1))
         if certified.size:
@@ -596,50 +580,23 @@ class DiagnosticsCollector:
         return radii.T
 
     def _compute(self, queue: list[tuple[float, CurvatureProfile, float | None]]):
-        law = self.law
-        tso = self.series.tso
-        profiles = [kp for _, kp, _ in queue]
+        law, tso, audits = self.law, self.series.tso, self.audits
+        times, profiles, accums = zip(*queue)
         block = CurvatureProfile(profiles[0].grid, np.stack([kp.k for kp in profiles]))
-        b = len(profiles)
-        nan = np.full(b, math.nan)
-        u, _ = geometry._support_pipeline(block)
-
-        r_in = r_out = nan
-        if "radii" in self.audits:
-            r_in, r_out = self._radii(block, u)
-
-        dA_dt = dL_dt = nan
-        if "rates" in self.audits:
-            dA_dt, dL_dt = rate_formulas(law, block)
-
-        v, q, qw, L, A = integrals(block, law.alpha)
-        V = None
-        if tso is not None or "psi" in self.audits:
-            V = np.fft.rfft(v)
-        del v
-
-        q_max, q_ok = nan, np.zeros(b)
-        if tso is not None:
-            q_max, q_ok = tso_quantity(block, tso, u=u, V=V)
-
-        psi = nan
-        if "psi" in self.audits:
-            psi = gradient_functional(block, law.alpha, V=V)
-
-        phi = nan
-        if "phi" in self.audits:
-            s_accum = np.array([math.nan if s is None else s for _, _, s in queue])
-            phi = lower_bound_functional(s_accum, block)
-
-        ent = entropy(law, block) if "entropy" in self.audits else nan
-
-        margins: Mapping[str, Margin] = {}
-        if "margins" in self.audits:
-            margins = inequality_audit(block, alpha=law.alpha)
+        nan = np.full(len(queue), math.nan)
+        s_accum = np.array([math.nan if s is None else s for s in accums])
+        _, q, qw, L, A = integrals(block, law.alpha)
+        r_in, r_out = self._radii(block) if "radii" in audits else (nan, nan)
+        dA_dt, dL_dt = rate_formulas(law, block) if "rates" in audits else (nan, nan)
+        q_max, q_ok = tso_quantity(block, tso) if tso else (nan, np.zeros_like(nan))
+        psi = gradient_functional(block, law.alpha) if "psi" in audits else nan
+        phi = lower_bound_functional(s_accum, block) if "phi" in audits else nan
+        ent = entropy(law, block) if "entropy" in audits else nan
+        margins = inequality_audit(block, law.alpha) if "margins" in audits else {}
 
         k = block.k
         columns = {
-            "t": [t for t, _, _ in queue],
+            "t": times,
             "L": L,
             "A": A,
             "I": L * L / (2.0 * TWO_PI * A),

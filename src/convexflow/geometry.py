@@ -61,7 +61,10 @@ class CurvatureProfile:
     k holds one profile as (n,) samples, or a block of B profiles of one
     grid as (B, n) rows. The functionals of k compute along the last
     axis: a block gives one value per row, bit for bit what that row
-    gives alone, and one profile gives a numpy scalar.
+    gives alone, and one profile gives a numpy scalar. What they share
+    is formed once, on first use, and kept here: 1/k and its rfft, the
+    support function about the centroid, and k^alpha with its rfft and
+    integrals for each alpha that is asked for.
     """
 
     grid: AngularGrid
@@ -102,6 +105,28 @@ class CurvatureProfile:
         W = np.fft.rfft(self.w)
         W.setflags(write=False)
         return W
+
+    @cached_property
+    def support(self) -> tuple[np.ndarray, tuple, np.ndarray]:
+        """(u, center, U): the support samples about the area centroid,
+        that centroid and the rfft of u, from one `_support_pipeline` call
+        (u and U read-only). One profile must be closed; a block is read
+        unchecked."""
+        if self.k.ndim == 1:
+            _require_closed(self, "support_about_centroid")
+        u, center = _support_pipeline(self)
+        # the centroid of a convex region is interior, so u > 0 must hold
+        assert self.k.ndim == 2 or u.min() > 0.0, "support about centroid not positive"
+        U = np.fft.rfft(u)
+        for a in (u, U):
+            a.setflags(write=False)
+        return u, center, U
+
+    @cached_property
+    def powers(self) -> dict:
+        """k^alpha with its rfft and integrals, by alpha, each formed once
+        by `laws.integrals`."""
+        return {}
 
 
 def length(kp: CurvatureProfile):
@@ -229,12 +254,9 @@ def support_about_centroid(
     kp: CurvatureProfile,
 ) -> tuple[np.ndarray, tuple[float, float]]:
     """(u, center): support samples u = <X - center, N> about the area
-    centroid of a closed curve."""
+    centroid of a closed curve (`CurvatureProfile.support`, read-only)."""
     _require_closed(kp, "support_about_centroid")
-    u, center = _support_pipeline(kp)
-    # centroid of a convex region is interior, so u > 0 must hold
-    assert u.min() > 0.0, "support about centroid not positive"
-    return u, center
+    return kp.support[:2]
 
 
 # The inradius is the linear program max r subject to v(theta) - c.N(theta)
@@ -621,7 +643,6 @@ def _circles(
 
 def inradius_outradius(
     kp: CurvatureProfile,
-    u: np.ndarray | None = None,
     start: tuple[TouchingCircle, TouchingCircle] | None = None,
 ) -> (
     tuple[TouchingCircle, TouchingCircle]
@@ -639,23 +660,20 @@ def inradius_outradius(
     radius tolerance. A circle for which no certificate is found has a
     NaN radius and center and no contacts.
 
-    Callers that already hold the centroid support samples pass them as
-    `u`: one profile's (n,) samples give one (inner, outer) pair, and a
-    (B, n) block of rows, which only the caller can supply, gives a list
-    of one pair per row. `start` is the pair returned for a nearby curve,
-    such as the previous sample of a run, and every row of a block starts
-    Newton at its contacts: all rows at once, with one rfft for the
-    block and one stacked solve per Newton iteration. Without a start the
-    first row is solved cold and starts the others. Each circle is one
-    batched active-set loop over all rows, `_circles`, which also says
-    what a row does when its start leads to no certificate. It solves
-    inscribed circles: of u for the inradius, and of -u for the
-    outradius, whose radius and center are negated here.
+    One profile, which must be closed, gives one (inner, outer) pair, and
+    a (B, n) block, read unchecked, a list of one pair per row; both read
+    the support function kept on the profile (`CurvatureProfile.support`).
+    `start` is the pair returned for a nearby curve, such as the previous
+    sample of a run, and every row of a block starts Newton at its
+    contacts: all rows at once, with one stacked solve per Newton
+    iteration. Without a start the first row is solved cold and starts
+    the others. Each circle is one batched active-set loop over all rows,
+    `_circles`, which also says what a row does when its start leads to
+    no certificate. It solves inscribed circles: of u for the inradius,
+    and of -u for the outradius, whose radius and center are negated here.
     """
-    if u is None:
-        u, _ = support_about_centroid(kp)
-    rows = np.atleast_2d(u)
-    U = np.fft.rfft(rows)
+    u, _, U = kp.support
+    rows, U = np.atleast_2d(u, U)
     tol = _RADIUS_RTOL * np.maximum(rows.max(axis=-1), -rows.min(axis=-1))
 
     def negated(c: TouchingCircle) -> TouchingCircle:
@@ -664,7 +682,7 @@ def inradius_outradius(
     inner = _circles(U, tol, None if start is None else start[0])
     outer = _circles(-U, tol, None if start is None else negated(start[1]))
     pairs = [(i, negated(o)) for i, o in zip(inner, outer)]
-    return pairs if np.ndim(u) == 2 else pairs[0]
+    return pairs if kp.k.ndim == 2 else pairs[0]
 
 
 def bonnesen_sigma(I: float) -> float:

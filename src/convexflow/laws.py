@@ -93,11 +93,25 @@ def integrals(kp: CurvatureProfile, alpha: float):
     """(v, q, qw, L, A) of a profile or a (B, n) block, with no closure
     check: v = k^alpha, q and qw the integrals of v and v/k over the
     normal angle, the length L and the `geometry.parseval_area` A, each a
-    numpy scalar or one value per row. (The kernel reads its own.)"""
-    w = kp.w
-    v = power(w, alpha)
-    L, A = geometry.length(kp), geometry.parseval_area(kp.W)
-    return v, integrate_values(v), integrate_values(v * w), L, A
+    numpy scalar or one value per row. They are formed on the first call
+    for each alpha, with the rfft of v (`power_spectrum`), and kept on
+    the profile (`CurvatureProfile.powers`). (The kernel reads its own.)"""
+    if alpha not in kp.powers:
+        w = kp.w
+        v = power(w, alpha)
+        V = np.fft.rfft(v)
+        v.setflags(write=False)
+        V.setflags(write=False)
+        L, A = geometry.length(kp), geometry.parseval_area(kp.W)
+        kp.powers[alpha] = v, V, integrate_values(v), integrate_values(v * w), L, A
+    v, _, q, qw, L, A = kp.powers[alpha]
+    return v, q, qw, L, A
+
+
+def power_spectrum(kp: CurvatureProfile, alpha: float):
+    """(v, V): the v = k^alpha of `integrals` and its rfft (read-only)."""
+    v = integrals(kp, alpha)[0]
+    return v, kp.powers[alpha][1]
 
 
 def lambda_value(law: FlowLaw, kp: CurvatureProfile):

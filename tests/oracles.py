@@ -116,6 +116,22 @@ def extinction_time(r0: float, alpha: float) -> float:
     return r0 ** (1.0 + alpha) / (1.0 + alpha)
 
 
+def affine_ellipse_scale(a0: float, b0: float, t):
+    """a(t)/a0 = b(t)/b0 of the ellipse under affine curve shortening
+    (Contraction at alpha = 1/3), which it shrinks homothetically with
+    (ab)^(2/3)(t) = (a0 b0)^(2/3) - 4t/3 (Sapiro & Tannenbaum 1993):
+    the integral of k^(alpha - 1) over the normal angle is 2 pi (ab)^(1/3)
+    on every ellipse. Valid before the extinction time, `affine_ellipse_end`."""
+    ab = (a0 * b0) ** (2.0 / 3.0) - 4.0 * np.asarray(t) / 3.0
+    return ab ** 0.75 / math.sqrt(a0 * b0)
+
+
+def affine_ellipse_end(a0: float, b0: float) -> float:
+    """T* = (3/4)(a0 b0)^(2/3), where the affine flow shrinks the ellipse
+    to a point."""
+    return 0.75 * (a0 * b0) ** (2.0 / 3.0)
+
+
 def integral_inv_two_plus_sin() -> float:
     """Closed form of the periodic integral of 1/(2+sin): 2*pi/sqrt(3)."""
     return TWO_PI / math.sqrt(3.0)

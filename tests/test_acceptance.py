@@ -28,6 +28,7 @@ from convexflow import (
     run,
 )
 from convexflow.diagnostics import (
+    audit_series,
     closure_violations,
     failed_margins,
     fit_decay_rate,
@@ -37,6 +38,7 @@ from convexflow.diagnostics import (
     rate_violations,
     tso_violations,
 )
+from convexflow.generators import ellipse_curvature
 
 import oracles
 
@@ -355,4 +357,58 @@ def test_criterion_10_decay_rates(conserving_runs, converged_runs):
         f"fitted k_max - k_min decay rates finite and negative:"
         f" {', '.join(rates)}; short runs in"
         f" [{min(short):.2f}, {max(short):.2f}]",
+    )
+
+
+# criterion 14: the relative error allowed in r_in and r_out along the
+# affine flow, by aspect ratio (measured 2.4e-11 and 3.3e-8)
+AFFINE_RADII_RTOL = {2.0: 1e-9, 4.0: 1e-7}
+
+
+def test_criterion_14_exact_shrinking_ellipse():
+    # Contraction at alpha = 1/3 is the affine curve shortening flow, an
+    # exact non-circular solution: every ellipse shrinks homothetically
+    law = FlowLaw(FlowKind.CONTRACTION, 1.0 / 3.0)
+    ok, details = True, []
+    for aspect, radii_rtol in AFFINE_RADII_RTOL.items():
+        kp0 = generate(Ellipse(a=aspect, b=1.0, grid_n=128))
+        t_end = 0.75 * oracles.affine_ellipse_end(aspect, 1.0)
+        res = run(law, kp0, t_end=t_end, sample_dt=t_end / 40)
+        s = res.series
+        final = oracles.affine_ellipse_scale(aspect, 1.0, res.t_final)
+        exact = ellipse_curvature(aspect * final, final, kp0.grid.theta)
+        k_err = float(np.abs(res.final.k / exact - 1.0).max())
+        scale = oracles.affine_ellipse_scale(aspect, 1.0, s.column("t"))
+        r_err = float(max(
+            np.abs(s.column("r_in") / scale - 1.0).max(),
+            np.abs(s.column("r_out") / (aspect * scale) - 1.0).max(),
+        ))
+        I = s.column("I")
+        drift = float(np.abs(I / I[0] - 1.0).max())
+        problems = audit_series(s)
+        ok = ok and (
+            res.status is RunStatus.TIME_LIMIT
+            and k_err <= 1e-8
+            and r_err <= radii_rtol
+            and drift <= 1e-10
+            and not problems
+        )
+        details.append(
+            f"{aspect:g}:1 k {k_err:.1e}, radii {r_err:.1e}, I drift {drift:.1e},"
+            f" {len(problems)} audit problems"
+        )
+    # past T* the blow-up guard stops the run just before it (from 2:1
+    # only: 4:1 takes about 30k steps there)
+    t_star = oracles.affine_ellipse_end(2.0, 1.0)
+    res = run(law, generate(Ellipse(a=2.0, b=1.0, grid_n=128)),
+              t_end=1.2 * t_star, sample_dt=0.75 * t_star / 40)
+    ended = res.t_final / t_star
+    ok = ok and res.status is RunStatus.BLOW_UP and res.guard == "blowup"
+    ok = ok and 0.9999 < ended <= 1.0
+    report(
+        14,
+        ok,
+        f"affine flow at n=128: {'; '.join(details)}"
+        f" (tol 1e-8, 1e-9/1e-7, 1e-10); 2:1 ends {res.guard} at"
+        f" t = (1 - {1.0 - ended:.1e}) T*",
     )

@@ -33,7 +33,7 @@ from convexflow import (
     to_csv,
     tso_quantity,
 )
-from convexflow import diagnostics, geometry, spectral
+from convexflow import diagnostics, geometry, laws, spectral
 from convexflow.diagnostics import (
     COLUMNS,
     AuditError,
@@ -461,12 +461,11 @@ class TestCollector:
         coll = DiagnosticsCollector(law, ellipse21)
         coll.collect(0.0, ellipse21, s_accum=0.0)
         rec = sample(coll.series)
-        u, _ = support_about_centroid(ellipse21)
         assert rec["A"] == area(ellipse21)
         assert rec["lambda"] == lambda_value(law, ellipse21)
         rates = rate_formulas(law, ellipse21)
         assert (rec["dA_dt_formula"], rec["dL_dt_formula"]) == rates
-        tso = tso_quantity(ellipse21, coll.series.tso, u=u)
+        tso = tso_quantity(ellipse21, coll.series.tso)
         assert (rec["Q_max"], rec["Q_ok"]) == tso
         assert rec["Psi_max"] == gradient_functional(ellipse21, 1.0)
 
@@ -474,6 +473,18 @@ class TestCollector:
         assert ellipse21.W is ellipse21.W
         assert np.array_equal(ellipse21.W, np.fft.rfft(ellipse21.w))
         assert not ellipse21.W.flags.writeable
+
+    def test_profile_keeps_support_and_powers_read_only(self, ellipse21):
+        kp = CurvatureProfile(ellipse21.grid, ellipse21.k)
+        v = integrals(kp, 2.0)[0]
+        assert integrals(kp, 2.0)[0] is v and laws.power_spectrum(kp, 2.0)[0] is v
+        V = laws.power_spectrum(kp, 2.0)[1]
+        assert np.array_equal(V, np.fft.rfft(v))
+        u, center, U = kp.support
+        assert kp.support[0] is u and support_about_centroid(kp)[0] is u
+        assert np.array_equal(U, np.fft.rfft(u))
+        for a in (v, V, u, U):
+            assert not a.flags.writeable
 
     def test_disabled_audits_record_nan(self, ellipse21):
         coll = DiagnosticsCollector(
@@ -578,8 +589,8 @@ class TestWarmRadii:
             math.nan, np.full(2, math.nan), np.empty(0), np.empty(0)
         )
 
-        def last_uncertified(block, u, start):
-            pairs = radii(block, u=u, start=start)
+        def last_uncertified(block, start):
+            pairs = radii(block, start=start)
             calls.append((start, pairs))
             return pairs[:-1] + [(nan, nan)] if len(calls) == 1 else pairs
 
@@ -677,15 +688,14 @@ class TestBlocks:
         profiles = [ellipse21, random_convex(1), random_convex(2)]
         block = CurvatureProfile(ellipse21.grid, np.stack([kp.k for kp in profiles]))
         ctx = TsoContext.from_initial(ellipse21, law.alpha)
-        u, _ = geometry._support_pipeline(block)
         s_accum = np.array([0.0, 0.5, 1.0])
 
-        def values(kp, s, u=None):
+        def values(kp, s):
             return {
                 "oscillation": oscillation(kp),
                 "dA_dt": rate_formulas(law, kp)[0],
                 "dL_dt": rate_formulas(law, kp)[1],
-                "Q_max": tso_quantity(kp, ctx, u=u)[0],
+                "Q_max": tso_quantity(kp, ctx)[0],
                 "psi": gradient_functional(kp, law.alpha),
                 "phi": lower_bound_functional(s, kp),
                 "entropy": entropy(law, kp),
@@ -695,8 +705,8 @@ class TestBlocks:
                 "closure_defect": geometry.closure_defect(kp),
             }
 
-        rows = values(block, s_accum, u)
-        q_ok = tso_quantity(block, ctx, u=u)[1]
+        rows = values(block, s_accum)
+        q_ok = tso_quantity(block, ctx)[1]
         margins = inequality_audit(block, alpha=law.alpha)
         for i, kp in enumerate(profiles):
             one = values(kp, s_accum[i])
@@ -746,6 +756,46 @@ class TestBlocks:
                 tracemalloc.stop()
             assert len(coll.series) == rows
             assert peak < 768 * 1024, (n, peak)
+
+    def test_block_forms_its_context_once(self, monkeypatch):
+        # one 32-row block of the LP alpha=1 2:1 ellipse at n=128, sampled
+        # every 1/200: k^alpha and its quadratures, the support function
+        # and its rfft are formed once and read by every audit; the second
+        # k^alpha is the margins' exponent family
+        law = FlowLaw(FlowKind.LP, 1.0)
+        kp0 = generate(Ellipse(a=2.0, b=1.0, grid_n=128))
+        coll = DiagnosticsCollector(law, kp0)
+        samples = []
+        run(law, kp0, t_end=coll.block_rows / 200, sample_dt=1 / 200,
+            audits=(), on_sample=lambda t, kp, index: samples.append((t, kp, 0.1 * t)))
+        queue = samples[1:]
+        assert len(queue) == coll.block_rows == 32
+        u, _ = geometry._support_pipeline(
+            CurvatureProfile(kp0.grid, np.stack([kp.k for _, kp, _ in queue]))
+        )
+        calls = dict.fromkeys(("power", "quadrature", "support", "rfft of u"), 0)
+
+        def spy(name, fn, counts=lambda a: True):
+            def counted(*args, **kwargs):
+                calls[name] += counts(args[0])
+                return fn(*args, **kwargs)
+            return counted
+
+        power = spy("power", laws.power)
+        monkeypatch.setattr(laws, "power", power)
+        monkeypatch.setattr(diagnostics, "power", power)
+        monkeypatch.setattr(laws, "integrate_values",
+                            spy("quadrature", laws.integrate_values))
+        monkeypatch.setattr(geometry, "_support_pipeline",
+                            spy("support", geometry._support_pipeline))
+        monkeypatch.setattr(np.fft, "rfft", spy(
+            "rfft of u", np.fft.rfft,
+            lambda a: np.shape(a) == u.shape and np.array_equal(a, u),
+        ))
+        coll._compute(queue)
+        assert len(coll.series) == 32
+        # q and qw are the two quadratures of k^alpha
+        assert calls == {"power": 2, "quadrature": 2, "support": 1, "rfft of u": 1}
 
 
 # the exact extrema against the parabola-refined maximum of a 1024x
@@ -840,7 +890,7 @@ class TestExactExtrema:
         if ctx is not None:
             u, _ = support_about_centroid(kp)
             q_ref, u_min = dense_tso(kp, ctx, u, factor)
-            q_max, ok = tso_quantity(kp, ctx, u=u)
+            q_max, ok = tso_quantity(kp, ctx)
             assert ok == (ctx.beta < u_min and u_min >= 2.0 * ctx.beta)
             if math.isnan(q_ref):
                 assert math.isnan(q_max)
@@ -850,7 +900,7 @@ class TestExactExtrema:
                 for side in (-1.0, 1.0):
                     beta = 0.5 * u_min * (1.0 + side * EXTREMA_RTOL)
                     near = dataclasses.replace(ctx, beta=beta)
-                    assert tso_quantity(kp, near, u=u)[1] == (side < 0.0)
+                    assert tso_quantity(kp, near)[1] == (side < 0.0)
         psi_ref, w_ref = dense_maxima(kp, alpha, factor)
         psi = gradient_functional(kp, alpha)
         assert psi == pytest.approx(psi_ref, rel=EXTREMA_RTOL, abs=0.0)
@@ -901,7 +951,7 @@ class TestExactExtrema:
         self.check_curve(kp, 1.0)
         ctx = TsoContext.from_initial(kp, 1.0)
         u, _ = support_about_centroid(kp)
-        assert tso_quantity(kp, ctx, u=u)[0] == (kp.k / (u - ctx.beta)).max()
+        assert tso_quantity(kp, ctx)[0] == (kp.k / (u - ctx.beta)).max()
         phi = lower_bound_functional(0.0, kp)
         assert phi == kp.w.max() - geometry.length(kp) / TWO_PI
         V = np.fft.rfft(kp.k)
@@ -918,8 +968,7 @@ class TestExactExtrema:
         self.check(ellipse, 1.0, ctx)
         self.check(circle, 1.0, ctx)
         block = CurvatureProfile(ellipse.grid, np.stack([ellipse.k, circle.k]))
-        u, _ = geometry._support_pipeline(block)
-        q_max, ok = tso_quantity(block, ctx, u=u)
+        q_max, ok = tso_quantity(block, ctx)
         assert math.isnan(q_max[0]) and not ok.any()
         assert q_max[1] == tso_quantity(circle, ctx)[0] == pytest.approx(1.0)
 

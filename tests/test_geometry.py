@@ -92,8 +92,13 @@ class TestCurvatureBlock:
         block = CurvatureProfile(ellipse21.grid, np.stack([ellipse21.k] * 3))
         with pytest.raises(ValueError, match="area takes one profile, got a block of 3"):
             area(block)
-        with pytest.raises(ValueError, match="support_about_centroid takes one"):
-            inradius_outradius(block)
+        # a block is read unchecked: one pair per row, each its row's pair
+        pairs = inradius_outradius(block)
+        assert len(pairs) == 3
+        for pair in pairs:
+            for got, want in zip(pair, inradius_outradius(ellipse21)):
+                assert got.radius == want.radius
+                assert np.array_equal(got.center, want.center)
 
     def test_block_is_read_only(self, ellipse21, unit_circle):
         block = CurvatureProfile(ellipse21.grid, np.stack([ellipse21.k, unit_circle.k]))
@@ -133,6 +138,16 @@ class TestLengthAreaClosure:
             area(kp)
         with pytest.raises(ClosureError):
             support_about_centroid(kp)
+
+    def test_kept_support_is_checked_for_one_profile(self):
+        # one profile's support is checked on every read, also after a
+        # failed one; a block holding the same curve is read unchecked
+        kp = open_curve()
+        for _ in range(2):
+            with pytest.raises(ClosureError):
+                inradius_outradius(kp)
+        block = CurvatureProfile(kp.grid, np.stack([kp.k, kp.k]))
+        assert len(inradius_outradius(block)) == 2
 
 
 class TestReconstruction:
@@ -303,7 +318,7 @@ class TestRadiusCertificate:
     def test_circles_hold_on_a_dense_resample(self, name):
         kp = CERTIFIED_CURVES[name]()
         u, _ = support_about_centroid(kp)
-        assert_hold_on_a_dense_resample(u, *inradius_outradius(kp, u))
+        assert_hold_on_a_dense_resample(u, *inradius_outradius(kp))
 
     @pytest.mark.parametrize("name", sorted(CERTIFIED_CURVES))
     def test_contact_weights_balance(self, name):
@@ -316,7 +331,7 @@ class TestRadiusCertificate:
         for spec in near_circles(100):
             kp = generate(spec)
             u, _ = support_about_centroid(kp)
-            circles = inradius_outradius(kp, u)
+            circles = inradius_outradius(kp)
             assert_hold_on_a_dense_resample(u, *circles)
             assert_weights_balance(circles)
 
@@ -335,13 +350,13 @@ class TestRadiusCertificate:
     def test_uncertified_answer_is_nan(self, ellipse21, monkeypatch):
         kp = one_sample_later(ellipse21)
         start = inradius_outradius(ellipse21)
-        block, u = block_of([ellipse21, kp])
+        block = block_of([ellipse21, kp])
         monkeypatch.setattr(geometry, "_MAX_NEWTON", 1)
         for circle in inradius_outradius(ellipse21):
             assert_no_certificate(circle)
         # the row whose start is its answer needs no Newton step, so it
         # stays certified; the other finds no certificate, cold or warm
-        certified, uncertified = inradius_outradius(block, u, start=start)
+        certified, uncertified = inradius_outradius(block, start=start)
         for got, want in zip(certified, start):
             assert got.radius == want.radius
             assert np.array_equal(got.theta, want.theta)
@@ -420,10 +435,10 @@ class TestWarmStart:
         kp0 = CERTIFIED_CURVES[name]()
         kp1 = one_sample_later(kp0)
         u, _ = support_about_centroid(kp1)
-        cold = inradius_outradius(kp1, u)
+        cold = inradius_outradius(kp1)
         start = inradius_outradius(kp0)
         monkeypatch.setattr(geometry, "_exchange", no_exchange)
-        warm = inradius_outradius(kp1, u, start=start)
+        warm = inradius_outradius(kp1, start=start)
         assert_hold_on_a_dense_resample(u, *warm)
         assert_weights_balance(warm)
         for w, c in zip(warm, cold):
@@ -433,14 +448,14 @@ class TestWarmStart:
     def test_foreign_start_gives_the_cold_answer(self, foreign):
         kp = random_convex(0)
         u, _ = support_about_centroid(kp)
-        cold = inradius_outradius(kp, u)
+        cold = inradius_outradius(kp)
         if foreign == "random_convex(3)":
             start = inradius_outradius(random_convex(3))
         else:
             start = tuple(
                 dataclasses.replace(c, theta=c.theta + math.pi / 2) for c in cold
             )
-        warm = inradius_outradius(kp, u, start=start)
+        warm = inradius_outradius(kp, start=start)
         assert_hold_on_a_dense_resample(u, *warm)
         assert_weights_balance(warm)
         for w, c in zip(warm, cold):
@@ -451,15 +466,14 @@ class TestWarmStart:
         # from the exchange, and the other from its start's contacts
         kp0 = random_convex(2)
         kp1 = one_sample_later(kp0)
-        u, _ = support_about_centroid(kp1)
-        cold = inradius_outradius(kp1, u)
+        cold = inradius_outradius(kp1)
         start = inradius_outradius(kp0)
         nan = geometry.TouchingCircle(
             math.nan, np.full(2, math.nan), np.empty(0), np.empty(0)
         )
         for mixed in ((nan, start[1]), (start[0], nan)):
             solver_calls.update(exchanges=0)
-            warm = inradius_outradius(kp1, u, start=mixed)
+            warm = inradius_outradius(kp1, start=mixed)
             assert solver_calls["exchanges"] == 1
             for w, c in zip(warm, cold):
                 assert w.radius == pytest.approx(c.radius, rel=1e-13, abs=0.0)
@@ -490,8 +504,7 @@ def flowed_profiles(law, kp0, t_end, samples):
 
 
 def block_of(profiles):
-    block = CurvatureProfile(profiles[0].grid, np.stack([kp.k for kp in profiles]))
-    return block, geometry._support_pipeline(block)[0]
+    return CurvatureProfile(profiles[0].grid, np.stack([kp.k for kp in profiles]))
 
 
 def radii_in_blocks(profiles, rows):
@@ -500,8 +513,8 @@ def radii_in_blocks(profiles, rows):
     before, the first block cold."""
     pairs, start = [], None
     for lo in range(0, len(profiles), rows):
-        block, u = block_of(profiles[lo : lo + rows])
-        pairs += inradius_outradius(block, u, start=start)
+        block = block_of(profiles[lo : lo + rows])
+        pairs += inradius_outradius(block, start=start)
         start = pairs[-1]
     return pairs
 
@@ -572,11 +585,11 @@ class TestBlockRadii:
             FlowLaw(FlowKind.CONTRACTION, 1.0), generate(Circle(r=1.0)), t_end, 9
         )
         fine = AngularGrid(geometry._OVERSAMPLE * profiles[0].grid.n)
-        block, u = block_of(profiles)
+        block = block_of(profiles)
         cold = inradius_outradius(profiles[0])
         for start in (None, cold):
             solver_calls.update(exchanges=0, polished=0)
-            pairs = inradius_outradius(block, u, start=start)
+            pairs = inradius_outradius(block, start=start)
             assert solver_calls == {"exchanges": 2 * len(profiles), "polished": 0}
             for kp, pair in zip(profiles, pairs):
                 for got, want in zip(pair, inradius_outradius(kp)):
@@ -587,10 +600,10 @@ class TestBlockRadii:
 
     def test_one_row_block_is_the_profile_alone(self, ellipse21):
         kp = one_sample_later(ellipse21)
-        block, u = block_of([kp])
+        block = block_of([kp])
         for start in (None, inradius_outradius(ellipse21)):
-            (pair,) = inradius_outradius(block, u, start=start)
-            for got, want in zip(pair, inradius_outradius(kp, u[0], start=start)):
+            (pair,) = inradius_outradius(block, start=start)
+            for got, want in zip(pair, inradius_outradius(kp, start=start)):
                 assert got.radius == want.radius
                 assert np.array_equal(got.center, want.center)
                 assert np.array_equal(got.theta, want.theta)

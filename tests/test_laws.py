@@ -13,12 +13,13 @@ from convexflow import (
     lambda_value,
     random_convex,
 )
-from convexflow.laws import LawError, power
+from convexflow.laws import LawError, integrals, power
 from convexflow.spectral import AngularGrid
 
 import oracles
 from oracles import curvature_rhs, normal_speed
 
+TWO_PI = 2.0 * math.pi
 NONLOCAL_KINDS = (FlowKind.LP, FlowKind.AP, FlowKind.G1, FlowKind.G2)
 
 
@@ -94,6 +95,20 @@ class TestLambda:
         assert lam[FlowKind.AP] <= lam[FlowKind.G2] + slack
         assert lam[FlowKind.G1] <= lam[FlowKind.LP] + slack
         assert lam[FlowKind.G2] <= lam[FlowKind.LP] + slack
+
+    @pytest.mark.parametrize(
+        "aspect, n", [(1.01, 256), (2.0, 256), (4.0, 256), (8.0, 512)]
+    )
+    def test_ellipse_identity_at_one_third(self, aspect, n):
+        # (2A/L) int k^(1/3) = int k^(-2/3) = 2 pi (ab)^(1/3) on every
+        # ellipse: the ineq22 margin vanishes at beta = -2/3, and the affine
+        # flow (alpha = 1/3) shrinks an ellipse at the rate criterion 14
+        # checks. 8:1 at n=256 reads 1.0e-13, under-resolved, so at n=512.
+        kp = generate(Ellipse(a=aspect, b=1.0, grid_n=n))
+        _, q, qw, L, A = integrals(kp, 1.0 / 3.0)
+        exact = TWO_PI * aspect ** (1.0 / 3.0)
+        assert 2.0 * A / L * q == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert qw == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_holder_all_alpha(self, alpha):
